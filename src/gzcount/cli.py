@@ -440,7 +440,7 @@ def main(argv=None) -> int:
         return EXIT_OK if not exc.code else int(exc.code)
     try:
         return _DISPATCH[args.command](args)
-    except DimensionLimitError as exc:
+    except (DimensionLimitError, RecursionError) as exc:
         print(f"gzcount: refused: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except (CacheFormatError, ValueError) as exc:

@@ -1,26 +1,28 @@
 """Independent ground truth: exact vertex enumeration of GZ polytopes.
 
 Builds the facet inequality system of GZ(lambda) directly from the
-interlacing triangle and enumerates its vertices by solving all maximal
-independent subsets of tight facets, entirely in exact rational
-arithmetic.  Nothing here touches the operator/recursion machinery, so
-agreement between this module and the counters is a real cross-check.
+interlacing triangle.  The candidate vertices are the patterns in which
+every entry equals one of its two upper neighbours; ``enumerate_vertices``
+proves that these are exactly the vertices.  Every candidate is then
+certified against the facet system itself, in exact integer arithmetic:
+it satisfies all inequalities and its tight normals have full rank.  So
+each reported point is a vertex of the H-representation, not merely a
+pattern of a known shape.  Nothing here touches the operator/recursion
+machinery, so agreement between this module and the counters is a real
+cross-check.
 
 The enumeration is intentionally limited to small ambient dimension
 (the default guardrail is 10, i.e. partitions of length up to 5); the
 point of this module is correctness at desk scale, not generality.
-
-Subset candidates are generated in lexicographic order of row indices;
-batches are independent of each other, so callers may parallelise over
-them and merge the resulting point sets without affecting the outcome.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .polyseries import format_rational
 
@@ -145,25 +147,6 @@ class VertexSet:
         return [[format_rational(c) for c in point] for point in self.sorted_points()]
 
 
-def _midpoint_table(lam: Sequence[int]) -> list[list[Fraction]]:
-    """Triangle of repeated midpoints under lam; strictly interior where possible."""
-    rows = [[Fraction(v) for v in lam]]
-    for _ in range(len(lam) - 1):
-        prev = rows[-1]
-        rows.append([(a + b) / 2 for a, b in zip(prev, prev[1:])])
-    return rows[1:]
-
-
-def _pinned_coords(shape: GZShape, pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
-    """Coordinates forced to a point: both chained bounds coincide."""
-    lam = shape.values
-    pinned: dict[int, int] = {}
-    for pos, (i, j) in enumerate(pairs):
-        if lam[j - 1] == lam[i + j - 1]:
-            pinned[pos] = lam[j - 1]
-    return pinned
-
-
 def _gcd_normalize(row: list[int]) -> tuple[int, ...]:
     g = 0
     for v in row:
@@ -175,105 +158,82 @@ def _gcd_normalize(row: list[int]) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _independent_solutions(rows: Sequence[tuple[int, ...]], d: int) -> list[list[Fraction]]:
-    """Solve every lexicographic d-subset of rows with independent normals.
+def _rank(rows: Iterable[Sequence[int]]) -> int:
+    """Exact rank of integer row vectors by fraction-free elimination.
 
-    Rows are integer vectors (normal..., rhs).  Independence is decided
-    by fraction-free elimination; each full-rank subset is solved by
-    exact back-substitution.
+    Each echelon row is zero at the pivots of the rows before it, so
+    reducing a new row against the echelon in order clears every pivot.
     """
-    n_rows = len(rows)
-    solutions: list[list[Fraction]] = []
+    echelon: list[tuple[tuple[int, ...], int]] = []
+    for row in rows:
+        reduced = list(row)
+        for erow, p in echelon:
+            c = reduced[p]
+            if c:
+                f = erow[p]
+                reduced = [f * a - c * b for a, b in zip(reduced, erow)]
+        pivot = next((col for col, v in enumerate(reduced) if v), None)
+        if pivot is not None:
+            echelon.append((_gcd_normalize(reduced), pivot))
+    return len(echelon)
 
-    def solve(echelon: list[tuple[int, ...]], pivots: list[int]) -> list[Fraction]:
-        x: list[Fraction | None] = [None] * d
-        for row, p in zip(reversed(echelon), reversed(pivots)):
-            acc = Fraction(row[d])
-            for col in range(d):
-                if col != p and row[col]:
-                    acc -= row[col] * x[col]
-            x[p] = acc / row[p]
-        return x  # type: ignore[return-value]
 
-    def extend(start: int, echelon: list[tuple[int, ...]], pivots: list[int]) -> None:
-        if len(echelon) == d:
-            solutions.append(solve(echelon, pivots))
-            return
-        need = d - len(echelon)
-        for idx in range(start, n_rows - need + 1):
-            reduced = list(rows[idx])
-            for erow, p in zip(echelon, pivots):
-                c = reduced[p]
-                if c:
-                    f = erow[p]
-                    reduced = [f * a - c * b for a, b in zip(reduced, erow)]
-            pivot = next((col for col in range(d) if reduced[col]), None)
-            if pivot is None:
-                continue
-            extend(idx + 1, echelon + [_gcd_normalize(reduced)], pivots + [pivot])
-
-    extend(0, [], [])
-    return solutions
+def _copy_patterns(row: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Rows below ``row`` in which every entry equals one of its two upper
+    neighbours, flattened top to bottom; each distinct pattern once."""
+    if len(row) == 1:
+        yield ()
+        return
+    for child in set(product(*({a, b} for a, b in zip(row, row[1:])))):
+        for rest in _copy_patterns(child):
+            yield child + rest
 
 
 def enumerate_vertices(hrep: HRep, limit_dim: int | None = None) -> VertexSet:
-    """Exact vertex set of the polytope described by ``hrep``.
+    """Exact vertex set of GZ(shape), certified against ``hrep``.
 
-    Substitutes out coordinates pinned by coinciding bounds, certifies
-    the reduced system is full-dimensional by exhibiting a strictly
-    interior point (repeated midpoints of the shape), then keeps every
-    solution of an independent tight subset that satisfies all rows.
+    Every row of the H-rep is ``+-e_i`` (a bound by an entry of the top
+    row lambda) or ``e_i - e_j`` (two neighbouring entries).  Read the
+    rows tight at a feasible point as edges of a graph on the
+    coordinates plus one ground node standing for lambda; the normals are
+    then the rows of that graph's incidence matrix with the ground column
+    deleted, whose rank is the number of coordinates joined to the
+    ground.  So the point is a vertex exactly when every coordinate is
+    linked to lambda by a chain of tight equalities.
+
+    Rows of a pattern are weakly increasing, since
+    u(i,j) <= u(i-1,j+1) <= u(i,j+1).  An entry x strictly between its
+    two upper neighbours is therefore the only entry of value x in its
+    row.  A tight link joins equal values, and x has none upward, so a
+    chain leaving x returns to its row only through x and can never
+    climb above it: x is not linked to lambda.  Conversely, an entry
+    equal to an upper neighbour is linked to it by a tight row, and by
+    induction down the triangle to lambda.  Hence a point is a vertex
+    exactly when every entry equals one of its two upper neighbours;
+    such a point is feasible, as it lies between those neighbours.
+
+    Those points are enumerated row by row, keeping distinct rows only.
+    Each is then certified generically: it must satisfy every row of
+    ``hrep.rows`` and its tight normals must have rank ``hrep.dim``.  A
+    failed certificate raises ``OracleError``.
     """
     limit = DEFAULT_LIMIT_DIM if limit_dim is None else limit_dim
     if hrep.dim > limit:
         raise DimensionLimitError(
             f"ambient dimension {hrep.dim} exceeds the enumeration limit {limit}"
         )
-    pinned = _pinned_coords(hrep.shape, hrep.var_pairs)
-    free = [pos for pos in range(hrep.dim) if pos not in pinned]
-    fpos = {pos: k for k, pos in enumerate(free)}
-    d = len(free)
-
-    reduced: list[tuple[tuple[int, ...], int, tuple[tuple[int, int], ...]]] = []
-    for normal, bound in hrep.rows:
-        rhs = bound - sum(normal[pos] * val for pos, val in pinned.items())
-        sparse = tuple((fpos[pos], normal[pos]) for pos in free if normal[pos])
-        if not sparse:
-            if rhs < 0:
-                raise OracleError("inequality system is infeasible")
-            continue
-        dense = tuple(normal[pos] for pos in free)
-        reduced.append((dense, rhs, sparse))
-
-    mid = _midpoint_table(hrep.shape.values)
-    interior_full = [mid[i - 1][j - 1] for (i, j) in hrep.var_pairs]
-    interior = [interior_full[pos] for pos in free]
-    for _, rhs, sparse in reduced:
-        if sum(c * interior[k] for k, c in sparse) >= rhs:
-            raise OracleError(
-                "no strictly interior point: reduced system is not full-dimensional"
-            )
-
-    def assemble(values: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        out = []
-        for pos in range(hrep.dim):
-            if pos in pinned:
-                out.append(Fraction(pinned[pos]))
-            else:
-                out.append(values[fpos[pos]])
-        return tuple(out)
-
-    if d == 0:
-        return VertexSet(frozenset({assemble(())}))
-
-    rows = [dense + (rhs,) for dense, rhs, _ in reduced]
     points: set[tuple[Fraction, ...]] = set()
-    for candidate in _independent_solutions(rows, d):
-        if all(
-            sum(c * candidate[k] for k, c in sparse) <= rhs
-            for _, rhs, sparse in reduced
-        ):
-            points.add(assemble(candidate))
+    for candidate in _copy_patterns(hrep.shape.values):
+        tight = []
+        for normal, bound in hrep.rows:
+            value = sum(c * x for c, x in zip(normal, candidate))
+            if value > bound:
+                raise OracleError(f"candidate {candidate} violates an inequality")
+            if value == bound:
+                tight.append(normal)
+        if _rank(tight) != hrep.dim:
+            raise OracleError(f"candidate {candidate} is not a vertex: tight rank too low")
+        points.add(tuple(Fraction(v) for v in candidate))
     return VertexSet(frozenset(points))
 
 

@@ -83,6 +83,14 @@ def test_count_oracle_refuses_beyond_limit(capsys):
     assert "refused" in err
 
 
+def test_count_refuses_on_recursion_limit(capsys):
+    code, out, err = run_cli(capsys, "count", "1^3000 2 3", "--method", "recurrence")
+    assert code == EXIT_LIMIT
+    assert out == ""
+    assert err.startswith("gzcount: refused: ")
+    assert "Traceback" not in err
+
+
 def test_count_usage_errors(capsys):
     code, _, err = run_cli(capsys, "count", "2 1")
     assert code == EXIT_USAGE

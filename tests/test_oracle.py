@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -116,6 +117,27 @@ def test_vertices_have_full_rank_tight_sets():
         tight = [normal for normal, bound in h.rows
                  if sum(c * x for c, x in zip(normal, point)) == bound]
         assert rank(tight) == h.dim
+
+
+def test_vertices_are_all_full_rank_integer_points():
+    # Every H-rep row is +-e_i or e_i - e_j, so the constraint matrix is a
+    # network matrix, hence totally unimodular: with integer lambda every
+    # vertex is integral.  Brute force over the integer points of the
+    # interlacing box is then a complete search that does not rely on the
+    # copy-an-upper-neighbour criterion the oracle enumerates.
+    for values in [(0, 2, 3), (0, 0, 1, 3), (1, 2, 4, 5), (-1, 1, 1, 4)]:
+        h = build_hrep(GZShape(values))
+        box = [range(values[j - 1], values[i + j - 1] + 1) for i, j in h.var_pairs]
+        expected = set()
+        for point in product(*box):
+            slack = [bound - sum(c * x for c, x in zip(normal, point))
+                     for normal, bound in h.rows]
+            if min(slack) < 0:
+                continue
+            tight = [normal for (normal, _), s in zip(h.rows, slack) if s == 0]
+            if rank(tight) == h.dim:
+                expected.add(point)
+        assert enumerate_vertices(h).points == expected
 
 
 def test_oracle_against_independent_counters():

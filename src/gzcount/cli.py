@@ -82,21 +82,6 @@ def parse_partition(text: str) -> list[int]:
     return values
 
 
-def _cache_path(args) -> str | None:
-    path = getattr(args, "cache", None)
-    if path:
-        return path
-    return os.environ.get(ENV_CACHE) or None
-
-
-def _open_cache(path: str | None) -> CountCache | None:
-    if path is None:
-        return None
-    if os.path.exists(path):
-        return CountCache.load(path)
-    return CountCache()
-
-
 def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
@@ -104,16 +89,13 @@ def _json_dump(obj) -> str:
 # ---------------------------------------------------------------- count
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args, cache: CountCache | None) -> int:
     values = parse_partition(args.partition)
     mv = MultiplicityVector.from_partition(values)
     mults = mv.mults
     distinct = len(mults)
     ambient = len(values) * (len(values) - 1) // 2
     limit = args.limit_dim if args.limit_dim is not None else DEFAULT_LIMIT_DIM
-
-    path = _cache_path(args)
-    cache = _open_cache(path)
 
     def run(method: str) -> int:
         if method == "a-infinity":
@@ -139,8 +121,6 @@ def _cmd_count(args) -> int:
 
     if args.method != "all":
         value = run(args.method)
-        if cache is not None and path:
-            cache.save(path)
         if args.format == "json":
             print(_json_dump({
                 "partition": values,
@@ -161,8 +141,6 @@ def _cmd_count(args) -> int:
     if not skipped_oracle:
         chosen.append("oracle")
     results = {method: run(method) for method in chosen}
-    if cache is not None and path:
-        cache.save(path)
     agree = len(set(results.values())) == 1
 
     if args.format == "json":
@@ -224,7 +202,7 @@ def _series_names(which: str, k: int) -> list[str]:
     return ["x", "z", "y"]
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args, cache: CountCache | None) -> int:
     which = args.which
     fixed_k = {"G3closed": 3, "E2closed": 2, "H": 3}
     if which in fixed_k:
@@ -238,8 +216,6 @@ def _cmd_series(args) -> int:
     if args.cap < 0:
         raise ValueError(f"cap must be >= 0, got {args.cap}")
 
-    path = _cache_path(args)
-    cache = _open_cache(path)
     if which == "E":
         series = build_E(k, args.cap, cache)
     elif which == "G":
@@ -250,8 +226,6 @@ def _cmd_series(args) -> int:
         series = closed_form_E2(args.cap)
     else:
         series = closed_form_H(args.cap)
-    if cache is not None and path:
-        cache.save(path)
 
     names = _series_names(which, k)
     rows = series.terms_sorted()
@@ -288,10 +262,8 @@ def _parse_k_range(text: str) -> tuple[int, int]:
     return low, high
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, cache: CountCache | None) -> int:
     lo, hi = _parse_k_range(args.k)
-    path = _cache_path(args)
-    cache = _open_cache(path)
     reports = []
     if args.suite in ("pde", "all"):
         for k in range(lo, hi + 1):
@@ -309,8 +281,6 @@ def _cmd_verify(args) -> int:
         reports.append(verify_e2(args.cap, cache))
     if args.suite in ("h", "all"):
         reports.append(verify_h(args.cap))
-    if cache is not None and path:
-        cache.save(path)
 
     ok = all(r.ok for r in reports)
     if args.format == "json":
@@ -352,14 +322,10 @@ def _cmd_cache(args) -> int:
 # ---------------------------------------------------------------- g4
 
 
-def _cmd_g4(args) -> int:
+def _cmd_g4(args, cache: CountCache | None) -> int:
     if args.cap < 0:
         raise ValueError(f"cap must be >= 0, got {args.cap}")
-    path = _cache_path(args)
-    cache = _open_cache(path)
     rows = g4_explore(args.cap, cache)
-    if cache is not None and path:
-        cache.save(path)
     if args.format == "json":
         print(_json_dump({
             "cap": args.cap,
@@ -439,9 +405,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if not exc.code else int(exc.code)
     try:
-        return _DISPATCH[args.command](args)
-    except (DimensionLimitError, RecursionError) as exc:
-        print(f"gzcount: refused: {exc}", file=sys.stderr)
+        if "cache" not in vars(args):
+            return _DISPATCH[args.command](args)
+        # Subcommands with --cache share one count cache file: opened
+        # before the handler runs, saved after it returns whatever the
+        # exit code, so entries computed by a failing verify are kept.
+        path = args.cache or os.environ.get(ENV_CACHE)
+        if not path:
+            return _DISPATCH[args.command](args, None)
+        cache = CountCache.load(path) if os.path.exists(path) else CountCache()
+        code = _DISPATCH[args.command](args, cache)
+        cache.save(path)
+        return code
+    except (DimensionLimitError, RecursionError, MemoryError) as exc:
+        print(f"gzcount: refused: {exc or type(exc).__name__}", file=sys.stderr)
         return EXIT_LIMIT
     except (CacheFormatError, ValueError) as exc:
         print(f"gzcount: error: {exc}", file=sys.stderr)

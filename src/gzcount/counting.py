@@ -16,16 +16,26 @@ routes are provided and cross-checked by the test suite:
 * triangular tables ``T^s`` / skew tables and the generating polynomials
   ``g_s`` / ``h_s`` they tabulate.
 
+The first two routes, and the zero-keeping reference
+``a_infinity_unnormalized``, share one piece of code: the iterative
+memo walk ``_memo_walk`` that sums child values up the count DAG.  Each
+keeps its own child generator (``apply_A`` expansion with zeros
+stripped, bitmask expansion of the squarefree product, ``apply_A``
+expansion with zeros kept) and its own memo table (a ``CountCache``,
+``_FIBER_MEMO``, a per-call dict), so agreement between them still
+compares two independent ways of listing children.
+
 Counts are arbitrary-precision integers throughout.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from math import comb
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .polyseries import Monomial, SparsePoly, TruncSeries, divide_exact
 
@@ -150,7 +160,15 @@ class CountCache:
             for key in sorted(self._counts, key=lambda k: (sum(k), k))
         }
         payload = {"version": self.VERSION, "counts": counts}
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+        # Write beside the target and rename over it, so a crash or a
+        # concurrent reader never sees a half-written cache file.
+        tmp = Path(f"{path}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(json.dumps(payload, indent=2) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: str | Path) -> "CountCache":
@@ -214,6 +232,38 @@ def apply_A(p: SparsePoly) -> SparsePoly:
     return out
 
 
+def _memo_walk(
+    key: Mults,
+    children_of: Callable[[Mults], dict[Mults, int]],
+    get: Callable[[Mults], int | None],
+    insert: Callable[[Mults, int], int],
+) -> int:
+    """Value of ``key`` in a DAG where each node is the weighted sum of its children.
+
+    ``children_of(node)`` maps each child to its multiplicity.  ``get``
+    returns a node's value, or None while it is unknown; leaves are known
+    to ``get``, so ``children_of`` is never called on them.  ``insert``
+    records a computed value.  The walk keeps its own stack, so the depth
+    of the DAG is not bounded by the interpreter's recursion limit.
+    """
+    stack: list[tuple[Mults, dict[Mults, int] | None]] = [(key, None)]
+    while stack:
+        cur, children = stack[-1]
+        if get(cur) is not None:
+            stack.pop()
+            continue
+        if children is None:
+            children = children_of(cur)
+            stack[-1] = (cur, children)
+        missing = [ck for ck in children if get(ck) is None]
+        if missing:
+            stack.extend((ck, None) for ck in missing)
+            continue
+        insert(cur, sum(c * get(ck) for ck, c in children.items()))
+        stack.pop()
+    return get(key)
+
+
 def _a_children(key: Mults) -> dict[Mults, int]:
     """Expansion of A applied to x1^i1 ... xk^ik, as zero-stripped vectors."""
     mono = Monomial((j + 1, e) for j, e in enumerate(key))
@@ -233,59 +283,37 @@ def a_infinity(mults: Sequence[int] | MultiplicityVector, cache: CountCache | No
     """
     if isinstance(mults, MultiplicityVector):
         mults = mults.mults
-    key = compress(mults)
     if cache is None:
         cache = SHARED_CACHE
-    if not key:
-        return 1
-    stack: list[tuple[Mults, dict[Mults, int] | None]] = [(key, None)]
-    while stack:
-        cur, children = stack[-1]
-        if cache.get(cur) is not None:
-            stack.pop()
-            continue
-        if children is None:
-            children = _a_children(cur)
-            stack[-1] = (cur, children)
-        missing = [ck for ck in children if ck and cache.get(ck) is None]
-        if missing:
-            stack.extend((ck, None) for ck in missing)
-            continue
-        total = 0
-        for ck, c in children.items():
-            total += c * (cache.get(ck) if ck else 1)
-        cache.insert(cur, total)
-        stack.pop()
-    return cache.get(key)
+    return _memo_walk(
+        compress(mults), _a_children, lambda k: cache.get(k) if k else 1, cache.insert
+    )
+
+
+def _unnormalized_children(vec: Mults) -> dict[Mults, int]:
+    """Expansion of A applied to x1^i1 ... xk^ik, as vectors of length k."""
+    mono = Monomial((j + 1, e) for j, e in enumerate(vec) if e)
+    children: dict[Mults, int] = {}
+    for m, c in apply_A(SparsePoly({mono: 1})).items():
+        child = tuple(m.exponent(j + 1) for j in range(len(vec)))
+        children[child] = children.get(child, 0) + c
+    return children
 
 
 def a_infinity_unnormalized(mults: Sequence[int], memo: dict | None = None) -> int:
     """Same fixed point, but memoised on raw exponent tuples (zeros kept).
 
     Exists to validate that stripping interior zeros from memo keys does
-    not change any value; compare with ``a_infinity`` on small inputs.
+    not change any value; compare with ``a_infinity``.
     """
     key = tuple(int(v) for v in mults)
     if any(v < 0 for v in key):
         raise ValueError("multiplicities must be nonnegative")
     if memo is None:
         memo = {}
-
-    def walk(vec: Mults) -> int:
-        if not any(vec):
-            return 1
-        hit = memo.get(vec)
-        if hit is not None:
-            return hit
-        mono = Monomial((j + 1, e) for j, e in enumerate(vec) if e)
-        total = 0
-        for m, c in apply_A(SparsePoly({mono: 1})).items():
-            child = tuple(m.exponent(j + 1) for j in range(len(vec)))
-            total += c * walk(child)
-        memo[vec] = total
-        return total
-
-    return walk(key)
+    return _memo_walk(
+        key, _unnormalized_children, lambda k: memo.get(k) if any(k) else 1, memo.setdefault
+    )
 
 
 def vertex_count(partition: Sequence[int], cache: CountCache | None = None) -> int:
@@ -318,30 +346,11 @@ def count_by_fiber_recursion(mults: Sequence[int], memo: dict[Mults, int] | None
     smaller GZ polytope.  Dimension-zero polytopes (at most one distinct
     value) count 1.  Independent of ``a_infinity``'s memo table.
     """
-    key = compress(mults)
     if memo is None:
         memo = _FIBER_MEMO
-    if len(key) <= 1:
-        return 1
-    stack: list[tuple[Mults, dict[Mults, int] | None]] = [(key, None)]
-    while stack:
-        cur, children = stack[-1]
-        if memo.get(cur) is not None:
-            stack.pop()
-            continue
-        if children is None:
-            children = _fiber_children(cur)
-            stack[-1] = (cur, children)
-        missing = [ck for ck in children if len(ck) > 1 and memo.get(ck) is None]
-        if missing:
-            stack.extend((ck, None) for ck in missing)
-            continue
-        total = 0
-        for ck, c in children.items():
-            total += c * (memo[ck] if len(ck) > 1 else 1)
-        memo[cur] = total
-        stack.pop()
-    return memo[key]
+    return _memo_walk(
+        compress(mults), _fiber_children, lambda k: memo.get(k) if len(k) > 1 else 1, memo.setdefault
+    )
 
 
 def _comb0(n: int, k: int) -> int:

@@ -197,9 +197,11 @@ def enumerate_vertices(hrep: HRep, limit_dim: int | None = None) -> VertexSet:
     rows tight at a feasible point as edges of a graph on the
     coordinates plus one ground node standing for lambda; the normals are
     then the rows of that graph's incidence matrix with the ground column
-    deleted, whose rank is the number of coordinates joined to the
-    ground.  So the point is a vertex exactly when every coordinate is
-    linked to lambda by a chain of tight equalities.
+    deleted, whose rank is ``dim`` minus the number of components of the
+    graph that do not contain the ground node (a lone tight row
+    ``e_1 - e_2`` has rank 1 though it joins nothing to the ground).  So
+    the rank is ``dim``, and the point a vertex, exactly when every
+    coordinate is linked to lambda by a chain of tight equalities.
 
     Rows of a pattern are weakly increasing, since
     u(i,j) <= u(i-1,j+1) <= u(i,j+1).  An entry x strictly between its

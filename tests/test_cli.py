@@ -91,6 +91,18 @@ def test_count_refuses_on_recursion_limit(capsys):
     assert "Traceback" not in err
 
 
+def test_count_refuses_on_memory_error(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("gzcount.cli.a_infinity", exhausted)
+    code, out, err = run_cli(capsys, "count", "1 2 3")
+    assert code == EXIT_LIMIT
+    assert out == ""
+    assert err.startswith("gzcount: refused: ")
+    assert "Traceback" not in err
+
+
 def test_count_usage_errors(capsys):
     code, _, err = run_cli(capsys, "count", "2 1")
     assert code == EXIT_USAGE
@@ -239,6 +251,10 @@ def test_verify_fails_on_corrupted_cache(tmp_path, capsys):
                            "--cache", str(path))
     assert code == EXIT_VERIFY
     assert "FAIL" in out
+    # The failing run still saves what it computed.
+    after = json.loads(path.read_text())["counts"]
+    assert set(data["counts"]) < set(after)
+    assert after["1,1,1"] == "8"
 
 
 def test_verify_usage_errors(capsys):
@@ -303,6 +319,19 @@ def test_cache_rejects_malformed_file(tmp_path, capsys):
     assert "version" in err
     code, _, _ = run_cli(capsys, "count", "1 2 3", "--cache", str(path))
     assert code == EXIT_USAGE
+
+
+def test_commands_without_cache_option_ignore_cache_env_var(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "bad.json"
+    path.write_text("not json")
+    monkeypatch.setenv("GZCOUNT_CACHE", str(path))
+    code, out, _ = run_cli(capsys, "table", "3")
+    assert code == EXIT_OK
+    assert out == "1,,,\n3,3,,\n3,7,3,\n1,3,3,1\n"
+    code, out, _ = run_cli(capsys, "cache", "stats", "--path", str(tmp_path / "other.json"))
+    assert code == EXIT_OK
+    assert out == "entries 0\nmax-total-degree 0\n"
+    assert path.read_text() == "not json"
 
 
 def test_tampered_cache_fails_cross_check(tmp_path, capsys):

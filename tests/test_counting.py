@@ -125,6 +125,11 @@ def test_a_infinity_matches_unnormalized_with_interior_zeros():
         assert a_infinity_unnormalized(vec) == a_infinity(vec, cache)
 
 
+def test_unnormalized_reference_answers_deep_vectors():
+    # A chain of about 1200 nested nodes: deeper than the recursion limit.
+    assert a_infinity_unnormalized((1200, 1, 1)) == a_infinity((1200, 1, 1), CountCache())
+
+
 def test_reversal_symmetry_small_totals():
     cache = CountCache()
     for total in range(1, 8):
@@ -368,6 +373,25 @@ def test_cache_roundtrip(tmp_path):
     assert dict(loaded.items()) == dict(cache.items())
     loaded.save(path)
     assert CountCache.load(path).stats() == cache.stats()
+
+
+def test_cache_save_keeps_old_file_when_replace_fails(tmp_path, monkeypatch):
+    path = tmp_path / "counts.json"
+    cache = CountCache()
+    a_infinity((1, 1), cache)
+    cache.save(path)
+    before = path.read_bytes()
+
+    a_infinity((2, 2, 1), cache)
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", fail)
+    with pytest.raises(OSError):
+        cache.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["counts.json"]
 
 
 def test_cache_insert_if_absent():

@@ -5,9 +5,10 @@ deterministic byte for byte for fixed inputs and flags: coefficient
 dumps use graded lexicographic order, JSON keys are sorted, and all
 numbers are exact (integers, or rationals rendered p/q).
 
-Exit codes: 0 success / verified, 1 usage error, 2 verification failure,
-3 resource limit refused.  The environment variable GZCOUNT_CACHE names
-a default persistent count-cache file.
+Exit codes: 0 success / verified, 1 usage error (also a cache file that
+cannot be read or written), 2 verification failure, 3 resource limit
+refused.  The environment variable GZCOUNT_CACHE names a default
+persistent count-cache file.
 """
 
 from __future__ import annotations
@@ -420,7 +421,10 @@ def main(argv=None) -> int:
     except (DimensionLimitError, RecursionError, MemoryError) as exc:
         print(f"gzcount: refused: {exc or type(exc).__name__}", file=sys.stderr)
         return EXIT_LIMIT
-    except (CacheFormatError, ValueError) as exc:
+    except (CacheFormatError, ValueError, OSError) as exc:
+        # The cache file is the only file gzcount opens: a missing
+        # directory, a directory given as the file or a denied permission
+        # ends here.
         print(f"gzcount: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -19,11 +19,17 @@ routes are provided and cross-checked by the test suite:
 The first two routes, and the zero-keeping reference
 ``a_infinity_unnormalized``, share one piece of code: the iterative
 memo walk ``_memo_walk`` that sums child values up the count DAG.  Each
-keeps its own child generator (``apply_A`` expansion with zeros
-stripped, bitmask expansion of the squarefree product, ``apply_A``
-expansion with zeros kept) and its own memo table (a ``CountCache``,
+keeps its own child generator and its own memo table (a ``CountCache``,
 ``_FIBER_MEMO``, a per-call dict), so agreement between them still
-compares two independent ways of listing children.
+compares independent ways of listing children:
+
+* ``a_infinity`` lists the children of one step of A by a left-to-right
+  dynamic programme over the positions of the key, whose state is the
+  zero-stripped partial child and one carry bit (see ``_a_children``);
+* the fiber route enumerates the 2^(k-1) choices of the squarefree
+  product as bitmasks;
+* the zero-keeping reference expands ``apply_A``, the operator's
+  definition, on ``SparsePoly`` objects.
 
 Counts are arbitrary-precision integers throughout.
 """
@@ -265,12 +271,40 @@ def _memo_walk(
 
 
 def _a_children(key: Mults) -> dict[Mults, int]:
-    """Expansion of A applied to x1^i1 ... xk^ik, as zero-stripped vectors."""
-    mono = Monomial((j + 1, e) for j, e in enumerate(key))
+    """Expansion of A applied to x1^i1 ... xk^ik, as zero-stripped vectors.
+
+    A turns x^e into x^(e-1) (x1+x2)...(x(k-1)+xk), and each monomial of
+    the expansion picks x_j or x_(j+1) from every factor j, so its
+    exponent of x_j is e_j - 1 + [factor j-1 chose x_j] + [factor j
+    chose x_j].  Scanning the positions left to right, entry j is fixed
+    once factor j has chosen, and all that reaches position j+1 is the
+    carry [factor j chose x_(j+1)].  Choice sequences with the same
+    zero-stripped prefix and carry therefore have the same completions,
+    and merging them as they arise, with summed multiplicities, leaves
+    the same child counts as expanding all 2^(k-1) products.
+    """
+    # free: prefixes whose next entry gets no carry; carried: it gets 1.
+    free: dict[Mults, int] = {(): 1}
+    carried: dict[Mults, int] = {}
+    for e in key[:-1]:
+        next_free: dict[Mults, int] = {}
+        next_carried: dict[Mults, int] = {}
+        for carry, states in ((0, free), (1, carried)):
+            for prefix, mult in states.items():
+                # Factor j chooses x_j: entry e + carry, nothing carried.
+                child = prefix + (e + carry,)
+                next_free[child] = next_free.get(child, 0) + mult
+                # Factor j chooses x_(j+1): entry e - 1 + carry, carry 1.
+                entry = e - 1 + carry
+                child = prefix + (entry,) if entry else prefix
+                next_carried[child] = next_carried.get(child, 0) + mult
+        free, carried = next_free, next_carried
     children: dict[Mults, int] = {}
-    for m, c in apply_A(SparsePoly({mono: 1})).items():
-        child = tuple(exp for _, exp in m.pairs)
-        children[child] = children.get(child, 0) + c
+    for carry, states in ((0, free), (1, carried)):
+        entry = key[-1] - 1 + carry
+        for prefix, mult in states.items():
+            child = prefix + (entry,) if entry else prefix
+            children[child] = children.get(child, 0) + mult
     return children
 
 

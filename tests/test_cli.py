@@ -321,6 +321,18 @@ def test_cache_rejects_malformed_file(tmp_path, capsys):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "1 2 3", "--cache", "{tmp}/missing/c.json"),
+    ("count", "1 2 3", "--cache", "{tmp}"),
+    ("cache", "load", "--path", "{tmp}/missing.json"),
+])
+def test_cache_file_errors_are_usage_errors(tmp_path, capsys, argv):
+    code, _, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == EXIT_USAGE
+    assert "gzcount: error:" in err
+    assert "Traceback" not in err
+
+
 def test_commands_without_cache_option_ignore_cache_env_var(tmp_path, capsys, monkeypatch):
     path = tmp_path / "bad.json"
     path.write_text("not json")

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from gzcount import counting
 from gzcount.counting import (
     CacheFormatError,
     CountCache,
@@ -147,6 +148,58 @@ def test_vertex_count_from_partitions():
 def test_vertex_count_rejects_non_monotone():
     with pytest.raises(ValueError):
         vertex_count([2, 1])
+
+
+# --------------------------------------------------------- child generators
+
+
+def test_a_children_match_apply_A_expansion_small_k():
+    checked = 0
+    for k in range(1, 7):
+        for key in product(range(1, 4), repeat=k):
+            mono = Monomial((j + 1, e) for j, e in enumerate(key))
+            expected: dict = {}
+            for m, c in apply_A(SparsePoly({mono: 1})).items():
+                child = tuple(exp for _, exp in m.pairs)
+                expected[child] = expected.get(child, 0) + c
+            assert counting._a_children(key) == expected, key
+            checked += 1
+    assert checked == 1092
+
+
+def test_fixed_point_and_fiber_routes_share_no_child_generator(monkeypatch):
+    # count --method all compares these two routes; neither may list
+    # children through the other's code or through the operator itself.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("cross-check routes must not share child generation")
+
+    key = (2, 1, 3, 1)
+    expected = a_infinity_unnormalized(key)
+    with monkeypatch.context() as m:
+        m.setattr(counting, "apply_A", forbidden)
+        m.setattr(SparsePoly, "__mul__", forbidden)
+        m.setattr(counting, "_fiber_children", forbidden)
+        assert a_infinity(key, CountCache()) == expected
+    with monkeypatch.context() as m:
+        m.setattr(counting, "_a_children", forbidden)
+        assert count_by_fiber_recursion(key, {}) == expected
+
+
+def test_routes_agree_on_seeded_random_vectors():
+    # Totals stay at most 10: the zero-keeping reference expands apply_A
+    # on SparsePoly objects, which takes tens of seconds at (4,) * 6.
+    rng = random.Random(2012)
+    vectors = []
+    while len(vectors) < 200:
+        vec = tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 7)))
+        if sum(vec) <= 10:
+            vectors.append(vec)
+    assert sum(1 for vec in vectors if 0 in MultiplicityVector(vec).mults) >= 20
+    for vec in vectors:
+        value = a_infinity(vec, CountCache())
+        assert count_by_fiber_recursion(vec, {}) == value, vec
+        assert a_infinity_unnormalized(vec, {}) == value, vec
+        assert a_infinity(vec[::-1], CountCache()) == value, vec
 
 
 # ------------------------------------------------------------ fiber recursion

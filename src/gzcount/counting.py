@@ -18,16 +18,21 @@ routes are provided and cross-checked by the test suite:
 
 The first two routes, and the zero-keeping reference
 ``a_infinity_unnormalized``, share one piece of code: the iterative
-memo walk ``_memo_walk`` that sums child values up the count DAG.  Each
-keeps its own child generator and its own memo table (a ``CountCache``,
-``_FIBER_MEMO``, a per-call dict), so agreement between them still
-compares independent ways of listing children:
+memo walk ``_memo_walk`` that sums child values up the count DAG.  It
+works on a plain dict memo (a ``CountCache``'s table, ``_FIBER_MEMO``,
+a per-call dict) and a leaf length: keys that short are worth 1 and are
+never stored -- the empty key for ``a_infinity``, keys of length at
+most 1 for the fiber route; the zero-keeping reference seeds its
+all-zero key instead.  Each route keeps its own child generator and
+its own memo table, so agreement between them still compares
+independent ways of listing children:
 
 * ``a_infinity`` lists the children of one step of A by a left-to-right
   dynamic programme over the positions of the key, whose state is the
   zero-stripped partial child and one carry bit (see ``_a_children``);
 * the fiber route enumerates the 2^(k-1) choices of the squarefree
-  product as bitmasks;
+  product as bitmasks, one product term each, in Gray-code order so
+  that each step changes two entries of the exponent vector;
 * the zero-keeping reference expands ``apply_A``, the operator's
   definition, on ``SparsePoly`` objects.
 
@@ -40,6 +45,7 @@ import json
 import os
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -115,7 +121,8 @@ class CountCache:
 
     Insertion uses dict.setdefault, which is atomic in CPython, and any
     value computed for a key is always the same, so concurrent readers
-    and writers see a deterministic table.
+    and writers see a deterministic table.  ``a_infinity`` walks the
+    table itself, inserting the same way.
     """
 
     VERSION = 1
@@ -172,8 +179,11 @@ class CountCache:
         try:
             tmp.write_text(json.dumps(payload, indent=2) + "\n")
             os.replace(tmp, path)
-        except BaseException:
+        except BaseException as exc:
             tmp.unlink(missing_ok=True)
+            if isinstance(exc, OSError):
+                # Name the cache file, not the temporary file beside it.
+                raise OSError(f"cannot save count cache {path}: {exc.strerror or exc}") from exc
             raise
 
     @classmethod
@@ -241,33 +251,39 @@ def apply_A(p: SparsePoly) -> SparsePoly:
 def _memo_walk(
     key: Mults,
     children_of: Callable[[Mults], dict[Mults, int]],
-    get: Callable[[Mults], int | None],
-    insert: Callable[[Mults, int], int],
+    memo: dict[Mults, int],
+    leaf_len: int,
 ) -> int:
     """Value of ``key`` in a DAG where each node is the weighted sum of its children.
 
-    ``children_of(node)`` maps each child to its multiplicity.  ``get``
-    returns a node's value, or None while it is unknown; leaves are known
-    to ``get``, so ``children_of`` is never called on them.  ``insert``
-    records a computed value.  The walk keeps its own stack, so the depth
+    ``children_of(node)`` returns a new dict, which the walk may change,
+    from each child to its multiplicity.  Keys of length at most
+    ``leaf_len`` are leaves worth 1; they are split off once, when their
+    parent is expanded, and never stored.  ``memo`` is a plain dict of
+    the values known so far; every other node the walk reaches is added
+    to it, insert-if-absent.  The walk keeps its own stack, so the depth
     of the DAG is not bounded by the interpreter's recursion limit.
     """
-    stack: list[tuple[Mults, dict[Mults, int] | None]] = [(key, None)]
+    if len(key) <= leaf_len:
+        return 1
+    # A key on the stack is still to be expanded; a list [node, leaf
+    # weight, inner children] is an expanded node, whose children pushed
+    # above it are all in memo when it comes back to the top.
+    stack: list = [key]
     while stack:
-        cur, children = stack[-1]
-        if get(cur) is not None:
-            stack.pop()
-            continue
-        if children is None:
-            children = children_of(cur)
-            stack[-1] = (cur, children)
-        missing = [ck for ck in children if get(ck) is None]
-        if missing:
-            stack.extend((ck, None) for ck in missing)
-            continue
-        insert(cur, sum(c * get(ck) for ck, c in children.items()))
-        stack.pop()
-    return get(key)
+        top = stack.pop()
+        if type(top) is tuple:
+            if top in memo:
+                continue
+            children = children_of(top)
+            weight = sum(map(children.pop, [ch for ch in children if len(ch) <= leaf_len]))
+            stack.append([top, weight, children])
+            stack.extend([ch for ch in children if ch not in memo])
+        else:
+            node, weight, children = top
+            values = map(memo.__getitem__, children)
+            memo.setdefault(node, weight + sum(map(mul, children.values(), values)))
+    return memo[key]
 
 
 def _a_children(key: Mults) -> dict[Mults, int]:
@@ -319,9 +335,7 @@ def a_infinity(mults: Sequence[int] | MultiplicityVector, cache: CountCache | No
         mults = mults.mults
     if cache is None:
         cache = SHARED_CACHE
-    return _memo_walk(
-        compress(mults), _a_children, lambda k: cache.get(k) if k else 1, cache.insert
-    )
+    return _memo_walk(compress(mults), _a_children, cache._counts, 0)
 
 
 def _unnormalized_children(vec: Mults) -> dict[Mults, int]:
@@ -345,9 +359,9 @@ def a_infinity_unnormalized(mults: Sequence[int], memo: dict | None = None) -> i
         raise ValueError("multiplicities must be nonnegative")
     if memo is None:
         memo = {}
-    return _memo_walk(
-        key, _unnormalized_children, lambda k: memo.get(k) if any(k) else 1, memo.setdefault
-    )
+    # The only leaf is the all-zero vector of the key's length.
+    memo.setdefault((0,) * len(key), 1)
+    return _memo_walk(key, _unnormalized_children, memo, 0)
 
 
 def vertex_count(partition: Sequence[int], cache: CountCache | None = None) -> int:
@@ -360,14 +374,25 @@ _FIBER_MEMO: dict[Mults, int] = {}
 
 
 def _fiber_children(key: Mults) -> dict[Mults, int]:
-    """Children of the cube-fiber recursion: expand the squarefree product."""
-    k = len(key)
-    children: dict[Mults, int] = {}
-    for bits in range(1 << (k - 1)):
-        exps = [e - 1 for e in key]
-        for j in range(k - 1):
-            exps[j + ((bits >> j) & 1)] += 1
-        child = tuple(e for e in exps if e)
+    """Children of the cube-fiber recursion: expand the squarefree product.
+
+    Every one of the 2^(k-1) products of (x1+x2)...(x(k-1)+xk) is a
+    bitmask whose bit j says factor j chose x_(j+1) over x_j.  The masks
+    are visited in Gray-code order, so each differs from the previous
+    one in a single bit j, and flipping it moves one unit of exponent
+    between positions j and j+1.
+    """
+    exps = [*key[:-1], key[-1] - 1]
+    children = {tuple(filter(None, exps)): 1}
+    mask = 0
+    for i in range(1, 1 << (len(key) - 1)):
+        bit = i & -i
+        mask ^= bit
+        j = bit.bit_length() - 1
+        step = 1 if mask & bit else -1
+        exps[j] -= step
+        exps[j + 1] += step
+        child = tuple(filter(None, exps))
         children[child] = children.get(child, 0) + 1
     return children
 
@@ -382,9 +407,7 @@ def count_by_fiber_recursion(mults: Sequence[int], memo: dict[Mults, int] | None
     """
     if memo is None:
         memo = _FIBER_MEMO
-    return _memo_walk(
-        compress(mults), _fiber_children, lambda k: memo.get(k) if len(k) > 1 else 1, memo.setdefault
-    )
+    return _memo_walk(compress(mults), _fiber_children, memo, 1)
 
 
 def _comb0(n: int, k: int) -> int:
@@ -401,7 +424,8 @@ def binomial_formula_V(k: int, l: int, m: int) -> int:
         raise ValueError("binomial_formula_V requires k, l, m > 0")
     s = k + l + m
     total = comb(s, k) * comb(s, m)
-    for i in range(1, k + 1):
+    # Terms with i > m vanish: C(s, m - i) = 0.
+    for i in range(1, min(k, m) + 1):
         term = _comb0(s, k - i) * _comb0(s, m - i)
         total += 2 * (-1) ** i * term
     return total

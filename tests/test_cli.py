@@ -5,6 +5,7 @@ stdout bytes can be asserted.
 """
 
 import json
+import os
 
 import pytest
 
@@ -327,10 +328,14 @@ def test_cache_rejects_malformed_file(tmp_path, capsys):
     ("cache", "load", "--path", "{tmp}/missing.json"),
 ])
 def test_cache_file_errors_are_usage_errors(tmp_path, capsys, argv):
-    code, _, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code, _, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
     assert "gzcount: error:" in err
     assert "Traceback" not in err
+    # The message names the cache path given, not a temporary file.
+    assert argv[-1] in err
+    assert f".{os.getpid()}.tmp" not in err
 
 
 def test_commands_without_cache_option_ignore_cache_env_var(tmp_path, capsys, monkeypatch):

@@ -167,6 +167,28 @@ def test_a_children_match_apply_A_expansion_small_k():
     assert checked == 1092
 
 
+def fiber_children_by_bitmask(key):
+    """Reference for the fiber route's children: every bitmask in turn."""
+    k = len(key)
+    children = {}
+    for bits in range(1 << (k - 1)):
+        exps = [e - 1 for e in key]
+        for j in range(k - 1):
+            exps[j + ((bits >> j) & 1)] += 1
+        child = tuple(e for e in exps if e)
+        children[child] = children.get(child, 0) + 1
+    return children
+
+
+def test_fiber_children_match_bitmask_reference():
+    checked = 0
+    for k in range(2, 8):
+        for key in product(range(1, 4), repeat=k):
+            assert counting._fiber_children(key) == fiber_children_by_bitmask(key), key
+            checked += 1
+    assert checked == 3276
+
+
 def test_fixed_point_and_fiber_routes_share_no_child_generator(monkeypatch):
     # count --method all compares these two routes; neither may list
     # children through the other's code or through the operator itself.
@@ -202,6 +224,23 @@ def test_routes_agree_on_seeded_random_vectors():
         assert a_infinity(vec[::-1], CountCache()) == value, vec
 
 
+@pytest.mark.parametrize("key, cache_entries, fiber_entries", [
+    ((5, 5, 5, 5), 1565, 1555),
+    ((20, 20, 20), 11290, 11250),
+    ((1,) * 12, 873, 867),
+])
+def test_cold_walks_store_every_inner_node_and_no_leaf(key, cache_entries, fiber_entries):
+    # The memo contents are what cache files and `cache stats` show.
+    cache = CountCache()
+    a_infinity(key, cache)
+    assert len(cache) == cache_entries
+    assert cache.get(()) is None
+    memo = {}
+    count_by_fiber_recursion(key, memo)
+    assert len(memo) == fiber_entries
+    assert all(len(k) > 1 for k in memo)
+
+
 # ------------------------------------------------------------ fiber recursion
 
 
@@ -228,6 +267,12 @@ def test_binomial_formula_examples():
     assert binomial_formula_V(1, 1, 1) == 7
     assert binomial_formula_V(1, 2, 1) == 14
     assert binomial_formula_V(2, 1, 1) == 16
+
+
+def test_binomial_formula_matches_fiber_route_on_one_large_value():
+    # Terms with i > m vanish, so the sum stops at min(k, m).
+    for k in (1, 2, 3, 200):
+        assert binomial_formula_V(k, 1, 1) == count_by_fiber_recursion((k, 1, 1), {})
 
 
 def test_binomial_formula_domain():

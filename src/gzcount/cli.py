@@ -8,12 +8,15 @@ numbers are exact (integers, or rationals rendered p/q).
 Exit codes: 0 success / verified, 1 usage error (also a cache file that
 cannot be read or written), 2 verification failure, 3 resource limit
 refused.  The environment variable GZCOUNT_CACHE names a default
-persistent count-cache file.
+persistent count-cache file; with a cache file, stdout is written only
+after the cache has been saved.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -411,12 +414,16 @@ def main(argv=None) -> int:
         # Subcommands with --cache share one count cache file: opened
         # before the handler runs, saved after it returns whatever the
         # exit code, so entries computed by a failing verify are kept.
+        # The handler's stdout is held back until the save succeeds, so a
+        # run whose save fails prints no answer.
         path = args.cache or os.environ.get(ENV_CACHE)
         if not path:
             return _DISPATCH[args.command](args, None)
         cache = CountCache.load(path) if os.path.exists(path) else CountCache()
-        code = _DISPATCH[args.command](args, cache)
+        with contextlib.redirect_stdout(io.StringIO()) as held:
+            code = _DISPATCH[args.command](args, cache)
         cache.save(path)
+        sys.stdout.write(held.getvalue())
         return code
     except (DimensionLimitError, RecursionError, MemoryError) as exc:
         print(f"gzcount: refused: {exc or type(exc).__name__}", file=sys.stderr)

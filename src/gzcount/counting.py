@@ -177,7 +177,11 @@ class CountCache:
         # concurrent reader never sees a half-written cache file.
         tmp = Path(f"{path}.{os.getpid()}.tmp")
         try:
-            tmp.write_text(json.dumps(payload, indent=2) + "\n")
+            # Streamed, not built as one string: the CLI holds its output
+            # in memory during the save.
+            with open(tmp, "w") as fh:
+                json.dump(payload, fh, indent=2)
+                fh.write("\n")
             os.replace(tmp, path)
         except BaseException as exc:
             tmp.unlink(missing_ok=True)

@@ -10,6 +10,19 @@ Two carriers cover everything the counting and verification layers need:
   A series carries no information beyond total degree ``cap`` and every
   operation tracks how far its result is determined.
 
+Products, inverses and exact division run on packed keys: an exponent
+vector (e1, e2, ..., en) becomes the int e1 + B*e2 + ... + B^(n-1)*en,
+so multiplying two terms adds two ints (Monagan & Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors",
+CASC 2007).  Keys add exactly while no exponent of a result reaches B.
+A series product uses B = cap + 1 after dropping every operand term
+above the result's cap, since two terms whose degrees sum to at most the
+cap have no exponent above it.  A polynomial product uses B = 1 + the
+largest exponent of each operand, over the variables the operands use.
+Keys are packed on entry and unpacked on exit; ``SparsePoly`` terms stay
+keyed by ``Monomial`` and ``TruncSeries`` coefficients by exponent
+tuples.
+
 Coefficients are Python ints wherever possible and ``fractions.Fraction``
 only where denominators genuinely appear (integration, inversion, square
 roots); a Fraction that reduces to an integer is normalised back to int.
@@ -22,6 +35,7 @@ functions, so they can be shared freely between concurrent callers.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping
 
 
@@ -84,17 +98,13 @@ class Monomial:
 
     def divide_by_support(self) -> "Monomial":
         """Divide by the product of the variables in the support."""
-        out = Monomial()
-        out.pairs = tuple((idx, exp - 1) for idx, exp in self.pairs if exp > 1)
-        return out
+        return _monomial(tuple((idx, exp - 1) for idx, exp in self.pairs if exp > 1))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         merged = dict(self.pairs)
         for idx, exp in other.pairs:
             merged[idx] = merged.get(idx, 0) + exp
-        out = Monomial()
-        out.pairs = tuple(sorted(merged.items()))
-        return out
+        return _monomial(tuple(sorted(merged.items())))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.pairs == other.pairs
@@ -112,6 +122,13 @@ class Monomial:
         return "*".join(
             f"x{idx}" if exp == 1 else f"x{idx}^{exp}" for idx, exp in self.pairs
         )
+
+
+def _monomial(pairs: tuple[tuple[int, int], ...]) -> Monomial:
+    """Internal constructor: trusts ``pairs`` to be sorted with positive exponents."""
+    out = object.__new__(Monomial)
+    out.pairs = pairs
+    return out
 
 
 _MONO_ONE = Monomial()
@@ -205,13 +222,18 @@ class SparsePoly:
 
     def __mul__(self, other) -> "SparsePoly":
         other = self._coerce(other)
-        acc: dict[Monomial, int] = {}
+        base = 1 + _max_exponent(self) + _max_exponent(other)
+        weights = _sparse_weights(base, self, other)
+        b_terms = [(_pack(m, weights), c) for m, c in other.terms.items()]
+        acc: dict[int, int] = {}
+        get = acc.get
         for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                key = ma * mb
-                acc[key] = acc.get(key, 0) + ca * cb
+            ka = _pack(ma, weights)
+            for kb, cb in b_terms:
+                key = ka + kb
+                acc[key] = get(key, 0) + ca * cb
         out = SparsePoly()
-        out.terms = {m: c for m, c in acc.items() if c}
+        out.terms = {_unpack(k, weights, base): c for k, c in acc.items() if c}
         return out
 
     __rmul__ = __mul__
@@ -255,6 +277,35 @@ class SparsePoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def _max_exponent(poly: SparsePoly) -> int:
+    return max((exp for mono in poly.terms for _, exp in mono.pairs), default=0)
+
+
+def _sparse_weights(base: int, *polys: SparsePoly) -> dict[int, int]:
+    """Packing weight ``base**j`` of each variable the polynomials use.
+
+    ``j`` is the variable's rank among those variables, so sparse indices
+    such as x9 cost no more than x2; the dict is in index order.
+    """
+    indices = sorted({idx for poly in polys for mono in poly.terms for idx, _ in mono.pairs})
+    return {idx: base ** j for j, idx in enumerate(indices)}
+
+
+def _pack(mono: Monomial, weights: dict[int, int]) -> int:
+    return sum(exp * weights[idx] for idx, exp in mono.pairs)
+
+
+def _unpack(key: int, weights: dict[int, int], base: int) -> Monomial:
+    pairs = []
+    for idx in weights:
+        if not key:
+            break
+        key, exp = divmod(key, base)
+        if exp:
+            pairs.append((idx, exp))
+    return _monomial(tuple(pairs))
+
+
 def divide_exact(dividend: SparsePoly, divisor: SparsePoly) -> SparsePoly:
     """Exact polynomial quotient for divisors with constant term +1 or -1.
 
@@ -264,21 +315,25 @@ def divide_exact(dividend: SparsePoly, divisor: SparsePoly) -> SparsePoly:
     c0 = divisor.coeff(_MONO_ONE)
     if c0 not in (1, -1):
         raise ValueError("divisor must have constant term +1 or -1")
-    tail = [(m, c) for m, c in divisor.items() if m.degree() > 0]
-    rem_by_deg: dict[int, dict[Monomial, int]] = {}
-    for mono, coeff in dividend.items():
-        rem_by_deg.setdefault(mono.degree(), {})[mono] = coeff
-    quo_by_deg: dict[int, dict[Monomial, int]] = {}
+    # A quotient term has degree at most ``top``, so every key formed
+    # below (quotient times divisor term) has exponents under ``base``.
     top = dividend.degree()
+    base = 1 + top + _max_exponent(divisor)
+    weights = _sparse_weights(base, dividend, divisor)
+    tail = [(m.degree(), _pack(m, weights), c) for m, c in divisor.items() if m.pairs]
+    rem_by_deg: dict[int, dict[int, int]] = {}
+    for mono, coeff in dividend.items():
+        rem_by_deg.setdefault(mono.degree(), {})[_pack(mono, weights)] = coeff
+    quotient: dict[int, int] = {}
     for d in range(top + 1):
         layer = rem_by_deg.pop(d, {})
-        q_layer = {m: c * c0 for m, c in layer.items() if c}
+        q_layer = {k: c * c0 for k, c in layer.items() if c}
         if q_layer:
-            quo_by_deg[d] = q_layer
-            for mt, ct in tail:
-                bucket = rem_by_deg.setdefault(d + mt.degree(), {})
-                for mq, cq in q_layer.items():
-                    key = mq * mt
+            quotient.update(q_layer)
+            for dt, kt, ct in tail:
+                bucket = rem_by_deg.setdefault(d + dt, {})
+                for kq, cq in q_layer.items():
+                    key = kq + kt
                     new = bucket.get(key, 0) - ct * cq
                     if new:
                         bucket[key] = new
@@ -288,8 +343,31 @@ def divide_exact(dividend: SparsePoly, divisor: SparsePoly) -> SparsePoly:
         if any(bucket.values()):
             raise ArithmeticError("exact division left a nonzero remainder")
     out = SparsePoly()
-    out.terms = {m: c for layer in quo_by_deg.values() for m, c in layer.items()}
+    out.terms = {_unpack(k, weights, base): c for k, c in quotient.items()}
     return out
+
+
+def _packed_layers(series: "TruncSeries", cap: int) -> list[list[tuple[int, object]]]:
+    """Terms of total degree at most ``cap`` as (key in base cap + 1, coefficient), one list per degree."""
+    weights = [(cap + 1) ** i for i in range(series.nvars)]
+    layers: list[list[tuple[int, object]]] = [[] for _ in range(cap + 1)]
+    for exps, coeff in series.coeffs.items():
+        d = sum(exps)
+        if d <= cap:
+            layers[d].append((sum(map(mul, exps, weights)), coeff))
+    return layers
+
+
+def _unpacked(nvars: int, cap: int, packed: Iterable[tuple[int, object]]):
+    """Yield (exponent tuple, coefficient) for (key in base cap + 1, coefficient) pairs."""
+    base = cap + 1
+    for key, coeff in packed:
+        exps = []
+        for _ in range(nvars - 1):
+            key, e = divmod(key, base)
+            exps.append(e)
+        exps.append(key)
+        yield tuple(exps), coeff
 
 
 class TruncSeries:
@@ -327,13 +405,13 @@ class TruncSeries:
         self.coeffs = clean
 
     @classmethod
-    def _make(cls, nvars: int, cap: int, coeffs: dict) -> "TruncSeries":
-        """Internal constructor: normalises values, trusts keys."""
+    def _make(cls, nvars: int, cap: int, terms: Iterable[tuple[tuple[int, ...], object]]) -> "TruncSeries":
+        """Internal constructor from (exponents, coefficient) pairs: normalises values, trusts keys."""
         out = object.__new__(cls)
         out.nvars = nvars
         out.cap = cap
         clean = {}
-        for exps, coeff in coeffs.items():
+        for exps, coeff in terms:
             coeff = _norm_coeff(coeff)
             if coeff:
                 clean[exps] = coeff
@@ -405,12 +483,8 @@ class TruncSeries:
         return TruncSeries._make(
             self.nvars,
             new_cap,
-            {e: c for e, c in self.coeffs.items() if sum(e) <= new_cap},
+            ((e, c) for e, c in self.coeffs.items() if sum(e) <= new_cap),
         )
-
-    def _with_cap(self, new_cap: int) -> "TruncSeries":
-        """Reinterpret the same coefficients at a higher cap (internal)."""
-        return TruncSeries._make(self.nvars, new_cap, dict(self.coeffs))
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_compatible(other)
@@ -421,10 +495,10 @@ class TruncSeries:
         for e, c in other.coeffs.items():
             if sum(e) <= cap:
                 merged[e] = merged.get(e, 0) + c
-        return TruncSeries._make(self.nvars, cap, merged)
+        return TruncSeries._make(self.nvars, cap, merged.items())
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries._make(self.nvars, self.cap, {e: -c for e, c in self.coeffs.items()})
+        return TruncSeries._make(self.nvars, self.cap, ((e, -c) for e, c in self.coeffs.items()))
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
         return self + (-other)
@@ -433,33 +507,32 @@ class TruncSeries:
         if not factor:
             return TruncSeries.zero(self.nvars, self.cap)
         return TruncSeries._make(
-            self.nvars, self.cap, {e: c * factor for e, c in self.coeffs.items()}
+            self.nvars, self.cap, ((e, c * factor) for e, c in self.coeffs.items())
         )
-
-    def _by_degree(self) -> dict[int, list[tuple[tuple[int, ...], object]]]:
-        buckets: dict[int, list[tuple[tuple[int, ...], object]]] = {}
-        for e, c in self.coeffs.items():
-            buckets.setdefault(sum(e), []).append((e, c))
-        return buckets
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_compatible(other)
         cap = min(self.cap, other.cap)
+        # Terms above the cap are dropped first; two remaining terms whose
+        # degrees sum to at most the cap have every exponent at most the
+        # cap, so their base cap + 1 keys add without a carry.
         small, large = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
-        buckets = large._by_degree()
-        degs = sorted(buckets)
-        acc: dict[tuple[int, ...], object] = {}
-        for ea, ca in small.coeffs.items():
-            budget = cap - sum(ea)
-            if budget < 0:
+        partners: list[tuple[int, object]] = []
+        ends = []
+        for layer in _packed_layers(large, cap):
+            partners.extend(layer)
+            ends.append(len(partners))
+        acc: dict[int, object] = {}
+        get = acc.get
+        for da, layer in enumerate(_packed_layers(small, cap)):
+            if not layer:
                 continue
-            for db in degs:
-                if db > budget:
-                    break
-                for eb, cb in buckets[db]:
-                    key = tuple(map(int.__add__, ea, eb))
-                    acc[key] = acc.get(key, 0) + ca * cb
-        return TruncSeries._make(self.nvars, cap, acc)
+            within = partners[:ends[cap - da]]
+            for ka, ca in layer:
+                for kb, cb in within:
+                    key = ka + kb
+                    acc[key] = get(key, 0) + ca * cb
+        return TruncSeries._make(self.nvars, cap, _unpacked(self.nvars, cap, acc.items()))
 
     def inv(self) -> "TruncSeries":
         """Multiplicative inverse; requires a nonzero constant term.
@@ -467,38 +540,32 @@ class TruncSeries:
         Built one total degree at a time by exact back-substitution in
         the convolution a * q = 1.
         """
-        zero_exp = (0,) * self.nvars
-        c0 = self.coeffs.get(zero_exp, 0)
+        c0 = self.coeffs.get((0,) * self.nvars, 0)
         if not c0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
         inv0 = _norm_coeff(Fraction(1, 1) / c0)
-        a_buckets = {
-            d: terms for d, terms in self._by_degree().items() if d >= 1
-        }
-        q_buckets: dict[int, dict[tuple[int, ...], object]] = {0: {zero_exp: inv0}}
-        for d in range(1, self.cap + 1):
-            conv: dict[tuple[int, ...], object] = {}
-            for da, terms in a_buckets.items():
-                if da > d:
-                    continue
-                partner = q_buckets.get(d - da)
+        cap = self.cap
+        a_layers = _packed_layers(self, cap)
+        q_layers: list[list[tuple[int, object]]] = [[(0, inv0)]]
+        for d in range(1, cap + 1):
+            conv: dict[int, object] = {}
+            get = conv.get
+            for da in range(1, d + 1):
+                partner = q_layers[d - da]
                 if not partner:
                     continue
-                for ea, ca in terms:
-                    for eq, cq in partner.items():
-                        key = tuple(map(int.__add__, ea, eq))
-                        conv[key] = conv.get(key, 0) + ca * cq
-            layer = {}
-            for e, c in conv.items():
+                for ka, ca in a_layers[da]:
+                    for kq, cq in partner:
+                        key = ka + kq
+                        conv[key] = get(key, 0) + ca * cq
+            layer = []
+            for key, c in conv.items():
                 val = _norm_coeff(-c * inv0)
                 if val:
-                    layer[e] = val
-            if layer:
-                q_buckets[d] = layer
-        out: dict[tuple[int, ...], object] = {}
-        for layer in q_buckets.values():
-            out.update(layer)
-        return TruncSeries._make(self.nvars, self.cap, out)
+                    layer.append((key, val))
+            q_layers.append(layer)
+        packed = (term for layer in q_layers for term in layer)
+        return TruncSeries._make(self.nvars, cap, _unpacked(self.nvars, cap, packed))
 
     def sqrt(self) -> "TruncSeries":
         """Square root with constant term 1, by order-doubling Newton steps.
@@ -515,7 +582,7 @@ class TruncSeries:
         while known < self.cap:
             known = min(2 * known + 1, self.cap)
             target = self.truncate(known)
-            lifted = r._with_cap(known)
+            lifted = TruncSeries._make(self.nvars, known, r.coeffs.items())
             r = (lifted + target * lifted.inv()).scale(half)
         return r
 
@@ -530,7 +597,7 @@ class TruncSeries:
             if e[i]:
                 key = e[:i] + (e[i] - 1,) + e[i + 1:]
                 out[key] = c * e[i]
-        return TruncSeries._make(self.nvars, self.cap - 1, out)
+        return TruncSeries._make(self.nvars, self.cap - 1, out.items())
 
     def integrate(self, index: int) -> "TruncSeries":
         """Formal antiderivative with zero constant of integration; cap rises by one."""
@@ -540,7 +607,7 @@ class TruncSeries:
         for e, c in self.coeffs.items():
             key = e[:i] + (e[i] + 1,) + e[i + 1:]
             out[key] = Fraction(c) / (e[i] + 1)
-        return TruncSeries._make(self.nvars, self.cap + 1, out)
+        return TruncSeries._make(self.nvars, self.cap + 1, out.items())
 
     def divdiff(self, index: int) -> "TruncSeries":
         """Divided difference in one variable: (f - f at var=0) / var.
@@ -555,14 +622,14 @@ class TruncSeries:
         for e, c in self.coeffs.items():
             if e[i]:
                 out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c
-        return TruncSeries._make(self.nvars, self.cap - 1, out)
+        return TruncSeries._make(self.nvars, self.cap - 1, out.items())
 
     def substitute_zero(self, index: int) -> "TruncSeries":
         """Set one variable to zero (keep only terms free of it)."""
         self._check_var(index)
         i = index - 1
         return TruncSeries._make(
-            self.nvars, self.cap, {e: c for e, c in self.coeffs.items() if not e[i]}
+            self.nvars, self.cap, ((e, c) for e, c in self.coeffs.items() if not e[i])
         )
 
     def max_abs_coeff(self):

@@ -338,6 +338,32 @@ def test_cache_file_errors_are_usage_errors(tmp_path, capsys, argv):
     assert f".{os.getpid()}.tmp" not in err
 
 
+CACHED_COMMANDS = [
+    ("count", "1 2 3"),
+    ("count", "1 2 3", "--method", "all"),
+    ("series", "G", "--k", "2", "--cap", "3"),
+    ("verify", "dde", "--k", "1:2", "--cap", "4", "--format", "csv"),
+    ("g4-explore", "--cap", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", CACHED_COMMANDS)
+def test_failed_cache_save_prints_no_answer(tmp_path, capsys, argv):
+    path = str(tmp_path / "missing" / "c.json")
+    code, out, err = run_cli(capsys, *argv, "--cache", path)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert path in err
+
+
+@pytest.mark.parametrize("argv", CACHED_COMMANDS)
+def test_cache_option_keeps_stdout_bytes(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.delenv("GZCOUNT_CACHE", raising=False)
+    _, plain, _ = run_cli(capsys, *argv)
+    code, cached, _ = run_cli(capsys, *argv, "--cache", str(tmp_path / "c.json"))
+    assert code == EXIT_OK
+    assert cached == plain
+
+
 def test_commands_without_cache_option_ignore_cache_env_var(tmp_path, capsys, monkeypatch):
     path = tmp_path / "bad.json"
     path.write_text("not json")

@@ -42,6 +42,91 @@ def random_series(rng, nvars=3, cap=5, terms=8, fractions=False):
     return TruncSeries(nvars, cap, coeffs)
 
 
+def ref_poly_mul(a, b):
+    """Monomial-keyed product: the loop SparsePoly.__mul__ used before packed keys."""
+    acc = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            key = ma * mb
+            acc[key] = acc.get(key, 0) + ca * cb
+    return {m: c for m, c in acc.items() if c}
+
+
+def _by_degree(series):
+    buckets = {}
+    for e, c in series.coeffs.items():
+        buckets.setdefault(sum(e), []).append((e, c))
+    return buckets
+
+
+def ref_series_mul(a, b):
+    """Tuple-keyed product: the loop TruncSeries.__mul__ used before packed keys."""
+    cap = min(a.cap, b.cap)
+    buckets = _by_degree(b)
+    acc = {}
+    for ea, ca in a.coeffs.items():
+        budget = cap - sum(ea)
+        for db in sorted(buckets):
+            if db > budget:
+                break
+            for eb, cb in buckets[db]:
+                key = tuple(map(int.__add__, ea, eb))
+                acc[key] = acc.get(key, 0) + ca * cb
+    return TruncSeries(a.nvars, cap, acc)
+
+
+def ref_series_inv(a):
+    """Tuple-keyed back-substitution: the loop TruncSeries.inv used before packed keys."""
+    zero_exp = (0,) * a.nvars
+    inv0 = Fraction(1, 1) / a.coeffs[zero_exp]
+    a_buckets = {d: terms for d, terms in _by_degree(a).items() if d >= 1}
+    q_buckets = {0: {zero_exp: inv0}}
+    for d in range(1, a.cap + 1):
+        conv = {}
+        for da, terms in a_buckets.items():
+            if da > d:
+                continue
+            partner = q_buckets.get(d - da, {})
+            for ea, ca in terms:
+                for eq, cq in partner.items():
+                    key = tuple(map(int.__add__, ea, eq))
+                    conv[key] = conv.get(key, 0) + ca * cq
+        q_buckets[d] = {e: -c * inv0 for e, c in conv.items() if c}
+    return TruncSeries(a.nvars, a.cap, {e: c for layer in q_buckets.values() for e, c in layer.items()})
+
+
+def assert_same_series(got, want):
+    """Equal series with equal coefficient types (int stays int, Fraction stays Fraction)."""
+    assert got == want
+    assert {e: type(c) for e, c in got.coeffs.items()} == {e: type(c) for e, c in want.coeffs.items()}
+
+
+def random_capped_series(rng, nvars, cap, fractions):
+    """Up to 12 terms of degree <= cap, a third of them a pure power of one variable."""
+    coeffs = {}
+    for _ in range(rng.randint(0, 12)):
+        exps = [0] * nvars
+        d = rng.randint(0, cap)
+        if rng.random() < 1 / 3:
+            exps[rng.randrange(nvars)] = d
+        else:
+            for _ in range(d):
+                exps[rng.randrange(nvars)] += 1
+        c = rng.randint(-5, 5)
+        coeffs[tuple(exps)] = Fraction(c, rng.randint(1, 4)) if fractions else c
+    return TruncSeries(nvars, cap, coeffs)
+
+
+def random_sparse_poly(rng):
+    """Variables x1, x2, x5, x9, x17 to the power 1, 2 or 40; coefficients +-1 so terms often cancel."""
+    out = {}
+    for _ in range(rng.randint(0, 6)):
+        picked = rng.sample((1, 2, 5, 9, 17), rng.randint(0, 3))
+        mono = Monomial({i: rng.choice((1, 2, 40)) for i in picked})
+        out[mono] = out.get(mono, 0) + rng.choice((-1, 1))
+    return SparsePoly(out)
+
+
 # ---------------------------------------------------------------- monomials
 
 
@@ -150,6 +235,32 @@ def test_divide_exact_requires_unit_constant():
     assert q == ONE + X1
 
 
+def test_poly_mul_matches_monomial_keyed_reference():
+    rng = random.Random(5150)
+    for _ in range(200):
+        a = random_sparse_poly(rng)
+        b = random_sparse_poly(rng)
+        assert (a * b).terms == ref_poly_mul(a, b)
+    x1, x9 = SparsePoly.variable(1), SparsePoly.variable(9)
+    big = SparsePoly({Monomial({1: 1, 9: 40}): 3})
+    assert (big * big).terms == {Monomial({1: 2, 9: 80}): 9}
+    # The cross terms cancel and must not be stored as zeros.
+    diff = (x1 + x9 ** 40) * (x1 - x9 ** 40)
+    assert diff.terms == {Monomial({1: 2}): 1, Monomial({9: 80}): -1}
+    assert (big * SparsePoly.zero()).is_zero
+    assert (SparsePoly.const(-2) * big).terms == {Monomial({1: 1, 9: 40}): -6}
+
+
+def test_divide_exact_sparse_large_exponents():
+    rng = random.Random(8086)
+    divisor = ONE - SparsePoly({Monomial({1: 1, 9: 40}): 1}) + SparsePoly.variable(17)
+    for _ in range(30):
+        q = random_sparse_poly(rng)
+        assert divide_exact(q * divisor, divisor) == q
+        with pytest.raises(ArithmeticError):
+            divide_exact(q * divisor + X3, divisor)
+
+
 # ---------------------------------------------------------------- series ring
 
 
@@ -239,6 +350,25 @@ def test_series_sqrt_randomized():
         r = a.sqrt()
         assert r * r == a
         assert r.coeffs[(0, 0, 0)] == 1
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5])
+def test_series_mul_and_inv_match_tuple_keyed_reference(nvars):
+    rng = random.Random(2007 + nvars)
+    zero_exp = (0,) * nvars
+    for trial in range(40):
+        fractions = trial % 2 == 1
+        # The higher-cap operand has terms, and single exponents, above the
+        # lower cap: packing them with base lower cap + 1 would carry.
+        low = rng.randint(0, 5)
+        high = low + rng.randint(0, 4)
+        a = random_capped_series(rng, nvars, low, fractions)
+        b = random_capped_series(rng, nvars, high, fractions)
+        assert_same_series(a * b, ref_series_mul(a, b))
+        assert_same_series(b * a, ref_series_mul(a, b))
+        start = rng.choice((1, -1, 2, Fraction(3, 2)))
+        unit = b - TruncSeries.constant(nvars, high, b.coeffs.get(zero_exp, 0) - start)
+        assert_same_series(unit.inv(), ref_series_inv(unit))
 
 
 # ---------------------------------------------------------- operator algebra

@@ -43,11 +43,12 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 from math import comb
 from operator import mul
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .polyseries import Monomial, SparsePoly, TruncSeries, divide_exact
 
@@ -116,6 +117,12 @@ class CacheFormatError(ValueError):
     """A persisted count cache file failed validation."""
 
 
+# The canonical key and value texts, in ASCII digits only.  Exactly the
+# strings ``CountCache._parse_key`` / ``_parse_value`` accept.
+_KEY_TEXT = re.compile(r"[1-9][0-9]*(?:,[1-9][0-9]*)*")
+_VALUE_TEXT = re.compile(r"0|[1-9][0-9]*")
+
+
 class CountCache:
     """Shared memo table: zero-stripped multiplicity vector -> vertex count.
 
@@ -167,12 +174,26 @@ class CountCache:
             "max_total": max((sum(k) for k in self._counts), default=0),
         }
 
+    def _file_lines(self) -> Iterator[str]:
+        """The cache file's text, in pieces.
+
+        The same bytes as ``json.dump({"version": ..., "counts": {...}}, fh,
+        indent=2)`` plus a newline, keys ordered by total, then
+        lexicographically.  Keys and values are digits and commas, which
+        JSON does not escape.
+        """
+        counts = self._counts
+        yield f'{{\n  "version": {self.VERSION},\n  "counts": {{'
+        if not counts:
+            yield "}\n}\n"
+            return
+        sep = "\n"
+        for key in sorted(counts, key=lambda k: (sum(k), k)):
+            yield f'{sep}    "{",".join(map(str, key))}": "{counts[key]}"'
+            sep = ",\n"
+        yield "\n  }\n}\n"
+
     def save(self, path: str | Path) -> None:
-        counts = {
-            ",".join(str(v) for v in key): str(self._counts[key])
-            for key in sorted(self._counts, key=lambda k: (sum(k), k))
-        }
-        payload = {"version": self.VERSION, "counts": counts}
         # Write beside the target and rename over it, so a crash or a
         # concurrent reader never sees a half-written cache file.
         tmp = Path(f"{path}.{os.getpid()}.tmp")
@@ -180,8 +201,7 @@ class CountCache:
             # Streamed, not built as one string: the CLI holds its output
             # in memory during the save.
             with open(tmp, "w") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
+                fh.writelines(self._file_lines())
             os.replace(tmp, path)
         except BaseException as exc:
             tmp.unlink(missing_ok=True)
@@ -204,8 +224,15 @@ class CountCache:
         if not isinstance(counts, dict):
             raise CacheFormatError("cache file has no counts table")
         cache = cls()
+        table = cache._counts
+        key_ok, value_ok = _KEY_TEXT.fullmatch, _VALUE_TEXT.fullmatch
         for key_text, value_text in counts.items():
-            cache._counts[cls._parse_key(key_text)] = cls._parse_value(value_text)
+            # JSON object keys are always strings; values need not be.
+            if key_ok(key_text) and isinstance(value_text, str) and value_ok(value_text):
+                table[tuple(map(int, key_text.split(",")))] = int(value_text)
+            else:
+                # Rejects the entry with the message naming what is wrong.
+                table[cls._parse_key(key_text)] = cls._parse_value(value_text)
         return cache
 
     @staticmethod
@@ -215,14 +242,14 @@ class CountCache:
         parts = text.split(",")
         key = []
         for tok in parts:
-            if not tok.isdigit() or str(int(tok)) != tok or int(tok) <= 0:
+            if not tok.isdecimal() or str(int(tok)) != tok or int(tok) <= 0:
                 raise CacheFormatError(f"non-canonical cache key {text!r}")
             key.append(int(tok))
         return tuple(key)
 
     @staticmethod
     def _parse_value(text) -> int:
-        if not isinstance(text, str) or not text.isdigit() or str(int(text)) != text:
+        if not isinstance(text, str) or not text.isdecimal() or str(int(text)) != text:
             raise CacheFormatError(f"non-canonical cache value {text!r}")
         return int(text)
 

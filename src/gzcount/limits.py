@@ -1,0 +1,12 @@
+"""Resource guardrails shared by the counting modules and the CLI.
+
+Kept apart from the modules that enforce them, so the CLI can catch a
+refusal and print a default limit without importing the enforcing code.
+"""
+
+#: Largest ambient dimension the vertex oracle enumerates by default.
+DEFAULT_LIMIT_DIM = 10
+
+
+class ResourceLimitError(Exception):
+    """Refusal to run an input above a resource guardrail (CLI exit 3)."""

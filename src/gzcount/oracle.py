@@ -24,16 +24,15 @@ from itertools import product
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
+from .limits import DEFAULT_LIMIT_DIM, ResourceLimitError
 from .polyseries import format_rational
-
-DEFAULT_LIMIT_DIM = 10
 
 
 class OracleError(RuntimeError):
     """The enumeration could not establish its own preconditions."""
 
 
-class DimensionLimitError(OracleError):
+class DimensionLimitError(OracleError, ResourceLimitError):
     """Refusal to enumerate above the configured ambient-dimension limit."""
 
 

@@ -4,12 +4,18 @@ Everything runs in-process through cli.main so exit codes and exact
 stdout bytes can be asserted.
 """
 
+import importlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gzcount
 from gzcount.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main, parse_partition
+from gzcount.counting import CountCache
 
 
 def run_cli(capsys, *argv):
@@ -79,9 +85,10 @@ def test_count_all_skips_oracle_beyond_limit(capsys):
 
 
 def test_count_oracle_refuses_beyond_limit(capsys):
-    code, _, err = run_cli(capsys, "count", "1 2 3 4 5 6", "--method", "oracle")
+    code, out, err = run_cli(capsys, "count", "1 2 3 4 5 6", "--method", "oracle")
     assert code == EXIT_LIMIT
-    assert "refused" in err
+    assert out == ""
+    assert err == "gzcount: refused: ambient dimension 15 exceeds the enumeration limit 10\n"
 
 
 def test_count_refuses_on_recursion_limit(capsys):
@@ -364,6 +371,65 @@ def test_cache_option_keeps_stdout_bytes(tmp_path, capsys, monkeypatch, argv):
     assert cached == plain
 
 
+def _stamp_old(path):
+    """Backdate path's mtime, so a rewrite in the same clock tick shows."""
+    os.utime(path, ns=(1_000_000_000, 1_000_000_000))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("first, again", [
+    (("count", "1 2 3"), ("count", "1 2 3")),
+    (("g4-explore", "--cap", "6"), ("verify", "all", "--cap", "4")),
+])
+def test_run_that_adds_no_entry_leaves_cache_file_untouched(tmp_path, capsys, first, again):
+    path = tmp_path / "c.json"
+    code, _, _ = run_cli(capsys, *first, "--cache", str(path))
+    assert code == EXIT_OK
+    before = _stamp_old(path)
+    code, out, _ = run_cli(capsys, *again, "--cache", str(path))
+    assert code == EXIT_OK
+    assert out
+    assert path.read_bytes() == before
+    assert path.stat().st_mtime_ns == 1_000_000_000
+
+
+def test_lookups_need_no_writable_cache_file(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "c.json"
+    run_cli(capsys, "count", "1 2 3", "--cache", str(path))
+
+    def read_only(cache, target):
+        raise OSError(f"cannot save count cache {target}: Read-only file system")
+
+    monkeypatch.setattr(CountCache, "save", read_only)
+    code, out, _ = run_cli(capsys, "count", "1 2 3", "--method", "all", "--cache", str(path))
+    assert (code, out.splitlines()[-1]) == (EXIT_OK, "agreement: ok")
+    code, _, err = run_cli(capsys, "count", "1 2 3 4", "--cache", str(path))
+    assert code == EXIT_USAGE and "Read-only" in err
+
+
+def test_run_that_adds_entries_rewrites_cache_file(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    run_cli(capsys, "count", "1 2 3", "--cache", str(path))
+    before = _stamp_old(path)
+    entries = len(CountCache.load(path))
+    code, out, _ = run_cli(capsys, "count", "1 2 2 3 4", "--cache", str(path))
+    assert (code, out) == (EXIT_OK, "114\n")
+    assert path.read_bytes() != before
+    assert path.stat().st_mtime_ns != 1_000_000_000
+    assert len(CountCache.load(path)) > entries
+
+
+@pytest.mark.parametrize("argv, entries", [
+    (("count", "1"), 1),
+    (("verify", "h", "--cap", "2"), 0),  # verify h reads no counts
+])
+def test_run_creates_missing_cache_file_even_if_it_adds_nothing(tmp_path, capsys, argv, entries):
+    path = tmp_path / "new.json"
+    code, _, _ = run_cli(capsys, *argv, "--cache", str(path))
+    assert code == EXIT_OK
+    assert len(CountCache.load(path)) == entries
+
+
 def test_commands_without_cache_option_ignore_cache_env_var(tmp_path, capsys, monkeypatch):
     path = tmp_path / "bad.json"
     path.write_text("not json")
@@ -431,3 +497,102 @@ def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == EXIT_OK
     assert "count" in out
+
+
+COUNT_HELP = """\
+usage: gzcount count [-h]
+                     [--method {a-infinity,fiber,formula,recurrence,oracle,all}]
+                     [--cache CACHE] [--limit-dim LIMIT_DIM]
+                     [--format {text,json}]
+                     partition
+
+positional arguments:
+  partition             partition, e.g. '1 2 3', '1,1,2' or '1^2 2 3'
+
+options:
+  -h, --help            show this help message and exit
+  --method {a-infinity,fiber,formula,recurrence,oracle,all}
+  --cache CACHE         persistent count cache file
+  --limit-dim LIMIT_DIM
+                        oracle ambient-dimension guardrail (default 10)
+  --format {text,json}
+"""
+
+
+def test_count_help_bytes(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run_cli(capsys, "count", "--help")
+    assert (code, out) == (EXIT_OK, COUNT_HELP)
+
+
+# Names the package exported when it imported every submodule eagerly.
+PACKAGE_EXPORTS = {
+    "counting": [
+        "CacheFormatError", "CountCache", "MultiplicityVector", "SHARED_CACHE", "TriTable",
+        "a_infinity", "a_infinity_unnormalized", "apply_A", "binomial_formula_V",
+        "coeff_theorem_V", "count_by_fiber_recursion", "g_polynomial", "h_polynomial",
+        "recurrence_V3", "tri_table", "vertex_count",
+    ],
+    "genfun": [
+        "ResidualReport", "SeriesBuildSpec", "build_E", "build_G", "build_series",
+        "closed_form_E2", "closed_form_G3", "closed_form_H", "dde_residual", "g3_roots",
+        "g4_explore", "h_slice", "pde_residual", "verify_dde_G", "verify_e2", "verify_g3",
+        "verify_h", "verify_pde_E",
+    ],
+    "oracle": [
+        "DEFAULT_LIMIT_DIM", "DimensionLimitError", "GZShape", "HRep", "OracleError",
+        "VertexSet", "build_hrep", "enumerate_vertices", "oracle_count",
+    ],
+    "polyseries": ["Monomial", "SparsePoly", "TruncSeries", "divide_exact", "format_rational"],
+}
+
+
+def test_package_names_resolve_to_their_modules(monkeypatch):
+    for module_name, names in PACKAGE_EXPORTS.items():
+        module = importlib.import_module(f"gzcount.{module_name}")
+        for name in names:
+            assert getattr(gzcount, name) is getattr(module, name), name
+            assert name in dir(gzcount) and name in gzcount.__all__
+    assert gzcount.build_G is gzcount.genfun.build_G
+    # Not cached: a name replaced in its module is seen through the package.
+    monkeypatch.setattr("gzcount.genfun.build_G", "patched")
+    assert gzcount.build_G == "patched"
+    with pytest.raises(AttributeError):
+        gzcount.no_such_name
+
+
+IMPORTED_AFTER = """
+import sys
+from gzcount.cli import main
+for argv in {runs!r}:
+    assert main(list(argv)) == 0, argv
+print(*(m for m in sys.modules if m.startswith("gzcount")))
+"""
+
+
+def _modules_after(tmp_path, *runs):
+    env = dict(os.environ, PYTHONPATH=str(Path(gzcount.__file__).parents[1]))
+    env.pop("GZCOUNT_CACHE", None)
+    proc = subprocess.run([sys.executable, "-c", IMPORTED_AFTER.format(runs=runs)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_count_table_and_cache_stats_import_no_series_or_oracle_code(tmp_path):
+    loaded = _modules_after(
+        tmp_path,
+        ("count", "1 2 3"),
+        ("table", "3"),
+        ("cache", "stats", "--path", str(tmp_path / "c.json")),
+    )
+    assert "gzcount.counting" in loaded
+    assert "gzcount.genfun" not in loaded
+    assert "gzcount.oracle" not in loaded
+
+
+def test_oracle_and_series_commands_import_their_modules(tmp_path):
+    loaded = _modules_after(tmp_path, ("count", "1 2 3", "--method", "all"))
+    assert "gzcount.oracle" in loaded and "gzcount.genfun" not in loaded
+    loaded = _modules_after(tmp_path, ("series", "G", "--k", "2", "--cap", "2"))
+    assert "gzcount.genfun" in loaded and "gzcount.oracle" not in loaded

@@ -461,6 +461,64 @@ def test_multiplicity_vector_from_partition():
 # ----------------------------------------------------------------- the cache
 
 
+def reference_save_bytes(cache):
+    """Cache file bytes as written by json.dump before the direct formatter."""
+    counts = {
+        ",".join(str(v) for v in key): str(value)
+        for key, value in sorted(cache.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    }
+    text = json.dumps({"version": CountCache.VERSION, "counts": counts}, indent=2) + "\n"
+    return text.encode()
+
+
+def reference_load_counts(counts):
+    """The per-entry parse loop of CountCache.load before its regex check.
+
+    One word differs from that loop: it tested tokens with ``isdigit``,
+    which also accepts digits such as "²" that ``int`` rejects with a bare
+    ValueError; ``isdecimal`` rejects them with a CacheFormatError.
+    """
+    def parse_key(text):
+        if not isinstance(text, str) or not text:
+            raise CacheFormatError(f"bad cache key {text!r}")
+        key = []
+        for tok in text.split(","):
+            if not tok.isdecimal() or str(int(tok)) != tok or int(tok) <= 0:
+                raise CacheFormatError(f"non-canonical cache key {text!r}")
+            key.append(int(tok))
+        return tuple(key)
+
+    def parse_value(text):
+        if not isinstance(text, str) or not text.isdecimal() or str(int(text)) != text:
+            raise CacheFormatError(f"non-canonical cache value {text!r}")
+        return int(text)
+
+    return {parse_key(k): parse_value(v) for k, v in counts.items()}
+
+
+def seeded_cache(entries, seed):
+    rng = random.Random(seed)
+    table = {}
+    while len(table) < entries:
+        key = tuple(rng.randint(1, 40) for _ in range(rng.randint(1, 7)))
+        table[key] = rng.randrange(10 ** rng.randint(0, 60))
+    return CountCache(table)
+
+
+@pytest.mark.parametrize("cache", [
+    CountCache(),
+    CountCache({(2, 3): 10}),
+    seeded_cache(2500, seed=11),
+], ids=["empty", "one-entry", "seeded-2500"])
+def test_cache_save_bytes_match_json_dump(tmp_path, cache):
+    path = tmp_path / "counts.json"
+    cache.save(path)
+    assert path.read_bytes() == reference_save_bytes(cache)
+    loaded = CountCache.load(path)
+    assert dict(loaded.items()) == dict(cache.items())
+    assert dict(loaded.items()) == reference_load_counts(json.loads(path.read_text())["counts"])
+
+
 def test_cache_roundtrip(tmp_path):
     cache = CountCache()
     a_infinity((2, 1, 1), cache)
@@ -523,15 +581,20 @@ def test_cache_rejects_bad_files(tmp_path):
     with pytest.raises(CacheFormatError):
         CountCache.load(path)
 
-    for bad_key in ["0,1", "1,,2", "01", "a", "-1", ""]:
-        path.write_text(json.dumps({"version": 1, "counts": {bad_key: "3"}}))
-        with pytest.raises(CacheFormatError):
+    # Non-ASCII digits, signs, blanks and empty tokens: the loader's regex
+    # admits ASCII digits only, and rejects with the old loop's message.
+    bad_keys = ["0,1", "1,,2", "01", "a", "-1", "", "١", "²", "１,2", "+1", " 1", "1 ",
+                "1,", ",1", "1,0", "1١", "2,3٣"]
+    bad_values = ["1.5", "007", "-3", "x", "٣", "²", "+3", " 3", "3 ", "3٣", 3, None]
+    bad_tables = [{key: "3"} for key in bad_keys] + [{"1,1": value} for value in bad_values]
+    bad_tables.append({"1": "1", "2,1": "3", "1,2": "٣", "0": "1"})
+    for counts in bad_tables:
+        with pytest.raises(CacheFormatError) as expected:
+            reference_load_counts(counts)
+        path.write_text(json.dumps({"version": 1, "counts": counts}))
+        with pytest.raises(CacheFormatError) as raised:
             CountCache.load(path)
-
-    for bad_value in ["1.5", "007", "-3", "x"]:
-        path.write_text(json.dumps({"version": 1, "counts": {"1,1": bad_value}}))
-        with pytest.raises(CacheFormatError):
-            CountCache.load(path)
+        assert str(raised.value) == str(expected.value), counts
 
 
 def test_cache_constructor_validates_entries():

@@ -57,6 +57,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def parse_partition(text: str) -> list[int]:
     """Parse '1,1,2,3' or '1^2 2 3' into a weakly increasing value list."""
     tokens = text.replace(",", " ").split()
@@ -357,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("partition", help="partition, e.g. '1 2 3', '1,1,2' or '1^2 2 3'")
     p_count.add_argument("--method", choices=COUNT_METHODS + ("all",), default="a-infinity")
     p_count.add_argument("--cache", help="persistent count cache file")
-    p_count.add_argument("--limit-dim", type=int, default=None,
+    p_count.add_argument("--limit-dim", type=_non_negative_int, default=None,
                          help=f"oracle ambient-dimension guardrail (default {DEFAULT_LIMIT_DIM})")
     p_count.add_argument("--format", choices=("text", "json"), default="text")
 

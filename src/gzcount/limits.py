@@ -5,7 +5,7 @@ refusal and print a default limit without importing the enforcing code.
 """
 
 #: Largest ambient dimension the vertex oracle enumerates by default.
-DEFAULT_LIMIT_DIM = 10
+DEFAULT_LIMIT_DIM = 15
 
 
 class ResourceLimitError(Exception):

@@ -11,17 +11,25 @@ pattern of a known shape.  Nothing here touches the operator/recursion
 machinery, so agreement between this module and the counters is a real
 cross-check.
 
-The enumeration is intentionally limited to small ambient dimension
-(the default guardrail is 10, i.e. partitions of length up to 5); the
-point of this module is correctness at desk scale, not generality.
+Every facet row is ``+-e_i`` or ``e_i - e_j``, so the tight rows at a
+candidate are the edges of a graph on the coordinates plus a ground
+node, and their rank is found by a union-find over that graph; an
+H-rep with a row of any other form is certified by exact elimination
+instead.
+
+The enumeration is limited to small ambient dimension (the default
+guardrail is 15, i.e. partitions of length up to 6, about 0.2 s for
+(1, ..., 6)); the point of this module is correctness at desk scale, not
+generality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from math import gcd
+from operator import eq, gt, sub
 from typing import Iterable, Iterator, Sequence
 
 from .limits import DEFAULT_LIMIT_DIM, ResourceLimitError
@@ -188,6 +196,88 @@ def _copy_patterns(row: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield child + rest
 
 
+def _incidence_edges(hrep: HRep) -> list[tuple[int, int, int]] | None:
+    """Each row of ``hrep`` as an edge ``(a, b, bound)`` with
+    ``normal . u = u[a] - u[b]``, where index ``hrep.dim`` is a ground
+    coordinate fixed at 0; ``None`` if some row is not of that form.
+
+    A row with one nonzero, +-1, is an edge to ground; a row with two
+    nonzeros, +1 and -1, is an edge between two coordinates.
+    """
+    ground = hrep.dim
+    edges = []
+    for normal, bound in hrep.rows:
+        support = [(c, i) for i, c in enumerate(normal) if c]
+        ends = dict(support)
+        if not support or len(ends) < len(support) or not ends.keys() <= {1, -1}:
+            return None
+        edges.append((ends.get(1, ground), ends.get(-1, ground), bound))
+    return edges
+
+
+def _graph_rank(nodes: int, edges: Iterable[tuple[int, int]]) -> int:
+    """Rank of the incidence rows ``e_a - e_b`` of ``edges`` on ``nodes``
+    nodes: the number of edges that join two components of a union-find.
+
+    Deleting the ground column keeps the rank, since in every row it is
+    minus the sum of the other columns.
+    """
+    parent = list(range(nodes))
+    rank = 0
+    for a, b in edges:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            rank += 1
+    return rank
+
+
+def _graph_certificate(dim: int, edges: list[tuple[int, int, int]]):
+    """Certificate of a candidate over the incidence edges of its H-rep."""
+    pairs = [(a, b) for a, b, _ in edges]
+    tails = [a for a, _, _ in edges]
+    heads = [b for _, b, _ in edges]
+    bounds = [bound for _, _, bound in edges]
+
+    def certify(candidate: tuple[int, ...]) -> None:
+        u = (*candidate, 0)
+        values = list(map(sub, map(u.__getitem__, tails), map(u.__getitem__, heads)))
+        if any(map(gt, values, bounds)):
+            raise OracleError(f"candidate {candidate} violates an inequality")
+        if _graph_rank(dim + 1, compress(pairs, map(eq, values, bounds))) != dim:
+            raise OracleError(f"candidate {candidate} is not a vertex: tight rank too low")
+
+    return certify
+
+
+def _dense_certificate(dim: int, rows: tuple[tuple[tuple[int, ...], int], ...]):
+    """Certificate of a candidate by dot products and an exact ``_rank``."""
+
+    def certify(candidate: tuple[int, ...]) -> None:
+        tight = []
+        for normal, bound in rows:
+            value = sum(c * x for c, x in zip(normal, candidate))
+            if value > bound:
+                raise OracleError(f"candidate {candidate} violates an inequality")
+            if value == bound:
+                tight.append(normal)
+        if _rank(tight) != dim:
+            raise OracleError(f"candidate {candidate} is not a vertex: tight rank too low")
+
+    return certify
+
+
+class _FractionTable(dict):
+    """``Fraction`` of each value, built once per distinct value."""
+
+    def __missing__(self, value):
+        frac = self[value] = Fraction(value)
+        return frac
+
+
 def enumerate_vertices(hrep: HRep, limit_dim: int | None = None) -> VertexSet:
     """Exact vertex set of GZ(shape), certified against ``hrep``.
 
@@ -196,11 +286,10 @@ def enumerate_vertices(hrep: HRep, limit_dim: int | None = None) -> VertexSet:
     rows tight at a feasible point as edges of a graph on the
     coordinates plus one ground node standing for lambda; the normals are
     then the rows of that graph's incidence matrix with the ground column
-    deleted, whose rank is ``dim`` minus the number of components of the
-    graph that do not contain the ground node (a lone tight row
-    ``e_1 - e_2`` has rank 1 though it joins nothing to the ground).  So
-    the rank is ``dim``, and the point a vertex, exactly when every
-    coordinate is linked to lambda by a chain of tight equalities.
+    deleted, whose rank is ``dim + 1`` minus the number of components of
+    the graph.  So the rank is ``dim``, and the point a vertex, exactly
+    when every coordinate is linked to lambda by a chain of tight
+    equalities.
 
     Rows of a pattern are weakly increasing, since
     u(i,j) <= u(i-1,j+1) <= u(i,j+1).  An entry x strictly between its
@@ -214,27 +303,31 @@ def enumerate_vertices(hrep: HRep, limit_dim: int | None = None) -> VertexSet:
     such a point is feasible, as it lies between those neighbours.
 
     Those points are enumerated row by row, keeping distinct rows only.
-    Each is then certified generically: it must satisfy every row of
-    ``hrep.rows`` and its tight normals must have rank ``hrep.dim``.  A
-    failed certificate raises ``OracleError``.
+    Each is then certified against ``hrep`` itself: it must satisfy
+    every row of ``hrep.rows``, and its tight rows must have rank
+    ``hrep.dim``.  Each row is read once per call as an edge
+    ``(a, b, bound)`` with ``normal . u = u[a] - u[b]``; a candidate's
+    tight edges are joined in a union-find over the ``dim + 1`` nodes,
+    and their rank is the number of joins that merge two components.
+    If some row of ``hrep`` is not of that form, every candidate is
+    certified instead by dense dot products and the exact elimination
+    ``_rank``.  A failed certificate raises ``OracleError``.
     """
     limit = DEFAULT_LIMIT_DIM if limit_dim is None else limit_dim
     if hrep.dim > limit:
         raise DimensionLimitError(
             f"ambient dimension {hrep.dim} exceeds the enumeration limit {limit}"
         )
+    edges = _incidence_edges(hrep)
+    if edges is None:
+        certify = _dense_certificate(hrep.dim, hrep.rows)
+    else:
+        certify = _graph_certificate(hrep.dim, edges)
+    fraction = _FractionTable()
     points: set[tuple[Fraction, ...]] = set()
     for candidate in _copy_patterns(hrep.shape.values):
-        tight = []
-        for normal, bound in hrep.rows:
-            value = sum(c * x for c, x in zip(normal, candidate))
-            if value > bound:
-                raise OracleError(f"candidate {candidate} violates an inequality")
-            if value == bound:
-                tight.append(normal)
-        if _rank(tight) != hrep.dim:
-            raise OracleError(f"candidate {candidate} is not a vertex: tight rank too low")
-        points.add(tuple(Fraction(v) for v in candidate))
+        certify(candidate)
+        points.add(tuple(map(fraction.__getitem__, candidate)))
     return VertexSet(frozenset(points))
 
 

@@ -78,17 +78,32 @@ def test_count_json_output(capsys):
 
 
 def test_count_all_skips_oracle_beyond_limit(capsys):
-    code, out, _ = run_cli(capsys, "count", "1 2 3 4 5 6", "--method", "all")
+    code, out, _ = run_cli(capsys, "count", "1 2 3 4 5 6 7", "--method", "all")
     assert code == EXIT_OK
-    assert "oracle skipped (ambient dimension 15 exceeds limit 10)" in out
+    assert "oracle skipped (ambient dimension 21 exceeds limit 15)" in out
     assert "agreement: ok" in out
 
 
+def test_count_all_runs_oracle_at_default_limit(capsys):
+    code, out, _ = run_cli(capsys, "count", "1 2 3 4 5 6", "--method", "all")
+    assert code == EXIT_OK
+    assert out == "a-infinity 4884\nfiber 4884\noracle 4884\nagreement: ok\n"
+
+
 def test_count_oracle_refuses_beyond_limit(capsys):
-    code, out, err = run_cli(capsys, "count", "1 2 3 4 5 6", "--method", "oracle")
+    code, out, err = run_cli(capsys, "count", "1 2 3 4 5 6 7", "--method", "oracle")
     assert code == EXIT_LIMIT
     assert out == ""
-    assert err == "gzcount: refused: ambient dimension 15 exceeds the enumeration limit 10\n"
+    assert err == "gzcount: refused: ambient dimension 21 exceeds the enumeration limit 15\n"
+
+
+@pytest.mark.parametrize("method", ["oracle", "all"])
+def test_count_negative_limit_dim_is_usage_error(capsys, method):
+    code, out, err = run_cli(capsys, "count", "1 2 3", "--method", method, "--limit-dim", "-1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "argument --limit-dim: must be a non-negative integer, got '-1'" in err
+    assert "exceeds limit" not in err
 
 
 def test_count_refuses_on_recursion_limit(capsys):
@@ -514,7 +529,7 @@ options:
   --method {a-infinity,fiber,formula,recurrence,oracle,all}
   --cache CACHE         persistent count cache file
   --limit-dim LIMIT_DIM
-                        oracle ambient-dimension guardrail (default 10)
+                        oracle ambient-dimension guardrail (default 15)
   --format {text,json}
 """
 

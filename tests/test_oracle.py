@@ -6,11 +6,14 @@ from itertools import product
 
 import pytest
 
+from gzcount import oracle
 from gzcount.counting import a_infinity, count_by_fiber_recursion
 from gzcount.oracle import (
     DEFAULT_LIMIT_DIM,
     DimensionLimitError,
     GZShape,
+    HRep,
+    OracleError,
     build_hrep,
     enumerate_vertices,
     oracle_count,
@@ -140,6 +143,116 @@ def test_vertices_are_all_full_rank_integer_points():
         assert enumerate_vertices(h).points == expected
 
 
+def compositions(total):
+    if total == 0:
+        yield ()
+        return
+    for first in range(1, total + 1):
+        for rest in compositions(total - first):
+            yield (first,) + rest
+
+
+def shape_for(mults):
+    return GZShape(tuple(v for v, mult in enumerate(mults) for _ in range(mult)))
+
+
+def dot(normal, point):
+    return sum(c * x for c, x in zip(normal, point))
+
+
+# ------------------------------------------------------------ certificate
+
+
+def test_union_find_rank_equals_elimination_rank():
+    # Every prefix of the tight rows of every candidate with n <= 5: the
+    # short prefixes are rank-deficient, the full tight set has rank dim.
+    candidates = 0
+    for total in range(1, 6):
+        for mults in compositions(total):
+            h = build_hrep(shape_for(mults))
+            edges = oracle._incidence_edges(h)
+            assert edges is not None and len(edges) == len(h.rows)
+            for candidate in oracle._copy_patterns(h.shape.values):
+                candidates += 1
+                tight = [(normal, (a, b)) for (normal, bound), (a, b, _) in zip(h.rows, edges)
+                         if dot(normal, candidate) == bound]
+                for stop in range(len(tight) + 1):
+                    normals = [normal for normal, _ in tight[:stop]]
+                    pairs = [pair for _, pair in tight[:stop]]
+                    assert oracle._graph_rank(h.dim + 1, pairs) == oracle._rank(normals)
+                assert oracle._graph_rank(h.dim + 1, pairs) == h.dim
+    assert candidates == 1227
+
+
+def test_incidence_edges_read_rows_as_differences():
+    h = build_hrep(GZShape((0, 1, 3)))
+    edges = oracle._incidence_edges(h)
+    for point in product(range(-2, 3), repeat=h.dim):
+        u = point + (0,)
+        for (normal, bound), (a, b, edge_bound) in zip(h.rows, edges):
+            assert (dot(normal, point), bound) == (u[a] - u[b], edge_bound)
+
+
+def test_graph_path_matches_rank_path_for_n_le_6(monkeypatch):
+    graph = {}
+    for total in range(1, 7):
+        for mults in compositions(total):
+            graph[mults] = enumerate_vertices(build_hrep(shape_for(mults)), limit_dim=15)
+    monkeypatch.setattr(oracle, "_incidence_edges", lambda hrep: None)
+    assert len(graph) == 63
+    for mults, vs in graph.items():
+        assert enumerate_vertices(build_hrep(shape_for(mults)), limit_dim=15).points == vs.points
+        assert all(type(c) is Fraction for point in vs.points for c in point)
+
+
+def _off_incidence_hrep(h):
+    # The same polytope with its first row scaled by 2 and a redundant
+    # row e_1 + e_2 <= 100: neither is an incidence row.
+    (normal, bound), *rest = h.rows
+    extra = (tuple(1 if i < 2 else 0 for i in range(h.dim)), 100)
+    rows = (tuple(2 * c for c in normal), 2 * bound), *rest, extra
+    return HRep(dim=h.dim, rows=tuple(rows), shape=h.shape, var_pairs=h.var_pairs)
+
+
+def test_rows_outside_incidence_form_take_the_rank_path(monkeypatch):
+    h = build_hrep(GZShape((0, 1, 1, 3)))
+    off = _off_incidence_hrep(h)
+    assert oracle._incidence_edges(off) is None
+    for scaled in [((2, 0, 0, 0, 0, 0), 2), ((1, 1, 0, 0, 0, 0), 2)]:
+        assert oracle._incidence_edges(HRep(h.dim, (scaled,), h.shape, h.var_pairs)) is None
+    expected = enumerate_vertices(h).points
+    ranks = []
+    real_rank = oracle._rank
+
+    def counted_rank(rows):
+        ranks.append(1)
+        return real_rank(rows)
+
+    def no_graph(*args):
+        raise AssertionError("union-find used for a non-incidence row")
+
+    monkeypatch.setattr(oracle, "_rank", counted_rank)
+    monkeypatch.setattr(oracle, "_graph_rank", no_graph)
+    assert enumerate_vertices(off).points == expected
+    assert len(ranks) == len(expected) == 14
+
+
+@pytest.mark.parametrize("rank_path", [False, True])
+def test_certificate_rejects_bad_candidates(monkeypatch, rank_path):
+    # (0, 0, 2): u(1,1) is pinned to 0, u(1,2) lies in [0, 2] and u(2,1)
+    # between them.  (0, 2, 1) is feasible with three tight rows, two of
+    # them the parallel bounds pinning u(1,1), so its tight rank is 2: a
+    # non-vertex, as u(2,1) = 1 lies strictly between its upper
+    # neighbours.  (0, 3, 0) breaks u(1,2) <= 2.
+    h = build_hrep(GZShape((0, 0, 2)))
+    if rank_path:
+        h = _off_incidence_hrep(h)
+    for point, message in [((0, 3, 0), "violates"), ((0, 2, 1), "not a vertex")]:
+        monkeypatch.setattr(oracle, "_copy_patterns", lambda values, point=point: iter([point]))
+        with pytest.raises(OracleError, match=message):
+            enumerate_vertices(h)
+
+
 def test_oracle_against_independent_counters():
     assert oracle_count(GZShape((0, 1, 2, 3))) == a_infinity((1, 1, 1, 1))
     assert oracle_count(GZShape((0, 0, 1, 2))) == a_infinity((2, 1, 1)) == 16
@@ -171,8 +284,8 @@ def test_counts_invariant_under_affine_symmetries():
 
 
 def test_dimension_limit_refusal():
-    shape = GZShape((1, 2, 3, 4, 5, 6))
-    assert shape.ambient_dim == 15 > DEFAULT_LIMIT_DIM
+    shape = GZShape((1, 2, 3, 4, 5, 6, 7))
+    assert shape.ambient_dim == 21 > DEFAULT_LIMIT_DIM
     with pytest.raises(DimensionLimitError):
         enumerate_vertices(build_hrep(shape))
     with pytest.raises(DimensionLimitError):

@@ -117,8 +117,9 @@ class CacheFormatError(ValueError):
     """A persisted count cache file failed validation."""
 
 
-# The canonical key and value texts, in ASCII digits only.  Exactly the
-# strings ``CountCache._parse_key`` / ``_parse_value`` accept.
+# The canonical key and value texts, in ASCII digits only: no sign, blank,
+# leading zero, zero key part or empty key part.  ``CountCache.load``
+# accepts exactly these.
 _KEY_TEXT = re.compile(r"[1-9][0-9]*(?:,[1-9][0-9]*)*")
 _VALUE_TEXT = re.compile(r"0|[1-9][0-9]*")
 
@@ -216,10 +217,10 @@ class CountCache:
             data = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
             raise CacheFormatError(f"cache file is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict) or data.get("version") != cls.VERSION:
-            raise CacheFormatError(
-                f"unsupported cache version {data.get('version') if isinstance(data, dict) else data!r}"
-            )
+        version = data.get("version") if isinstance(data, dict) else data
+        # ``True`` and ``1.0`` compare equal to 1; only the int itself is version 1.
+        if not isinstance(data, dict) or type(version) is not int or version != cls.VERSION:
+            raise CacheFormatError(f"unsupported cache version {version!r}")
         counts = data.get("counts")
         if not isinstance(counts, dict):
             raise CacheFormatError("cache file has no counts table")
@@ -228,30 +229,13 @@ class CountCache:
         key_ok, value_ok = _KEY_TEXT.fullmatch, _VALUE_TEXT.fullmatch
         for key_text, value_text in counts.items():
             # JSON object keys are always strings; values need not be.
-            if key_ok(key_text) and isinstance(value_text, str) and value_ok(value_text):
-                table[tuple(map(int, key_text.split(",")))] = int(value_text)
-            else:
-                # Rejects the entry with the message naming what is wrong.
-                table[cls._parse_key(key_text)] = cls._parse_value(value_text)
+            if not key_ok(key_text):
+                kind = "non-canonical" if key_text else "bad"
+                raise CacheFormatError(f"{kind} cache key {key_text!r}")
+            if not (isinstance(value_text, str) and value_ok(value_text)):
+                raise CacheFormatError(f"non-canonical cache value {value_text!r}")
+            table[tuple(map(int, key_text.split(",")))] = int(value_text)
         return cache
-
-    @staticmethod
-    def _parse_key(text) -> Mults:
-        if not isinstance(text, str) or not text:
-            raise CacheFormatError(f"bad cache key {text!r}")
-        parts = text.split(",")
-        key = []
-        for tok in parts:
-            if not tok.isdecimal() or str(int(tok)) != tok or int(tok) <= 0:
-                raise CacheFormatError(f"non-canonical cache key {text!r}")
-            key.append(int(tok))
-        return tuple(key)
-
-    @staticmethod
-    def _parse_value(text) -> int:
-        if not isinstance(text, str) or not text.isdecimal() or str(int(text)) != text:
-            raise CacheFormatError(f"non-canonical cache value {text!r}")
-        return int(text)
 
 
 #: Process-wide memo table shared by default between all count queries.

@@ -14,8 +14,8 @@ cross-check.
 Every facet row is ``+-e_i`` or ``e_i - e_j``, so the tight rows at a
 candidate are the edges of a graph on the coordinates plus a ground
 node, and their rank is found by a union-find over that graph; an
-H-rep with a row of any other form is certified by exact elimination
-instead.
+H-rep with a row of any other form breaks ``HRep``'s invariant and is
+refused with ``OracleError``.
 
 The enumeration is limited to small ambient dimension (the default
 guardrail is 15, i.e. partitions of length up to 6, about 0.2 s for
@@ -26,11 +26,9 @@ generality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, product
-from math import gcd
 from operator import eq, gt, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .limits import DEFAULT_LIMIT_DIM, ResourceLimitError
 from .polyseries import format_rational
@@ -134,14 +132,19 @@ def build_hrep(shape: GZShape) -> HRep:
 
 @dataclass(frozen=True)
 class VertexSet:
-    """Deduplicated exact vertex coordinates, exportable as CSV or JSON."""
+    """Deduplicated exact vertex coordinates, exportable as CSV or JSON.
 
-    points: frozenset[tuple[Fraction, ...]]
+    ``enumerate_vertices`` stores integer tuples (every vertex of a GZ
+    polytope with integer lambda is integral); the exports render any
+    exact rational coordinate, ``int`` or ``Fraction``, the same way.
+    """
+
+    points: frozenset[tuple[int, ...]]
 
     def __len__(self) -> int:
         return len(self.points)
 
-    def sorted_points(self) -> list[tuple[Fraction, ...]]:
+    def sorted_points(self) -> list[tuple[int, ...]]:
         return sorted(self.points)
 
     def to_csv(self) -> str:
@@ -152,37 +155,6 @@ class VertexSet:
 
     def to_json_obj(self) -> list[list[str]]:
         return [[format_rational(c) for c in point] for point in self.sorted_points()]
-
-
-def _gcd_normalize(row: list[int]) -> tuple[int, ...]:
-    g = 0
-    for v in row:
-        g = gcd(g, abs(v))
-        if g == 1:
-            return tuple(row)
-    if g > 1:
-        return tuple(v // g for v in row)
-    return tuple(row)
-
-
-def _rank(rows: Iterable[Sequence[int]]) -> int:
-    """Exact rank of integer row vectors by fraction-free elimination.
-
-    Each echelon row is zero at the pivots of the rows before it, so
-    reducing a new row against the echelon in order clears every pivot.
-    """
-    echelon: list[tuple[tuple[int, ...], int]] = []
-    for row in rows:
-        reduced = list(row)
-        for erow, p in echelon:
-            c = reduced[p]
-            if c:
-                f = erow[p]
-                reduced = [f * a - c * b for a, b in zip(reduced, erow)]
-        pivot = next((col for col, v in enumerate(reduced) if v), None)
-        if pivot is not None:
-            echelon.append((_gcd_normalize(reduced), pivot))
-    return len(echelon)
 
 
 def _copy_patterns(row: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -196,10 +168,10 @@ def _copy_patterns(row: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             yield child + rest
 
 
-def _incidence_edges(hrep: HRep) -> list[tuple[int, int, int]] | None:
+def _incidence_edges(hrep: HRep) -> list[tuple[int, int, int]]:
     """Each row of ``hrep`` as an edge ``(a, b, bound)`` with
     ``normal . u = u[a] - u[b]``, where index ``hrep.dim`` is a ground
-    coordinate fixed at 0; ``None`` if some row is not of that form.
+    coordinate fixed at 0; ``OracleError`` if some row is not of that form.
 
     A row with one nonzero, +-1, is an edge to ground; a row with two
     nonzeros, +1 and -1, is an edge between two coordinates.
@@ -210,7 +182,7 @@ def _incidence_edges(hrep: HRep) -> list[tuple[int, int, int]] | None:
         support = [(c, i) for i, c in enumerate(normal) if c]
         ends = dict(support)
         if not support or len(ends) < len(support) or not ends.keys() <= {1, -1}:
-            return None
+            raise OracleError(f"H-rep row {normal} <= {bound} is not +-e_i or e_i - e_j")
         edges.append((ends.get(1, ground), ends.get(-1, ground), bound))
     return edges
 
@@ -233,49 +205,6 @@ def _graph_rank(nodes: int, edges: Iterable[tuple[int, int]]) -> int:
             parent[a] = b
             rank += 1
     return rank
-
-
-def _graph_certificate(dim: int, edges: list[tuple[int, int, int]]):
-    """Certificate of a candidate over the incidence edges of its H-rep."""
-    pairs = [(a, b) for a, b, _ in edges]
-    tails = [a for a, _, _ in edges]
-    heads = [b for _, b, _ in edges]
-    bounds = [bound for _, _, bound in edges]
-
-    def certify(candidate: tuple[int, ...]) -> None:
-        u = (*candidate, 0)
-        values = list(map(sub, map(u.__getitem__, tails), map(u.__getitem__, heads)))
-        if any(map(gt, values, bounds)):
-            raise OracleError(f"candidate {candidate} violates an inequality")
-        if _graph_rank(dim + 1, compress(pairs, map(eq, values, bounds))) != dim:
-            raise OracleError(f"candidate {candidate} is not a vertex: tight rank too low")
-
-    return certify
-
-
-def _dense_certificate(dim: int, rows: tuple[tuple[tuple[int, ...], int], ...]):
-    """Certificate of a candidate by dot products and an exact ``_rank``."""
-
-    def certify(candidate: tuple[int, ...]) -> None:
-        tight = []
-        for normal, bound in rows:
-            value = sum(c * x for c, x in zip(normal, candidate))
-            if value > bound:
-                raise OracleError(f"candidate {candidate} violates an inequality")
-            if value == bound:
-                tight.append(normal)
-        if _rank(tight) != dim:
-            raise OracleError(f"candidate {candidate} is not a vertex: tight rank too low")
-
-    return certify
-
-
-class _FractionTable(dict):
-    """``Fraction`` of each value, built once per distinct value."""
-
-    def __missing__(self, value):
-        frac = self[value] = Fraction(value)
-        return frac
 
 
 def enumerate_vertices(hrep: HRep, limit_dim: int | None = None) -> VertexSet:
@@ -302,32 +231,36 @@ def enumerate_vertices(hrep: HRep, limit_dim: int | None = None) -> VertexSet:
     exactly when every entry equals one of its two upper neighbours;
     such a point is feasible, as it lies between those neighbours.
 
-    Those points are enumerated row by row, keeping distinct rows only.
-    Each is then certified against ``hrep`` itself: it must satisfy
-    every row of ``hrep.rows``, and its tight rows must have rank
-    ``hrep.dim``.  Each row is read once per call as an edge
+    Those points are enumerated row by row, keeping distinct rows only,
+    as integer tuples.  Each is then certified against ``hrep`` itself:
+    it must satisfy every row of ``hrep.rows``, and its tight rows must
+    have rank ``hrep.dim``.  Each row is read once per call as an edge
     ``(a, b, bound)`` with ``normal . u = u[a] - u[b]``; a candidate's
     tight edges are joined in a union-find over the ``dim + 1`` nodes,
     and their rank is the number of joins that merge two components.
-    If some row of ``hrep`` is not of that form, every candidate is
-    certified instead by dense dot products and the exact elimination
-    ``_rank``.  A failed certificate raises ``OracleError``.
+    A row of ``hrep`` that is not of that form, or a failed certificate,
+    raises ``OracleError``.
     """
     limit = DEFAULT_LIMIT_DIM if limit_dim is None else limit_dim
     if hrep.dim > limit:
         raise DimensionLimitError(
             f"ambient dimension {hrep.dim} exceeds the enumeration limit {limit}"
         )
+    dim = hrep.dim
     edges = _incidence_edges(hrep)
-    if edges is None:
-        certify = _dense_certificate(hrep.dim, hrep.rows)
-    else:
-        certify = _graph_certificate(hrep.dim, edges)
-    fraction = _FractionTable()
-    points: set[tuple[Fraction, ...]] = set()
+    pairs = [(a, b) for a, b, _ in edges]
+    tails = [a for a, _, _ in edges]
+    heads = [b for _, b, _ in edges]
+    bounds = [bound for _, _, bound in edges]
+    points = []
     for candidate in _copy_patterns(hrep.shape.values):
-        certify(candidate)
-        points.add(tuple(map(fraction.__getitem__, candidate)))
+        u = (*candidate, 0)
+        values = list(map(sub, map(u.__getitem__, tails), map(u.__getitem__, heads)))
+        if any(map(gt, values, bounds)):
+            raise OracleError(f"candidate {candidate} violates an inequality")
+        if _graph_rank(dim + 1, compress(pairs, map(eq, values, bounds))) != dim:
+            raise OracleError(f"candidate {candidate} is not a vertex: tight rank too low")
+        points.append(candidate)
     return VertexSet(frozenset(points))
 
 

@@ -342,6 +342,12 @@ def test_cache_rejects_malformed_file(tmp_path, capsys):
     assert "version" in err
     code, _, _ = run_cli(capsys, "count", "1 2 3", "--cache", str(path))
     assert code == EXIT_USAGE
+    # True and 1.0 compare equal to 1, yet are not the int version 1.
+    for version in [True, 1.0, "1"]:
+        path.write_text(json.dumps({"version": version, "counts": {}}))
+        code, out, err = run_cli(capsys, "count", "1 2", "--cache", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"unsupported cache version {version!r}" in err
 
 
 @pytest.mark.parametrize("argv", [

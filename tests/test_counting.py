@@ -573,8 +573,14 @@ def test_cache_rejects_bad_files(tmp_path):
     with pytest.raises(CacheFormatError):
         CountCache.load(path)
 
-    path.write_text(json.dumps({"version": 99, "counts": {}}))
-    with pytest.raises(CacheFormatError):
+    # Only the int 1 is version 1: True and 1.0 compare equal to it.
+    for version in [99, True, 1.0, "1"]:
+        path.write_text(json.dumps({"version": version, "counts": {}}))
+        with pytest.raises(CacheFormatError, match="unsupported cache version"):
+            CountCache.load(path)
+
+    path.write_text("1")
+    with pytest.raises(CacheFormatError, match="unsupported cache version 1"):
         CountCache.load(path)
 
     path.write_text(json.dumps({"version": 1}))
@@ -588,6 +594,7 @@ def test_cache_rejects_bad_files(tmp_path):
     bad_values = ["1.5", "007", "-3", "x", "٣", "²", "+3", " 3", "3 ", "3٣", 3, None]
     bad_tables = [{key: "3"} for key in bad_keys] + [{"1,1": value} for value in bad_values]
     bad_tables.append({"1": "1", "2,1": "3", "1,2": "٣", "0": "1"})
+    bad_tables.append({"0": "x"})  # the key is checked before the value
     for counts in bad_tables:
         with pytest.raises(CacheFormatError) as expected:
             reference_load_counts(counts)

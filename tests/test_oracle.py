@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -21,21 +22,25 @@ from gzcount.oracle import (
 
 
 def rank(rows):
-    """Exact rank of a list of rational row vectors (test-local elimination)."""
-    mat = [list(map(Fraction, row)) for row in rows]
-    cols = len(mat[0]) if mat else 0
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c] / mat[r][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-    return r
+    """Exact rank of integer row vectors by fraction-free elimination.
+
+    Each echelon row is zero at the pivots of the rows before it, so
+    reducing a new row against the echelon in order clears every pivot.
+    Kept rows are divided by the gcd of their entries.
+    """
+    echelon = []
+    for row in rows:
+        reduced = list(row)
+        for erow, p in echelon:
+            c = reduced[p]
+            if c:
+                f = erow[p]
+                reduced = [f * a - c * b for a, b in zip(reduced, erow)]
+        pivot = next((col for col, v in enumerate(reduced) if v), None)
+        if pivot is not None:
+            g = gcd(*reduced)
+            echelon.append(([v // g for v in reduced], pivot))
+    return len(echelon)
 
 
 # ----------------------------------------------------------------- shapes
@@ -160,6 +165,16 @@ def dot(normal, point):
     return sum(c * x for c, x in zip(normal, point))
 
 
+@pytest.fixture(scope="module")
+def vertex_sets_n_le_6():
+    """``enumerate_vertices`` of every composition with n <= 6, by composition."""
+    return {
+        mults: enumerate_vertices(build_hrep(shape_for(mults)), limit_dim=15)
+        for total in range(1, 7)
+        for mults in compositions(total)
+    }
+
+
 # ------------------------------------------------------------ certificate
 
 
@@ -171,7 +186,7 @@ def test_union_find_rank_equals_elimination_rank():
         for mults in compositions(total):
             h = build_hrep(shape_for(mults))
             edges = oracle._incidence_edges(h)
-            assert edges is not None and len(edges) == len(h.rows)
+            assert len(edges) == len(h.rows)
             for candidate in oracle._copy_patterns(h.shape.values):
                 candidates += 1
                 tight = [(normal, (a, b)) for (normal, bound), (a, b, _) in zip(h.rows, edges)
@@ -179,7 +194,7 @@ def test_union_find_rank_equals_elimination_rank():
                 for stop in range(len(tight) + 1):
                     normals = [normal for normal, _ in tight[:stop]]
                     pairs = [pair for _, pair in tight[:stop]]
-                    assert oracle._graph_rank(h.dim + 1, pairs) == oracle._rank(normals)
+                    assert oracle._graph_rank(h.dim + 1, pairs) == rank(normals)
                 assert oracle._graph_rank(h.dim + 1, pairs) == h.dim
     assert candidates == 1227
 
@@ -193,60 +208,49 @@ def test_incidence_edges_read_rows_as_differences():
             assert (dot(normal, point), bound) == (u[a] - u[b], edge_bound)
 
 
-def test_graph_path_matches_rank_path_for_n_le_6(monkeypatch):
-    graph = {}
-    for total in range(1, 7):
-        for mults in compositions(total):
-            graph[mults] = enumerate_vertices(build_hrep(shape_for(mults)), limit_dim=15)
-    monkeypatch.setattr(oracle, "_incidence_edges", lambda hrep: None)
-    assert len(graph) == 63
-    for mults, vs in graph.items():
-        assert enumerate_vertices(build_hrep(shape_for(mults)), limit_dim=15).points == vs.points
-        assert all(type(c) is Fraction for point in vs.points for c in point)
+def test_graph_path_matches_rank_path_for_n_le_6(vertex_sets_n_le_6):
+    # Certify every candidate by dense dot products and elimination rank:
+    # the union-find certificate must accept the same points.
+    assert len(vertex_sets_n_le_6) == 63
+    for mults, vs in vertex_sets_n_le_6.items():
+        h = build_hrep(shape_for(mults))
+        expected = set()
+        for candidate in oracle._copy_patterns(h.shape.values):
+            values = [dot(normal, candidate) for normal, _ in h.rows]
+            assert all(v <= bound for v, (_, bound) in zip(values, h.rows))
+            tight = [normal for v, (normal, bound) in zip(values, h.rows) if v == bound]
+            assert rank(tight) == h.dim
+            expected.add(candidate)
+        assert vs.points == expected
+        assert all(type(c) is int for point in vs.points for c in point)
 
 
-def _off_incidence_hrep(h):
-    # The same polytope with its first row scaled by 2 and a redundant
-    # row e_1 + e_2 <= 100: neither is an incidence row.
-    (normal, bound), *rest = h.rows
-    extra = (tuple(1 if i < 2 else 0 for i in range(h.dim)), 100)
-    rows = (tuple(2 * c for c in normal), 2 * bound), *rest, extra
-    return HRep(dim=h.dim, rows=tuple(rows), shape=h.shape, var_pairs=h.var_pairs)
-
-
-def test_rows_outside_incidence_form_take_the_rank_path(monkeypatch):
+def test_rows_outside_incidence_form_are_refused():
+    # The same polytope with its first row scaled by 2, or with one more
+    # redundant row e_1 + e_2 <= 100, e_1 - e_2 + e_3 <= 100 or 0 <= 5:
+    # each breaks HRep's invariant and is refused, not certified by
+    # another route.
     h = build_hrep(GZShape((0, 1, 1, 3)))
-    off = _off_incidence_hrep(h)
-    assert oracle._incidence_edges(off) is None
-    for scaled in [((2, 0, 0, 0, 0, 0), 2), ((1, 1, 0, 0, 0, 0), 2)]:
-        assert oracle._incidence_edges(HRep(h.dim, (scaled,), h.shape, h.var_pairs)) is None
-    expected = enumerate_vertices(h).points
-    ranks = []
-    real_rank = oracle._rank
-
-    def counted_rank(rows):
-        ranks.append(1)
-        return real_rank(rows)
-
-    def no_graph(*args):
-        raise AssertionError("union-find used for a non-incidence row")
-
-    monkeypatch.setattr(oracle, "_rank", counted_rank)
-    monkeypatch.setattr(oracle, "_graph_rank", no_graph)
-    assert enumerate_vertices(off).points == expected
-    assert len(ranks) == len(expected) == 14
+    (normal, bound), *rest = h.rows
+    scaled = (tuple(2 * c for c in normal), 2 * bound)
+    for rows in [
+        (scaled, *rest),
+        (*h.rows, ((1, 1, 0, 0, 0, 0), 100)),
+        (*h.rows, ((1, -1, 1, 0, 0, 0), 100)),
+        (*h.rows, ((0,) * h.dim, 5)),
+    ]:
+        off = HRep(dim=h.dim, rows=rows, shape=h.shape, var_pairs=h.var_pairs)
+        with pytest.raises(OracleError, match=r"is not \+-e_i or e_i - e_j"):
+            enumerate_vertices(off)
 
 
-@pytest.mark.parametrize("rank_path", [False, True])
-def test_certificate_rejects_bad_candidates(monkeypatch, rank_path):
+def test_certificate_rejects_bad_candidates(monkeypatch):
     # (0, 0, 2): u(1,1) is pinned to 0, u(1,2) lies in [0, 2] and u(2,1)
     # between them.  (0, 2, 1) is feasible with three tight rows, two of
     # them the parallel bounds pinning u(1,1), so its tight rank is 2: a
     # non-vertex, as u(2,1) = 1 lies strictly between its upper
     # neighbours.  (0, 3, 0) breaks u(1,2) <= 2.
     h = build_hrep(GZShape((0, 0, 2)))
-    if rank_path:
-        h = _off_incidence_hrep(h)
     for point, message in [((0, 3, 0), "violates"), ((0, 2, 1), "not a vertex")]:
         monkeypatch.setattr(oracle, "_copy_patterns", lambda values, point=point: iter([point]))
         with pytest.raises(OracleError, match=message):
@@ -323,6 +327,16 @@ def test_vertex_json_export_roundtrips():
     assert len(obj) == len(vs)
     parsed = {tuple(Fraction(c) for c in row) for row in obj}
     assert parsed == set(vs.points)
+
+
+def test_exports_match_fraction_points_for_n_le_6(vertex_sets_n_le_6):
+    # The oracle's integer points export the same bytes as the same
+    # points held as Fractions, and compare equal to them as a set.
+    for vs in vertex_sets_n_le_6.values():
+        fractions = oracle.VertexSet(frozenset(tuple(map(Fraction, p)) for p in vs.points))
+        assert vs.points == fractions.points
+        assert vs.to_csv() == fractions.to_csv()
+        assert vs.to_json_obj() == fractions.to_json_obj()
 
 
 def test_exports_render_fractions_as_p_over_q():

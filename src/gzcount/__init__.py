@@ -7,8 +7,12 @@ in exact arithmetic.
 
 The names below are loaded lazily: ``import gzcount`` imports no
 submodule, and ``gzcount.build_G`` imports ``gzcount.genfun`` on first
-use.  A short ``gzcount count`` process thus never loads the series or
-oracle code.
+use.  A ``gzcount count`` (default method, with or without a cache file),
+``table`` or ``cache`` process loads only ``gzcount``, ``gzcount.cli``,
+``gzcount.counting`` and ``gzcount.limits``: ``counting`` imports
+``polyseries`` inside the functions that build polynomials, so neither
+the series nor the oracle code, nor ``fractions``, ``decimal`` or
+``dataclasses``, is loaded.
 """
 
 import importlib

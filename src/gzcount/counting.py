@@ -37,20 +37,26 @@ independent ways of listing children:
   definition, on ``SparsePoly`` objects.
 
 Counts are arbitrary-precision integers throughout.
+
+Only the polynomial routes (``apply_A``, the zero-keeping reference,
+``coeff_theorem_V`` and the slice polynomials) need ``polyseries``, and
+they import it when first called, so importing this module loads neither
+``polyseries`` nor the ``fractions`` and ``decimal`` modules behind it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
-from dataclasses import dataclass
 from math import comb
 from operator import mul
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .polyseries import Monomial, SparsePoly, TruncSeries, divide_exact
+if TYPE_CHECKING:
+    from .polyseries import SparsePoly
 
 Mults = tuple[int, ...]
 
@@ -67,18 +73,57 @@ def compress(mults: Iterable[int]) -> Mults:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class MultiplicityVector:
+class _Frozen:
+    """Immutable record of the fields named in ``__slots__``.
+
+    Behaves as ``@dataclass(frozen=True)`` does: fields compare and hash
+    as a tuple, only against the same class; the repr names every field;
+    assigning or deleting an attribute raises ``AttributeError``.  Written
+    out because ``dataclasses`` imports ``inspect``, which a short
+    ``gzcount count`` process would otherwise load.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Rebuild through __init__: the default protocol would restore
+        # the slots with setattr, which the record refuses.
+        return self.__class__, self._fields()
+
+
+class MultiplicityVector(_Frozen):
     """Exponent vector (i1, ..., ik) of a partition with k distinct values.
 
     Canonical form has no leading or trailing zeros; interior zeros are
     allowed at the type level and removed only when keying count caches.
     """
 
+    __slots__ = ("mults",)
     mults: Mults
 
-    def __post_init__(self):
-        vals = tuple(int(v) for v in self.mults)
+    def __init__(self, mults: Iterable[int]):
+        vals = tuple(int(v) for v in mults)
         if any(v < 0 for v in vals):
             raise ValueError("multiplicities must be nonnegative")
         lo, hi = 0, len(vals)
@@ -249,6 +294,8 @@ def apply_A(p: SparsePoly) -> SparsePoly:
     squarefree part xj1*...*xjk by (xj1+xj2)*...*(xj(k-1)+xjk); constants
     are fixed.  Extended linearly to the whole polynomial.
     """
+    from .polyseries import SparsePoly
+
     out = SparsePoly.zero()
     for mono, coeff in p.items():
         support = mono.support()
@@ -355,6 +402,8 @@ def a_infinity(mults: Sequence[int] | MultiplicityVector, cache: CountCache | No
 
 def _unnormalized_children(vec: Mults) -> dict[Mults, int]:
     """Expansion of A applied to x1^i1 ... xk^ik, as vectors of length k."""
+    from .polyseries import Monomial, SparsePoly
+
     mono = Monomial((j + 1, e) for j, e in enumerate(vec) if e)
     children: dict[Mults, int] = {}
     for m, c in apply_A(SparsePoly({mono: 1})).items():
@@ -455,11 +504,11 @@ def coeff_theorem_V(k: int, l: int, m: int) -> int:
     """
     if min(k, l, m) <= 0:
         raise ValueError("coeff_theorem_V requires k, l, m > 0")
+    from .polyseries import TruncSeries
+
     s = k + l + m
     cap = k + m
-    one = SparsePoly.one()
-    x = SparsePoly.variable(1)
-    z = SparsePoly.variable(2)
+    one, x, z = _one_x_z()
     bracket = (one + x) ** s * (one + z) ** s - (x + z) ** s
     numerator = TruncSeries.from_poly((one - x * z) * bracket, 2, cap)
     series = numerator * TruncSeries.from_poly(one + x * z, 2, cap).inv()
@@ -501,12 +550,19 @@ def recurrence_V3(k: int, l: int, m: int) -> int:
     return value
 
 
-_POLY_ONE = SparsePoly.one()
-_POLY_X = SparsePoly.variable(1)
-_POLY_Z = SparsePoly.variable(2)
+@functools.cache
+def _one_x_z() -> tuple[SparsePoly, SparsePoly, SparsePoly]:
+    """The polynomials 1, x and z, built on first use."""
+    from .polyseries import SparsePoly
 
-_G_CACHE: list[SparsePoly] = [SparsePoly.one()]
-_H_CACHE: list[SparsePoly] = [SparsePoly.zero()]
+    return SparsePoly.one(), SparsePoly.variable(1), SparsePoly.variable(2)
+
+
+# g_s and h_s by s.  The seeds g_0 = 1 and h_0 = 0 are built on the first
+# call, so importing this module builds no polynomial; until then slot 0
+# holds None and each table has one slot.
+_G_CACHE: list[SparsePoly | None] = [None]
+_H_CACHE: list[SparsePoly | None] = [None]
 
 
 def g_polynomial(s: int) -> SparsePoly:
@@ -518,10 +574,13 @@ def g_polynomial(s: int) -> SparsePoly:
     """
     if s < 0:
         raise ValueError("g_polynomial requires s >= 0")
+    one, x, z = _one_x_z()
+    if _G_CACHE[0] is None:
+        _G_CACHE[0] = one
     while len(_G_CACHE) <= s:
         t = len(_G_CACHE) - 1
         g = _G_CACHE[-1]
-        _G_CACHE.append((_POLY_ONE + _POLY_X + _POLY_Z) * g + (_POLY_X * _POLY_Z * g).truncate(t))
+        _G_CACHE.append((one + x + z) * g + (x * z * g).truncate(t))
     return _G_CACHE[s]
 
 
@@ -540,14 +599,16 @@ def h_polynomial(s: int, method: str = "recurrence") -> SparsePoly:
     """
     if s < 1:
         raise ValueError("h_polynomial requires s >= 1")
+    from .polyseries import Monomial, SparsePoly, divide_exact
+
+    one, x, z = _one_x_z()
     if method == "recurrence":
+        if _H_CACHE[0] is None:
+            _H_CACHE[0] = SparsePoly.zero()
         while len(_H_CACHE) <= s:
             t = len(_H_CACHE) - 1
             h = _H_CACHE[-1]
-            _H_CACHE.append(
-                h * (_POLY_ONE + _POLY_X) * (_POLY_ONE + _POLY_Z)
-                + (_POLY_ONE - _POLY_X * _POLY_Z) * (_POLY_X + _POLY_Z) ** t
-            )
+            _H_CACHE.append(h * (one + x) * (one + z) + (one - x * z) * (x + z) ** t)
         return _H_CACHE[s]
     if method == "definition":
         g = g_polynomial(s)
@@ -558,16 +619,15 @@ def h_polynomial(s: int, method: str = "recurrence") -> SparsePoly:
             reflected[Monomial({1: s - m, 2: s - k})] = coeff
         return g - SparsePoly(reflected)
     if method == "closed-form":
-        bracket = (_POLY_ONE + _POLY_X) ** s * (_POLY_ONE + _POLY_Z) ** s - (_POLY_X + _POLY_Z) ** s
-        return divide_exact((_POLY_ONE - _POLY_X * _POLY_Z) * bracket, _POLY_ONE + _POLY_X * _POLY_Z)
+        bracket = (one + x) ** s * (one + z) ** s - (x + z) ** s
+        return divide_exact((one - x * z) * bracket, one + x * z)
     raise ValueError(f"unknown h_polynomial method {method!r}; expected one of {H_METHODS}")
 
 
 TABLE_VARIANTS = ("plain", "skew")
 
 
-@dataclass(frozen=True)
-class TriTable:
+class TriTable(_Frozen):
     """Triangular table of three-value counts (plain) or its skew variant.
 
     Plain tables live on cells k + m <= s and tabulate the coefficients
@@ -576,9 +636,15 @@ class TriTable:
     (skew symmetry across the k + m = s diagonal of the drawn table).
     """
 
+    __slots__ = ("s", "variant", "entries")
     s: int
     variant: str
     entries: dict[tuple[int, int], int]
+
+    def __init__(self, s: int, variant: str, entries: dict[tuple[int, int], int]):
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "variant", variant)
+        object.__setattr__(self, "entries", entries)
 
     def entry(self, k: int, m: int) -> int:
         try:

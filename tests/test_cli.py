@@ -587,29 +587,59 @@ import sys
 from gzcount.cli import main
 for argv in {runs!r}:
     assert main(list(argv)) == 0, argv
-print(*(m for m in sys.modules if m.startswith("gzcount")))
+print(*sys.modules)
 """
 
+# Modules that only the series, oracle and verify code needs: polyseries
+# pulls in fractions and decimal, dataclasses pulls in inspect.
+SERIES_ONLY_MODULES = {
+    "gzcount.polyseries", "gzcount.genfun", "gzcount.oracle",
+    "fractions", "decimal", "dataclasses", "inspect",
+}
 
-def _modules_after(tmp_path, *runs):
+
+def _fresh_env():
     env = dict(os.environ, PYTHONPATH=str(Path(gzcount.__file__).parents[1]))
     env.pop("GZCOUNT_CACHE", None)
-    proc = subprocess.run([sys.executable, "-c", IMPORTED_AFTER.format(runs=runs)],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    return env
+
+
+def _loaded_modules(tmp_path, code):
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_fresh_env(),
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
 
 
+def _modules_after(tmp_path, *runs):
+    """Modules a fresh interpreter holds after ``main(argv)`` for each of ``runs``."""
+    return _loaded_modules(tmp_path, IMPORTED_AFTER.format(runs=runs))
+
+
+LEAN_RUNS = (
+    ("count", "1 2 3"),
+    ("count", "1 2 3^2 4", "--format", "json"),
+    ("count", "1 2 3^2 4", "--cache", "c.json"),
+    ("table", "5"),
+    ("table", "4", "--variant", "skew", "--format", "json"),
+    ("cache", "stats", "--path", "c.json"),
+    ("cache", "load", "--path", "c.json"),
+    ("cache", "save", "--path", "c.json"),
+)
+
+
 def test_count_table_and_cache_stats_import_no_series_or_oracle_code(tmp_path):
-    loaded = _modules_after(
-        tmp_path,
-        ("count", "1 2 3"),
-        ("table", "3"),
-        ("cache", "stats", "--path", str(tmp_path / "c.json")),
-    )
-    assert "gzcount.counting" in loaded
-    assert "gzcount.genfun" not in loaded
-    assert "gzcount.oracle" not in loaded
+    # An existing cache file, so the runs that name it load it.
+    CountCache({(1, 1): 2, (2, 1, 1): 16}).save(tmp_path / "c.json")
+    # What a bare interpreter loads depends on the environment (``site``
+    # may import packages of its own), so it is measured, not assumed.
+    bare = _loaded_modules(tmp_path, "import sys; print(*sys.modules)")
+    for argv in LEAN_RUNS:
+        # Each run in its own interpreter, so no run hides another's imports.
+        added = _modules_after(tmp_path, argv) - bare
+        package = {m for m in added if m.split(".")[0] == "gzcount"}
+        assert package == {"gzcount", "gzcount.cli", "gzcount.counting", "gzcount.limits"}, argv
+        assert not added & SERIES_ONLY_MODULES, (argv, sorted(added & SERIES_ONLY_MODULES))
 
 
 def test_oracle_and_series_commands_import_their_modules(tmp_path):
@@ -617,3 +647,53 @@ def test_oracle_and_series_commands_import_their_modules(tmp_path):
     assert "gzcount.oracle" in loaded and "gzcount.genfun" not in loaded
     loaded = _modules_after(tmp_path, ("series", "G", "--k", "2", "--cap", "2"))
     assert "gzcount.genfun" in loaded and "gzcount.oracle" not in loaded
+    # Each of these exits 0 (checked in the child) with the polynomial
+    # code imported on first use.
+    for argv in (("series", "H", "--cap", "3", "--format", "json"),
+                 ("series", "E2closed", "--cap", "3", "--cache", "c.json"),
+                 ("verify", "all", "--cap", "4"),
+                 ("g4-explore", "--cap", "4")):
+        loaded = _modules_after(tmp_path, argv)
+        assert {"gzcount.genfun", "gzcount.polyseries"} <= loaded, argv
+
+
+# ------------------------------------------------------------ closed stdout
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", [
+    ("count", "1 2 3"),
+    ("count", "1 2 3", "--cache", "c.json"),
+    ("table", "60"),
+    ("verify", "h", "--cap", "3"),
+])
+def test_closed_stdout_ends_quietly_with_exit_1(tmp_path, argv, unbuffered):
+    # Buffered, a short answer reaches the pipe only when stdout is
+    # flushed; unbuffered, the first print fails.
+    env = _fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "gzcount.cli", *argv], cwd=tmp_path,
+                              env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == EXIT_USAGE
+
+
+def test_reader_that_leaves_after_one_line_ends_quietly(tmp_path):
+    # gzcount table 100 | head -1: the output (about 220 kB) is larger than
+    # a pipe buffer, so the writer is still writing when the reader goes.
+    proc = subprocess.Popen([sys.executable, "-m", "gzcount.cli", "table", "100"], cwd=tmp_path,
+                            env=_fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_USAGE
+    assert first == b"1" + b"," * 100 + b"\n"
+    assert err == b""

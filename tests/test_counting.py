@@ -1,17 +1,26 @@
 """Tests for the counting engine: operator, recursions, formulas, tables."""
 
+import copy
 import json
+import os
+import pickle
 import random
+import subprocess
+import sys
+from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import gzcount
 from gzcount import counting
 from gzcount.counting import (
     CacheFormatError,
     CountCache,
     MultiplicityVector,
+    TriTable,
     a_infinity,
     a_infinity_unnormalized,
     apply_A,
@@ -383,6 +392,47 @@ def test_h_polynomial_validation():
         h_polynomial(2, "magic")
 
 
+def _first_call(code):
+    """Last stdout line of ``code`` run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gzcount.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_import_builds_no_slice_polynomial():
+    # The benchmark reads len(_G_CACHE) - 1 and len(_H_CACHE) - 1 as memo
+    # entries and requires them to be 0 before the first job.
+    out = _first_call(
+        "import sys, gzcount.cli\n"
+        "from gzcount import counting\n"
+        "print(len(counting._G_CACHE), len(counting._H_CACHE), 'gzcount.polyseries' in sys.modules)"
+    )
+    assert out == "1 1 False"
+
+
+@pytest.mark.parametrize("call", [
+    "g_polynomial(0)",
+    "g_polynomial(3)",
+    *(f"h_polynomial(1, {method!r})" for method in counting.H_METHODS),
+    *(f"h_polynomial(3, {method!r})" for method in counting.H_METHODS),
+    "coeff_theorem_V(1, 1, 1)",
+    "a_infinity_unnormalized((2, 0, 1))",
+    "apply_A(SparsePoly.variable(1) * SparsePoly.variable(2))",
+])
+def test_first_call_in_a_process_builds_its_seeds(call):
+    # Each call runs first in its own process, so it finds the slice
+    # tables unseeded and polyseries not yet imported by counting.
+    names = "g_polynomial, h_polynomial, coeff_theorem_V, a_infinity_unnormalized, apply_A"
+    out = _first_call(
+        f"from gzcount.counting import {names}\n"
+        "from gzcount.polyseries import SparsePoly\n"
+        f"print(repr({call}))"
+    )
+    assert out == repr(eval(call))
+
+
 # ----------------------------------------------------------------- tables
 
 
@@ -456,6 +506,121 @@ def test_multiplicity_vector_from_partition():
     assert mv.mults == (2, 1, 3)
     with pytest.raises(ValueError):
         MultiplicityVector.from_partition([3, 1])
+
+
+# The two record types as the frozen dataclasses they replaced, kept as the
+# reference for equality, hashing, repr and immutability.
+
+
+@dataclass(frozen=True)
+class ReferenceMultiplicityVector:
+    mults: tuple
+
+    def __post_init__(self):
+        vals = tuple(int(v) for v in self.mults)
+        if any(v < 0 for v in vals):
+            raise ValueError("multiplicities must be nonnegative")
+        lo, hi = 0, len(vals)
+        while lo < hi and vals[lo] == 0:
+            lo += 1
+        while hi > lo and vals[hi - 1] == 0:
+            hi -= 1
+        object.__setattr__(self, "mults", vals[lo:hi])
+
+
+@dataclass(frozen=True)
+class ReferenceTriTable:
+    s: int
+    variant: str
+    entries: dict
+
+
+def _ref_repr(obj):
+    return repr(obj).replace("Reference", "", 1)
+
+
+MULTS = [(), (0,), (1,), (2, 1), (0, 2, 0, 1, 0), (2, 0, 1), (1, 2), (3, 1, 1), [1, 2], (True, 2)]
+
+
+def test_multiplicity_vector_construction_matches_frozen_dataclass():
+    for mults in MULTS:
+        ref = ReferenceMultiplicityVector(mults)
+        for mv in (MultiplicityVector(mults), MultiplicityVector(mults=mults)):
+            assert mv.mults == ref.mults and type(mv.mults) is tuple
+            assert repr(mv) == _ref_repr(ref)
+            assert hash(mv) == hash(ref)
+    for bad in ((1, -2), (-1,), (0, -3, 0)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ReferenceMultiplicityVector(bad)
+        with pytest.raises(ValueError, match="nonnegative"):
+            MultiplicityVector(bad)
+    with pytest.raises(TypeError):
+        MultiplicityVector()
+    with pytest.raises(TypeError):
+        MultiplicityVector((1,), (2,))
+
+
+def test_multiplicity_vector_equality_matches_frozen_dataclass():
+    for a, b in product(MULTS, repeat=2):
+        ref_a, ref_b = ReferenceMultiplicityVector(a), ReferenceMultiplicityVector(b)
+        mv_a, mv_b = MultiplicityVector(a), MultiplicityVector(b)
+        assert (mv_a == mv_b) == (ref_a == ref_b)
+        assert (mv_a != mv_b) == (ref_a != ref_b)
+    mv, ref = MultiplicityVector((2, 1)), ReferenceMultiplicityVector((2, 1))
+    for other in ((2, 1), [2, 1], None, 3, "2,1"):
+        assert (mv == other) is (ref == other) is False
+        assert (mv != other) is (ref != other) is True
+    # Equal fields in another class are not equal, either way round.
+    assert (mv == ref) is (ref == mv) is False
+    assert (mv != ref) is (ref != mv) is True
+    assert len({MultiplicityVector((0, 2, 1)), MultiplicityVector((2, 1, 0)), mv}) == 1
+
+
+def test_tri_table_matches_frozen_dataclass():
+    tables = [tri_table(s, v) for s in (1, 2, 3) for v in counting.TABLE_VARIANTS]
+    refs = [ReferenceTriTable(t.s, t.variant, t.entries) for t in tables]
+    for table, ref in zip(tables, refs):
+        assert (table.s, table.variant, table.entries) == (ref.s, ref.variant, ref.entries)
+        assert repr(table) == _ref_repr(ref)
+        by_keyword = TriTable(s=ref.s, variant=ref.variant, entries=dict(ref.entries))
+        assert by_keyword == table and not by_keyword != table
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(ref)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(table)
+    for (t1, r1), (t2, r2) in product(zip(tables, refs), repeat=2):
+        assert (t1 == t2) == (r1 == r2)
+        assert (t1 != t2) == (r1 != r2)
+    table, ref = tables[0], refs[0]
+    for other in ((table.s, table.variant, table.entries), table.entries, None):
+        assert (table == other) is (ref == other) is False
+        assert (table != other) is (ref != other) is True
+    assert (table == ref) is (ref == table) is False
+
+
+@pytest.mark.parametrize("obj, attr", [
+    (MultiplicityVector((2, 1)), "mults"),
+    (MultiplicityVector((2, 1)), "other"),
+    (tri_table(2), "s"),
+    (tri_table(2), "entries"),
+    (tri_table(2), "other"),
+])
+def test_records_are_immutable_like_frozen_dataclasses(obj, attr):
+    ref = (ReferenceMultiplicityVector(obj.mults) if isinstance(obj, MultiplicityVector)
+           else ReferenceTriTable(obj.s, obj.variant, obj.entries))
+    before = repr(obj)
+    for target in (ref, obj):
+        with pytest.raises(AttributeError):
+            setattr(target, attr, 1)
+        with pytest.raises(AttributeError):
+            delattr(target, attr)
+    assert repr(obj) == before
+
+
+@pytest.mark.parametrize("obj", [MultiplicityVector((0, 2, 0, 1)), tri_table(3, "skew")])
+def test_records_survive_copy_and_pickle(obj):
+    for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert type(clone) is type(obj) and clone == obj and repr(clone) == repr(obj)
 
 
 # ----------------------------------------------------------------- the cache

@@ -38,10 +38,8 @@ _EXPORTS = {
     ),
     "genfun": (
         "ResidualReport",
-        "SeriesBuildSpec",
         "build_E",
         "build_G",
-        "build_series",
         "closed_form_E2",
         "closed_form_G3",
         "closed_form_H",

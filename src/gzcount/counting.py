@@ -16,25 +16,26 @@ routes are provided and cross-checked by the test suite:
 * triangular tables ``T^s`` / skew tables and the generating polynomials
   ``g_s`` / ``h_s`` they tabulate.
 
-The first two routes, and the zero-keeping reference
-``a_infinity_unnormalized``, share one piece of code: the iterative
-memo walk ``_memo_walk`` that sums child values up the count DAG.  It
-works on a plain dict memo (a ``CountCache``'s table, ``_FIBER_MEMO``,
-a per-call dict) and a leaf length: keys that short are worth 1 and are
-never stored -- the empty key for ``a_infinity``, keys of length at
-most 1 for the fiber route; the zero-keeping reference seeds its
-all-zero key instead.  Each route keeps its own child generator and
-its own memo table, so agreement between them still compares
-independent ways of listing children:
+The first two routes share one piece of code: the iterative memo walk
+``_memo_walk`` that sums child values up the count DAG.  It works on a
+plain dict memo (a ``CountCache``'s table, ``_FIBER_MEMO``, a per-call
+dict) and a leaf length: keys that short are worth 1 and are never
+stored -- the empty key for ``a_infinity``, keys of length at most 1
+for the fiber route.  Each route keeps its own child generator and its
+own memo table, so agreement between them still compares independent
+ways of listing children:
 
 * ``a_infinity`` lists the children of one step of A by a left-to-right
   dynamic programme over the positions of the key, whose state is the
   zero-stripped partial child and one carry bit (see ``_a_children``);
 * the fiber route enumerates the 2^(k-1) choices of the squarefree
   product as bitmasks, one product term each, in Gray-code order so
-  that each step changes two entries of the exponent vector;
-* the zero-keeping reference expands ``apply_A``, the operator's
-  definition, on ``SparsePoly`` objects.
+  that each step changes two entries of the exponent vector.
+
+The zero-keeping reference ``a_infinity_unnormalized`` walks no DAG: it
+applies ``apply_A``, the operator's definition, to the whole monomial
+on ``SparsePoly`` objects, once per unit of degree, and reads off the
+constant left.  A fault in the walk cannot hide in a comparison with it.
 
 Counts are arbitrary-precision integers throughout.
 
@@ -400,32 +401,26 @@ def a_infinity(mults: Sequence[int] | MultiplicityVector, cache: CountCache | No
     return _memo_walk(compress(mults), _a_children, cache._counts, 0)
 
 
-def _unnormalized_children(vec: Mults) -> dict[Mults, int]:
-    """Expansion of A applied to x1^i1 ... xk^ik, as vectors of length k."""
+def a_infinity_unnormalized(mults: Sequence[int]) -> int:
+    """Same fixed point, computed from the definition with zeros kept.
+
+    Builds x1^i1 ... xk^ik as a ``SparsePoly``, a zero exponent simply
+    leaving its variable out, so no index moves, and applies ``apply_A``
+    i1 + ... + ik times.  A lowers the degree of every non-constant
+    monomial by exactly one, so the result must then be a constant.
+    Shares no code with the memoised routes; compare with ``a_infinity``.
+    """
     from .polyseries import Monomial, SparsePoly
 
-    mono = Monomial((j + 1, e) for j, e in enumerate(vec) if e)
-    children: dict[Mults, int] = {}
-    for m, c in apply_A(SparsePoly({mono: 1})).items():
-        child = tuple(m.exponent(j + 1) for j in range(len(vec)))
-        children[child] = children.get(child, 0) + c
-    return children
-
-
-def a_infinity_unnormalized(mults: Sequence[int], memo: dict | None = None) -> int:
-    """Same fixed point, but memoised on raw exponent tuples (zeros kept).
-
-    Exists to validate that stripping interior zeros from memo keys does
-    not change any value; compare with ``a_infinity``.
-    """
     key = tuple(int(v) for v in mults)
     if any(v < 0 for v in key):
         raise ValueError("multiplicities must be nonnegative")
-    if memo is None:
-        memo = {}
-    # The only leaf is the all-zero vector of the key's length.
-    memo.setdefault((0,) * len(key), 1)
-    return _memo_walk(key, _unnormalized_children, memo, 0)
+    p = SparsePoly({Monomial((j + 1, e) for j, e in enumerate(key)): 1})
+    for _ in range(sum(key)):
+        p = apply_A(p)
+    if p.degree():
+        raise ArithmeticError(f"A^{sum(key)} of the monomial {key} is not constant: {p}")
+    return p.coeff(Monomial())
 
 
 def vertex_count(partition: Sequence[int], cache: CountCache | None = None) -> int:
@@ -474,10 +469,6 @@ def count_by_fiber_recursion(mults: Sequence[int], memo: dict[Mults, int] | None
     return _memo_walk(compress(mults), _fiber_children, memo, 1)
 
 
-def _comb0(n: int, k: int) -> int:
-    return comb(n, k) if 0 <= k <= n else 0
-
-
 def binomial_formula_V(k: int, l: int, m: int) -> int:
     """Explicit alternating binomial sum for counts with three distinct values.
 
@@ -488,9 +479,9 @@ def binomial_formula_V(k: int, l: int, m: int) -> int:
         raise ValueError("binomial_formula_V requires k, l, m > 0")
     s = k + l + m
     total = comb(s, k) * comb(s, m)
-    # Terms with i > m vanish: C(s, m - i) = 0.
+    # Terms with i > min(k, m) vanish, so no binomial below has a negative argument.
     for i in range(1, min(k, m) + 1):
-        term = _comb0(s, k - i) * _comb0(s, m - i)
+        term = comb(s, k - i) * comb(s, m - i)
         total += 2 * (-1) ** i * term
     return total
 

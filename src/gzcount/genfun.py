@@ -26,26 +26,6 @@ from typing import Iterator
 from .counting import CountCache, a_infinity, h_polynomial
 from .polyseries import SparsePoly, TruncSeries, format_rational
 
-KIND_EXPONENTIAL = "exponential"
-KIND_ORDINARY = "ordinary"
-
-
-@dataclass(frozen=True)
-class SeriesBuildSpec:
-    """Request for a count series: k variables, total-degree cap, kind."""
-
-    k: int
-    cap: int
-    kind: str
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.cap < 0:
-            raise ValueError(f"cap must be >= 0, got {self.cap}")
-        if self.kind not in (KIND_EXPONENTIAL, KIND_ORDINARY):
-            raise ValueError(f"kind must be exponential or ordinary, got {self.kind!r}")
-
 
 def _bounded_exponents(k: int, cap: int) -> Iterator[tuple[int, ...]]:
     """All length-k exponent tuples with total degree <= cap."""
@@ -73,12 +53,6 @@ def build_E(k: int, cap: int, cache: CountCache | None = None) -> TruncSeries:
             denom *= factorial(v)
         coeffs[e] = Fraction(a_infinity(e, cache), denom)
     return TruncSeries(k, cap, coeffs)
-
-
-def build_series(spec: SeriesBuildSpec, cache: CountCache | None = None) -> TruncSeries:
-    if spec.kind == KIND_EXPONENTIAL:
-        return build_E(spec.k, spec.cap, cache)
-    return build_G(spec.k, spec.cap, cache)
 
 
 @dataclass(frozen=True)
@@ -141,34 +115,32 @@ def _report_from_series(identity: str, k: int | None, cap: int, residual: TruncS
     )
 
 
-def pde_residual(series: TruncSeries, k: int) -> TruncSeries:
-    """Apply d^k/dz1..dzk minus the product of neighbour-sum derivatives."""
+def _neighbour_operator_residual(series: TruncSeries, k: int, step) -> TruncSeries:
+    """Apply step_1 ... step_k minus (step_1 + step_2) ... (step_(k-1) + step_k).
+
+    ``step(series, i)`` is the one-variable operator in variable i.
+    """
     if series.nvars != k:
         raise ValueError(f"series has {series.nvars} variables, expected {k}")
     if series.cap < k:
         raise ValueError(f"cap {series.cap} too small for k = {k}")
     left = series
     for i in range(1, k + 1):
-        left = left.deriv(i)
+        left = step(left, i)
     right = series
     for j in range(1, k):
-        right = right.deriv(j) + right.deriv(j + 1)
+        right = step(right, j) + step(right, j + 1)
     return left - right
+
+
+def pde_residual(series: TruncSeries, k: int) -> TruncSeries:
+    """Apply d^k/dz1..dzk minus the product of neighbour-sum derivatives."""
+    return _neighbour_operator_residual(series, k, TruncSeries.deriv)
 
 
 def dde_residual(series: TruncSeries, k: int) -> TruncSeries:
     """Same operator shape with divided differences in place of derivatives."""
-    if series.nvars != k:
-        raise ValueError(f"series has {series.nvars} variables, expected {k}")
-    if series.cap < k:
-        raise ValueError(f"cap {series.cap} too small for k = {k}")
-    left = series
-    for i in range(1, k + 1):
-        left = left.divdiff(i)
-    right = series
-    for j in range(1, k):
-        right = right.divdiff(j) + right.divdiff(j + 1)
-    return left - right
+    return _neighbour_operator_residual(series, k, TruncSeries.divdiff)
 
 
 def verify_pde_E(k: int, cap: int, cache: CountCache | None = None) -> ResidualReport:

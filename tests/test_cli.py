@@ -555,10 +555,9 @@ PACKAGE_EXPORTS = {
         "recurrence_V3", "tri_table", "vertex_count",
     ],
     "genfun": [
-        "ResidualReport", "SeriesBuildSpec", "build_E", "build_G", "build_series",
-        "closed_form_E2", "closed_form_G3", "closed_form_H", "dde_residual", "g3_roots",
-        "g4_explore", "h_slice", "pde_residual", "verify_dde_G", "verify_e2", "verify_g3",
-        "verify_h", "verify_pde_E",
+        "ResidualReport", "build_E", "build_G", "closed_form_E2", "closed_form_G3",
+        "closed_form_H", "dde_residual", "g3_roots", "g4_explore", "h_slice", "pde_residual",
+        "verify_dde_G", "verify_e2", "verify_g3", "verify_h", "verify_pde_E",
     ],
     "oracle": [
         "DEFAULT_LIMIT_DIM", "DimensionLimitError", "GZShape", "HRep", "OracleError",

@@ -140,6 +140,29 @@ def test_unnormalized_reference_answers_deep_vectors():
     assert a_infinity_unnormalized((1200, 1, 1)) == a_infinity((1200, 1, 1), CountCache())
 
 
+def test_unnormalized_reference_uses_no_memo_walk_or_child_generator(monkeypatch):
+    # The reference checks the DAG routes, so it must not run their code.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the reference must iterate A, not walk the count DAG")
+
+    monkeypatch.setattr(counting, "_memo_walk", forbidden)
+    monkeypatch.setattr(counting, "_a_children", forbidden)
+    monkeypatch.setattr(counting, "_fiber_children", forbidden)
+    assert a_infinity_unnormalized((2, 1, 3, 1)) == 1541
+    assert a_infinity_unnormalized((2, 0, 3, 0, 2)) == 345
+    assert a_infinity_unnormalized((1,) * 8) == 3000736
+    # 1202 steps of A: more than the recursion limit allows frames.
+    assert a_infinity_unnormalized((1200, 1, 1)) == binomial_formula_V(1200, 1, 1)
+
+
+def test_unnormalized_reference_refuses_a_result_that_is_not_constant(monkeypatch):
+    # A faulty step that keeps the degree ends in an error, not a loop.
+    monkeypatch.setattr(counting, "apply_A", lambda p: p)
+    with pytest.raises(ArithmeticError, match="not constant"):
+        a_infinity_unnormalized((2, 0, 1))
+    assert a_infinity_unnormalized((0, 0)) == 1
+
+
 def test_reversal_symmetry_small_totals():
     cache = CountCache()
     for total in range(1, 8):
@@ -217,8 +240,8 @@ def test_fixed_point_and_fiber_routes_share_no_child_generator(monkeypatch):
 
 
 def test_routes_agree_on_seeded_random_vectors():
-    # Totals stay at most 10: the zero-keeping reference expands apply_A
-    # on SparsePoly objects, which takes tens of seconds at (4,) * 6.
+    # Totals stay at most 10: the zero-keeping reference iterates apply_A
+    # on SparsePoly objects, which takes about 18 s at (4,) * 6.
     rng = random.Random(2012)
     vectors = []
     while len(vectors) < 200:
@@ -229,7 +252,7 @@ def test_routes_agree_on_seeded_random_vectors():
     for vec in vectors:
         value = a_infinity(vec, CountCache())
         assert count_by_fiber_recursion(vec, {}) == value, vec
-        assert a_infinity_unnormalized(vec, {}) == value, vec
+        assert a_infinity_unnormalized(vec) == value, vec
         assert a_infinity(vec[::-1], CountCache()) == value, vec
 
 

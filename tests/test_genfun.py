@@ -7,13 +7,9 @@ import pytest
 
 from gzcount.counting import CountCache, a_infinity, h_polynomial
 from gzcount.genfun import (
-    KIND_EXPONENTIAL,
-    KIND_ORDINARY,
     ResidualReport,
-    SeriesBuildSpec,
     build_E,
     build_G,
-    build_series,
     closed_form_E2,
     closed_form_G3,
     closed_form_H,
@@ -38,20 +34,6 @@ def poly_series(poly, nvars, cap):
 
 
 # ----------------------------------------------------------------- builders
-
-
-def test_build_spec_validation():
-    with pytest.raises(ValueError):
-        SeriesBuildSpec(0, 3, KIND_ORDINARY)
-    with pytest.raises(ValueError):
-        SeriesBuildSpec(2, -1, KIND_ORDINARY)
-    with pytest.raises(ValueError):
-        SeriesBuildSpec(2, 3, "laurent")
-
-
-def test_build_series_dispatch():
-    assert build_series(SeriesBuildSpec(1, 3, KIND_EXPONENTIAL)) == build_E(1, 3)
-    assert build_series(SeriesBuildSpec(2, 3, KIND_ORDINARY)) == build_G(2, 3)
 
 
 def test_build_E_single_variable_is_exponential():

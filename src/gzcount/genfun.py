@@ -236,11 +236,17 @@ def closed_form_H(cap: int) -> TruncSeries:
     return numer * denom_inv
 
 
+def _h_slices(series: TruncSeries) -> dict[int, dict[tuple[int, int], object]]:
+    """Every coefficient of y^s in a (x, z, y) series, read in one pass: s -> {(k, m): value}."""
+    slices: dict[int, dict[tuple[int, int], object]] = {}
+    for (k, m, s), c in series.coeffs.items():
+        slices.setdefault(s, {})[k, m] = c
+    return slices
+
+
 def h_slice(series: TruncSeries, s: int) -> dict[tuple[int, int], object]:
     """Coefficient of y^s in a (x, z, y) series, as a map (k, m) -> value."""
-    return {
-        (e[0], e[1]): c for e, c in series.coeffs.items() if e[2] == s
-    }
+    return _h_slices(series).get(s, {})
 
 
 def verify_g3(cap: int, cache: CountCache | None = None) -> ResidualReport:
@@ -267,7 +273,7 @@ def verify_h(s_max: int) -> ResidualReport:
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
-    series = closed_form_H(3 * s_max)
+    slices = _h_slices(closed_form_H(3 * s_max))
     bad_terms = 0
     max_abs = 0
     for s in range(1, s_max + 1):
@@ -280,7 +286,7 @@ def verify_h(s_max: int) -> ResidualReport:
         ref_map = {
             (m.exponent(1), m.exponent(2)): c for m, c in reference.items()
         }
-        slice_map = h_slice(series, s)
+        slice_map = slices.get(s, {})
         for key in set(ref_map) | set(slice_map):
             diff = slice_map.get(key, 0) - ref_map.get(key, 0)
             if diff:

@@ -10,22 +10,29 @@ Two carriers cover everything the counting and verification layers need:
   A series carries no information beyond total degree ``cap`` and every
   operation tracks how far its result is determined.
 
-Products, inverses and exact division run on packed keys: an exponent
-vector (e1, e2, ..., en) becomes the int e1 + B*e2 + ... + B^(n-1)*en,
-so multiplying two terms adds two ints (Monagan & Pearce, "Polynomial
-division using dynamic arrays, heaps, and packed exponent vectors",
-CASC 2007).  Keys add exactly while no exponent of a result reaches B.
-A series product uses B = cap + 1 after dropping every operand term
-above the result's cap, since two terms whose degrees sum to at most the
-cap have no exponent above it.  A polynomial product uses B = 1 + the
-largest exponent of each operand, over the variables the operands use.
-Keys are packed on entry and unpacked on exit; ``SparsePoly`` terms stay
-keyed by ``Monomial`` and ``TruncSeries`` coefficients by exponent
-tuples.
+Both carriers multiply on packed keys: an exponent vector becomes one
+int, its exponents the digits in a base B, so multiplying two terms adds
+two ints (Monagan & Pearce, "Polynomial division using dynamic arrays,
+heaps, and packed exponent vectors", CASC 2007).  Keys add exactly while
+no exponent of a result reaches B.
+
+* A ``TruncSeries`` keeps its terms packed between operations: one dict
+  per total degree, keyed in a base B of at least cap + 1, with x1 the
+  most significant digit.  Two terms whose degrees sum to at most the cap
+  have no exponent above it, so a product of terms from two layers needs
+  no check.  Results keep their operands' base; a binary operation on
+  two bases repacks one operand into the smaller, and ``integrate``
+  repacks when the raised cap reaches the base.  The map from exponent
+  tuples, ``coeffs``, is built only when read.
+* A ``SparsePoly`` product or exact division packs its operands, over
+  the variables they use, in a base B above every exponent the result
+  can hold (for a product, 1 + the sum of the operands' largest
+  exponents), and unpacks the result to ``Monomial`` keys.
 
 Coefficients are Python ints wherever possible and ``fractions.Fraction``
-only where denominators genuinely appear (integration, inversion, square
-roots); a Fraction that reduces to an integer is normalised back to int.
+only where denominators genuinely appear; every stored Fraction has a
+denominator above 1, because each result that is not already an int and
+reduces to an integer (for example Fraction(1, 2) * 2) becomes an int.
 Nothing here ever rounds.
 
 All values are immutable after construction and all operations are pure
@@ -347,76 +354,87 @@ def divide_exact(dividend: SparsePoly, divisor: SparsePoly) -> SparsePoly:
     return out
 
 
-def _packed_layers(series: "TruncSeries", cap: int) -> list[list[tuple[int, object]]]:
-    """Terms of total degree at most ``cap`` as (key in base cap + 1, coefficient), one list per degree."""
-    weights = [(cap + 1) ** i for i in range(series.nvars)]
-    layers: list[list[tuple[int, object]]] = [[] for _ in range(cap + 1)]
-    for exps, coeff in series.coeffs.items():
-        d = sum(exps)
-        if d <= cap:
-            layers[d].append((sum(map(mul, exps, weights)), coeff))
-    return layers
+def _kept(pairs: Iterable[tuple[int, object]]) -> dict[int, object]:
+    """The nonzero (key, coefficient) pairs as a layer, integral Fractions as ints."""
+    return {k: c if type(c) is int else _norm_coeff(c) for k, c in pairs if c}
 
 
-def _unpacked(nvars: int, cap: int, packed: Iterable[tuple[int, object]]):
-    """Yield (exponent tuple, coefficient) for (key in base cap + 1, coefficient) pairs."""
-    base = cap + 1
-    for key, coeff in packed:
-        exps = []
-        for _ in range(nvars - 1):
-            key, e = divmod(key, base)
-            exps.append(e)
-        exps.append(key)
-        yield tuple(exps), coeff
+def _add_products(acc: dict[int, object], la: dict[int, object], lb: dict[int, object]) -> None:
+    """Add the product of every term of ``la`` with every term of ``lb`` into ``acc``."""
+    if len(la) > len(lb):
+        la, lb = lb, la
+    get = acc.get
+    for ka, ca in la.items():
+        for kb, cb in lb.items():
+            key = ka + kb
+            acc[key] = get(key, 0) + ca * cb
+
+
+def _exponents(key: int, base: int, nvars: int) -> tuple[int, ...]:
+    """The exponent tuple of a key packed in ``base``, first variable most significant."""
+    exps = [0] * nvars
+    for i in range(nvars - 1, 0, -1):
+        key, exps[i] = divmod(key, base)
+    exps[0] = key
+    return tuple(exps)
+
+
+def _repacked(layer: dict[int, object], old: int, new: int, nvars: int) -> dict[int, object]:
+    """The layer with its keys moved from base ``old`` to base ``new``."""
+    out = {}
+    for key, coeff in layer.items():
+        packed, weight = 0, 1
+        for _ in range(nvars):
+            key, e = divmod(key, old)
+            packed += e * weight
+            weight *= new
+        out[packed] = coeff
+    return out
 
 
 class TruncSeries:
     """Power series in ``nvars`` variables, truncated at total degree ``cap``.
 
-    Coefficients are exact rationals keyed by dense exponent tuples of
-    length ``nvars``.  Arithmetic never reports a coefficient beyond the
-    cap: binary operations return the minimum of the operand caps, formal
-    derivatives and coefficient shifts lower the cap by one, integration
-    raises it by one.
+    Coefficients are exact rationals, stored graded: one dict per total
+    degree 0..cap, keyed by the exponent vector packed in a base of at
+    least cap + 1 with the first variable most significant, so the keys
+    of one degree sort in lexicographic exponent order.  ``coeffs``, the
+    same terms keyed by dense exponent tuples of length ``nvars``, is
+    built when first read.  Arithmetic never reports a coefficient beyond
+    the cap: binary operations return the minimum of the operand caps,
+    formal derivatives and coefficient shifts lower the cap by one,
+    integration raises it by one.
     """
 
-    __slots__ = ("nvars", "cap", "coeffs")
+    __slots__ = ("nvars", "cap", "_base", "_layers", "_coeffs")
 
     def __init__(self, nvars: int, cap: int, coeffs: Mapping[tuple[int, ...], object] | None = None):
         if nvars < 1:
             raise ValueError(f"nvars must be >= 1, got {nvars}")
         if cap < 0:
             raise ValueError(f"cap must be >= 0, got {cap}")
-        clean: dict[tuple[int, ...], object] = {}
+        base = cap + 1
+        weights = [base ** i for i in range(nvars - 1, -1, -1)]
+        layers: list[dict[int, object]] = [{} for _ in range(cap + 1)]
         if coeffs:
             for exps, coeff in coeffs.items():
                 exps = tuple(exps)
                 if len(exps) != nvars:
                     raise ValueError(f"exponent tuple {exps} does not have {nvars} entries")
-                if any(e < 0 for e in exps):
+                if min(exps) < 0:
                     raise ValueError(f"negative exponent in {exps}")
-                if sum(exps) > cap:
+                degree = sum(exps)
+                if degree > cap:
                     raise ValueError(f"exponent {exps} exceeds truncation cap {cap}")
-                coeff = _norm_coeff(coeff)
+                if type(coeff) is not int:
+                    coeff = _norm_coeff(coeff)
                 if coeff:
-                    clean[exps] = coeff
+                    layers[degree][sum(map(mul, exps, weights))] = coeff
         self.nvars = nvars
         self.cap = cap
-        self.coeffs = clean
-
-    @classmethod
-    def _make(cls, nvars: int, cap: int, terms: Iterable[tuple[tuple[int, ...], object]]) -> "TruncSeries":
-        """Internal constructor from (exponents, coefficient) pairs: normalises values, trusts keys."""
-        out = object.__new__(cls)
-        out.nvars = nvars
-        out.cap = cap
-        clean = {}
-        for exps, coeff in terms:
-            coeff = _norm_coeff(coeff)
-            if coeff:
-                clean[exps] = coeff
-        out.coeffs = clean
-        return out
+        self._base = base
+        self._layers = layers
+        self._coeffs = None
 
     @classmethod
     def zero(cls, nvars: int, cap: int) -> "TruncSeries":
@@ -442,15 +460,48 @@ class TruncSeries:
     @classmethod
     def from_poly(cls, poly: SparsePoly, nvars: int, cap: int) -> "TruncSeries":
         """View a polynomial as a series, dropping terms beyond the cap."""
-        coeffs: dict[tuple[int, ...], object] = {}
+        out = cls(nvars, cap)
+        base = out._base
         for mono, coeff in poly.items():
             if any(idx > nvars for idx in mono.support()):
                 raise ValueError(f"monomial {mono!r} uses a variable beyond x{nvars}")
-            if mono.degree() > cap:
-                continue
-            exps = tuple(mono.exponent(i) for i in range(1, nvars + 1))
-            coeffs[exps] = coeff
-        return cls(nvars, cap, coeffs)
+            degree = mono.degree()
+            coeff = _norm_coeff(coeff)
+            if degree <= cap and coeff:
+                key = sum(exp * base ** (nvars - idx) for idx, exp in mono.pairs)
+                out._layers[degree][key] = coeff
+        return out
+
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], object]:
+        """The nonzero coefficients keyed by dense exponent tuples.
+
+        Built on first read and kept, so callers must not modify it.
+        """
+        if self._coeffs is None:
+            base, nvars = self._base, self.nvars
+            self._coeffs = {
+                _exponents(k, base, nvars): c for layer in self._layers for k, c in layer.items()
+            }
+        return self._coeffs
+
+    def _layers_in(self, base: int, cap: int) -> list[dict[int, object]]:
+        """The layers of degree <= cap keyed in ``base``; shared, not copied, in the series' own base."""
+        layers = self._layers[:cap + 1]
+        if base == self._base:
+            return layers
+        return [_repacked(layer, self._base, base, self.nvars) for layer in layers]
+
+    def _common(self, other: "TruncSeries"):
+        """Cap, base and both operands' layers for a binary operation.
+
+        The result takes the smaller base, which is still above the
+        smaller cap; only an operand in the other base is repacked.
+        """
+        self._check_compatible(other)
+        cap = min(self.cap, other.cap)
+        base = min(self._base, other._base)
+        return cap, base, self._layers_in(base, cap), other._layers_in(base, cap)
 
     def _check_compatible(self, other: "TruncSeries") -> None:
         if self.nvars != other.nvars:
@@ -464,75 +515,74 @@ class TruncSeries:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(self._layers)
 
     def coeff(self, exps: Iterable[int]):
         """Coefficient of the given exponent tuple; refuses to look past the cap."""
         exps = tuple(exps)
         if len(exps) != self.nvars:
             raise ValueError(f"exponent tuple {exps} does not have {self.nvars} entries")
+        if any(e < 0 for e in exps):
+            raise ValueError(f"negative exponent in {exps}")
         if sum(exps) > self.cap:
             raise ValueError(
                 f"coefficient of total degree {sum(exps)} is beyond the cap {self.cap}"
             )
-        return self.coeffs.get(exps, 0)
+        key = 0
+        for e in exps:
+            key = key * self._base + e
+        return self._layers[sum(exps)].get(key, 0)
 
     def truncate(self, new_cap: int) -> "TruncSeries":
+        if new_cap < 0:
+            raise ValueError(f"cap must be >= 0, got {new_cap}")
         if new_cap > self.cap:
             raise ValueError(f"cannot raise cap from {self.cap} to {new_cap}")
-        return TruncSeries._make(
-            self.nvars,
-            new_cap,
-            ((e, c) for e, c in self.coeffs.items() if sum(e) <= new_cap),
-        )
+        return _series(self.nvars, new_cap, self._base, self._layers[:new_cap + 1])
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check_compatible(other)
-        cap = min(self.cap, other.cap)
-        merged: dict[tuple[int, ...], object] = {
-            e: c for e, c in self.coeffs.items() if sum(e) <= cap
-        }
-        for e, c in other.coeffs.items():
-            if sum(e) <= cap:
-                merged[e] = merged.get(e, 0) + c
-        return TruncSeries._make(self.nvars, cap, merged.items())
+        cap, base, mine, theirs = self._common(other)
+        layers = []
+        for la, lb in zip(mine, theirs):
+            if not la or not lb:
+                layers.append(la or lb)
+                continue
+            merged = dict(la)
+            get = merged.get
+            for k, c in lb.items():
+                new = get(k, 0) + c
+                if new:
+                    merged[k] = new if type(new) is int else _norm_coeff(new)
+                else:
+                    del merged[k]
+            layers.append(merged)
+        return _series(self.nvars, cap, base, layers)
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries._make(self.nvars, self.cap, ((e, -c) for e, c in self.coeffs.items()))
+        layers = [{k: -c for k, c in layer.items()} for layer in self._layers]
+        return _series(self.nvars, self.cap, self._base, layers)
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
         return self + (-other)
 
     def scale(self, factor) -> "TruncSeries":
         if not factor:
-            return TruncSeries.zero(self.nvars, self.cap)
-        return TruncSeries._make(
-            self.nvars, self.cap, ((e, c * factor) for e, c in self.coeffs.items())
-        )
+            return _series(self.nvars, self.cap, self._base, [{} for _ in self._layers])
+        layers = [_kept((k, c * factor) for k, c in layer.items()) for layer in self._layers]
+        return _series(self.nvars, self.cap, self._base, layers)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check_compatible(other)
-        cap = min(self.cap, other.cap)
-        # Terms above the cap are dropped first; two remaining terms whose
-        # degrees sum to at most the cap have every exponent at most the
-        # cap, so their base cap + 1 keys add without a carry.
-        small, large = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
-        partners: list[tuple[int, object]] = []
-        ends = []
-        for layer in _packed_layers(large, cap):
-            partners.extend(layer)
-            ends.append(len(partners))
-        acc: dict[int, object] = {}
-        get = acc.get
-        for da, layer in enumerate(_packed_layers(small, cap)):
-            if not layer:
-                continue
-            within = partners[:ends[cap - da]]
-            for ka, ca in layer:
-                for kb, cb in within:
-                    key = ka + kb
-                    acc[key] = get(key, 0) + ca * cb
-        return TruncSeries._make(self.nvars, cap, _unpacked(self.nvars, cap, acc.items()))
+        # Two terms whose degrees sum to at most the cap have no exponent
+        # above it, so their keys, in a base above the cap, add without a carry.
+        cap, base, a, b = self._common(other)
+        layers = []
+        for d in range(cap + 1):
+            acc: dict[int, object] = {}
+            for da in range(d + 1):
+                if a[da] and b[d - da]:
+                    _add_products(acc, a[da], b[d - da])
+            layers.append(_kept(acc.items()))
+        return _series(self.nvars, cap, base, layers)
 
     def inv(self) -> "TruncSeries":
         """Multiplicative inverse; requires a nonzero constant term.
@@ -540,32 +590,19 @@ class TruncSeries:
         Built one total degree at a time by exact back-substitution in
         the convolution a * q = 1.
         """
-        c0 = self.coeffs.get((0,) * self.nvars, 0)
+        a = self._layers
+        c0 = a[0].get(0, 0)
         if not c0:
             raise ZeroDivisionError("series with zero constant term has no inverse")
         inv0 = _norm_coeff(Fraction(1, 1) / c0)
-        cap = self.cap
-        a_layers = _packed_layers(self, cap)
-        q_layers: list[list[tuple[int, object]]] = [[(0, inv0)]]
-        for d in range(1, cap + 1):
+        q: list[dict[int, object]] = [{0: inv0}]
+        for d in range(1, self.cap + 1):
             conv: dict[int, object] = {}
-            get = conv.get
             for da in range(1, d + 1):
-                partner = q_layers[d - da]
-                if not partner:
-                    continue
-                for ka, ca in a_layers[da]:
-                    for kq, cq in partner:
-                        key = ka + kq
-                        conv[key] = get(key, 0) + ca * cq
-            layer = []
-            for key, c in conv.items():
-                val = _norm_coeff(-c * inv0)
-                if val:
-                    layer.append((key, val))
-            q_layers.append(layer)
-        packed = (term for layer in q_layers for term in layer)
-        return TruncSeries._make(self.nvars, cap, _unpacked(self.nvars, cap, packed))
+                if a[da] and q[d - da]:
+                    _add_products(conv, a[da], q[d - da])
+            q.append(_kept((k, -c * inv0) for k, c in conv.items()))
+        return _series(self.nvars, self.cap, self._base, q)
 
     def sqrt(self) -> "TruncSeries":
         """Square root with constant term 1, by order-doubling Newton steps.
@@ -573,90 +610,104 @@ class TruncSeries:
         Requires constant term exactly 1; the defining property of the
         result r is r * r == self up to the cap.
         """
-        zero_exp = (0,) * self.nvars
-        if self.coeffs.get(zero_exp, 0) != 1:
+        if self._layers[0].get(0, 0) != 1:
             raise ValueError("series square root requires constant term 1")
         half = Fraction(1, 2)
-        r = TruncSeries.one(self.nvars, 0)
+        r = _series(self.nvars, 0, self._base, [{0: 1}])
         known = 0
         while known < self.cap:
             known = min(2 * known + 1, self.cap)
             target = self.truncate(known)
-            lifted = TruncSeries._make(self.nvars, known, r.coeffs.items())
+            lifted = _series(
+                self.nvars, known, self._base, r._layers + [{} for _ in range(known - r.cap)]
+            )
             r = (lifted + target * lifted.inv()).scale(half)
         return r
 
+    def _weight(self, index: int) -> int:
+        """Packing weight of variable ``index`` (1-based) in the series' base."""
+        self._check_var(index)
+        return self._base ** (self.nvars - index)
+
     def deriv(self, index: int) -> "TruncSeries":
         """Formal partial derivative; the cap drops by one."""
-        self._check_var(index)
+        w = self._weight(index)
         if self.cap < 1:
             raise ValueError("cannot differentiate a series truncated at degree 0")
-        i = index - 1
-        out: dict[tuple[int, ...], object] = {}
-        for e, c in self.coeffs.items():
-            if e[i]:
-                key = e[:i] + (e[i] - 1,) + e[i + 1:]
-                out[key] = c * e[i]
-        return TruncSeries._make(self.nvars, self.cap - 1, out.items())
+        base = self._base
+        layers = [
+            _kept((k - w, c * e) for k, c in layer.items() if (e := k // w % base))
+            for layer in self._layers[1:]
+        ]
+        return _series(self.nvars, self.cap - 1, base, layers)
 
     def integrate(self, index: int) -> "TruncSeries":
         """Formal antiderivative with zero constant of integration; cap rises by one."""
         self._check_var(index)
-        i = index - 1
-        out: dict[tuple[int, ...], object] = {}
-        for e, c in self.coeffs.items():
-            key = e[:i] + (e[i] + 1,) + e[i + 1:]
-            out[key] = Fraction(c) / (e[i] + 1)
-        return TruncSeries._make(self.nvars, self.cap + 1, out.items())
+        cap = self.cap + 1
+        base = max(self._base, cap + 1)
+        w = base ** (self.nvars - index)
+        layers = [{}]
+        for layer in self._layers_in(base, self.cap):
+            layers.append(_kept((k + w, Fraction(c) / (k // w % base + 1)) for k, c in layer.items()))
+        return _series(self.nvars, cap, base, layers)
 
     def divdiff(self, index: int) -> "TruncSeries":
         """Divided difference in one variable: (f - f at var=0) / var.
 
         A pure coefficient shift; the cap drops by one.
         """
-        self._check_var(index)
+        w = self._weight(index)
         if self.cap < 1:
             raise ValueError("cannot shift a series truncated at degree 0")
-        i = index - 1
-        out: dict[tuple[int, ...], object] = {}
-        for e, c in self.coeffs.items():
-            if e[i]:
-                out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c
-        return TruncSeries._make(self.nvars, self.cap - 1, out.items())
+        base = self._base
+        layers = [{k - w: c for k, c in layer.items() if k // w % base} for layer in self._layers[1:]]
+        return _series(self.nvars, self.cap - 1, base, layers)
 
     def substitute_zero(self, index: int) -> "TruncSeries":
         """Set one variable to zero (keep only terms free of it)."""
-        self._check_var(index)
-        i = index - 1
-        return TruncSeries._make(
-            self.nvars, self.cap, ((e, c) for e, c in self.coeffs.items() if not e[i])
-        )
+        w = self._weight(index)
+        base = self._base
+        layers = [{k: c for k, c in layer.items() if not k // w % base} for layer in self._layers]
+        return _series(self.nvars, self.cap, base, layers)
 
     def max_abs_coeff(self):
-        return max((abs(c) for c in self.coeffs.values()), default=0)
+        return max((abs(c) for layer in self._layers for c in layer.values()), default=0)
 
     def agrees_with(self, other: "TruncSeries") -> bool:
         """Coefficientwise equality on all degrees both series know about."""
         self._check_compatible(other)
         cap = min(self.cap, other.cap)
-        keys = {e for e in self.coeffs if sum(e) <= cap}
-        keys.update(e for e in other.coeffs if sum(e) <= cap)
-        return all(self.coeffs.get(e, 0) == other.coeffs.get(e, 0) for e in keys)
+        return self._layers[:cap + 1] == other._layers_in(self._base, cap)
 
     def terms_sorted(self) -> list[tuple[tuple[int, ...], object]]:
         """Terms in graded lexicographic order (total degree, then exponents)."""
-        return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+        base, nvars = self._base, self.nvars
+        return [
+            (_exponents(k, base, nvars), layer[k]) for layer in self._layers for k in sorted(layer)
+        ]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TruncSeries)
             and self.nvars == other.nvars
             and self.cap == other.cap
-            and self.coeffs == other.coeffs
+            and self._layers == other._layers_in(self._base, self.cap)
         )
 
     def __hash__(self):
         return hash((self.nvars, self.cap, frozenset(self.coeffs.items())))
 
     def __repr__(self) -> str:
-        return f"TruncSeries(nvars={self.nvars}, cap={self.cap}, terms={len(self.coeffs)})"
+        return f"TruncSeries(nvars={self.nvars}, cap={self.cap}, terms={sum(map(len, self._layers))})"
+
+
+def _series(nvars: int, cap: int, base: int, layers: list[dict[int, object]]) -> TruncSeries:
+    """Internal constructor: trusts ``layers`` (cap + 1 dicts keyed in ``base``, normalised, no zeros)."""
+    out = object.__new__(TruncSeries)
+    out.nvars = nvars
+    out.cap = cap
+    out._base = base
+    out._layers = layers
+    out._coeffs = None
+    return out

@@ -4,6 +4,7 @@ Everything runs in-process through cli.main so exit codes and exact
 stdout bytes can be asserted.
 """
 
+import hashlib
 import importlib
 import json
 import os
@@ -224,6 +225,25 @@ def test_series_deterministic_bytes(capsys):
     _, first, _ = run_cli(capsys, "series", "G", "--k", "3", "--cap", "4")
     _, second, _ = run_cli(capsys, "series", "G", "--k", "3", "--cap", "4")
     assert first == second
+
+
+# sha256 of stdout recorded with the tuple-keyed series before the graded
+# packed representation; any change of an output byte shows here.
+SERIES_STDOUT_SHA256 = {
+    "series E --k 3 --cap 10": "a413264b26a45c1ede19a09f1946f69dc9f5b1645834dc3fe9667edf5ae4cc27",
+    "series G3closed --cap 20": "dd2340e353a585ccc0ea403bf9ae347ce597db2dbee97d9df6ddb5a5ac959927",
+    "series E2closed --cap 16": "5ea35175e63b58dc148eb55f6dffeaa5ad7338e4164f7ca4ec9ab7be59b2f5a7",
+    "series H --cap 12": "dd2d493ad2f32b18eb28b45dcceb34e31eb2e66d405f64f1d26e87d0fb9b1b2c",
+    "verify all --cap 12 --format json":
+        "ec9466c6f736a6bb6d52dacea40757e614039717d2e19a82aaeb5127adc62e42",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SERIES_STDOUT_SHA256))
+def test_series_and_verify_stdout_digests(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == SERIES_STDOUT_SHA256[command]
 
 
 # ------------------------------------------------------------------ verify

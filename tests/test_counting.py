@@ -792,6 +792,42 @@ def test_cache_rejects_bad_files(tmp_path):
         assert str(raised.value) == str(expected.value), counts
 
 
+def test_cache_load_accepts_other_layouts_and_words_errors_alike(tmp_path):
+    cache = seeded_cache(300, seed=5)
+    path = tmp_path / "counts.json"
+    cache.save(path)
+    canonical = path.read_text()
+    want = dict(cache.items())
+    data = json.loads(canonical)
+    # Valid files in layouts save never writes load to the same table.
+    layouts = [
+        json.dumps(data),
+        json.dumps(data, indent=4),
+        json.dumps({"counts": data["counts"], "version": 1}, indent=2) + "\n",
+        canonical.rstrip("\n"),
+        canonical.replace('": "', '":"'),
+    ]
+    for text in layouts:
+        assert text != canonical
+        path.write_text(text)
+        assert dict(CountCache.load(path).items()) == want
+    # A repeated key keeps its last value, as json.loads does.
+    first = canonical.index('\n    "')
+    key = canonical[first:].split('"')[1]
+    path.write_text(canonical.replace("\n  }", f',\n    "{key}": "0"\n  }}'))
+    loaded = CountCache.load(path)
+    assert loaded.get(tuple(map(int, key.split(",")))) == 0
+    assert dict(loaded.items()) == reference_load_counts(json.loads(path.read_text())["counts"])
+    # One bad entry in the canonical layout is named as the per-entry check names it.
+    for bad in ['"01": "3"', '"1,2": "007"', '"1,2": 3', '"": "3"', '"1٣": "3"']:
+        path.write_text(canonical[:first] + "\n    " + bad + "," + canonical[first:])
+        with pytest.raises(CacheFormatError) as expected:
+            reference_load_counts(json.loads(path.read_text())["counts"])
+        with pytest.raises(CacheFormatError) as raised:
+            CountCache.load(path)
+        assert str(raised.value) == str(expected.value), bad
+
+
 def test_cache_constructor_validates_entries():
     with pytest.raises(CacheFormatError):
         CountCache({(0, 1): 3})

@@ -99,6 +99,56 @@ def assert_same_series(got, want):
     """Equal series with equal coefficient types (int stays int, Fraction stays Fraction)."""
     assert got == want
     assert {e: type(c) for e, c in got.coeffs.items()} == {e: type(c) for e, c in want.coeffs.items()}
+    assert all(type(c) is int or c.denominator != 1 for c in got.coeffs.values())
+
+
+def ref_series(nvars, cap, terms):
+    """A series from a tuple-keyed map, dropping terms above the cap (the constructor normalises)."""
+    return TruncSeries(nvars, cap, {e: c for e, c in terms.items() if sum(e) <= cap})
+
+
+def ref_series_add(a, b, sign=1):
+    cap = min(a.cap, b.cap)
+    acc = {e: c for e, c in a.coeffs.items() if sum(e) <= cap}
+    for e, c in b.coeffs.items():
+        if sum(e) <= cap:
+            acc[e] = acc.get(e, 0) + sign * c
+    return ref_series(a.nvars, cap, acc)
+
+
+def ref_series_shift(a, i, weight):
+    """Lower exponent ``i`` by one, times ``weight(old exponent)``; drops terms free of it."""
+    out = {}
+    for e, c in a.coeffs.items():
+        if e[i]:
+            out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * weight(e[i])
+    return ref_series(a.nvars, a.cap - 1, out)
+
+
+def ref_series_integrate(a, i):
+    out = {e[:i] + (e[i] + 1,) + e[i + 1:]: Fraction(c) / (e[i] + 1) for e, c in a.coeffs.items()}
+    return ref_series(a.nvars, a.cap + 1, out)
+
+
+def ref_series_sqrt(a):
+    """Degree by degree: r_d = (a_d - sum of r_j * r_(d-j) for 0 < j < d) / 2, with r_0 = 1."""
+    by_degree = _by_degree(a)
+    r = {(0,) * a.nvars: 1}
+    r_by_degree = {0: list(r.items())}
+    for d in range(1, a.cap + 1):
+        acc = dict(by_degree.get(d, []))
+        for j in range(1, d):
+            for ea, ca in r_by_degree[j]:
+                for eb, cb in r_by_degree[d - j]:
+                    key = tuple(map(int.__add__, ea, eb))
+                    acc[key] = acc.get(key, 0) - ca * cb
+        r_by_degree[d] = [(e, Fraction(c) / 2) for e, c in acc.items() if c]
+        r.update(r_by_degree[d])
+    return ref_series(a.nvars, a.cap, r)
+
+
+def ref_terms_sorted(a):
+    return sorted(a.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
 
 
 def random_capped_series(rng, nvars, cap, fractions):
@@ -369,6 +419,131 @@ def test_series_mul_and_inv_match_tuple_keyed_reference(nvars):
         start = rng.choice((1, -1, 2, Fraction(3, 2)))
         unit = b - TruncSeries.constant(nvars, high, b.coeffs.get(zero_exp, 0) - start)
         assert_same_series(unit.inv(), ref_series_inv(unit))
+
+
+def cancelling_series(rng, nvars, cap):
+    """Up to 12 terms of degree <= cap with coefficients in halves and quarters, so sums,
+    products and scalings often cancel to integers."""
+    coeffs = {}
+    for _ in range(rng.randint(0, 12)):
+        exps = [0] * nvars
+        for _ in range(rng.randint(0, cap)):
+            exps[rng.randrange(nvars)] += 1
+        coeffs[tuple(exps)] = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 4)))
+    return TruncSeries(nvars, cap, coeffs)
+
+
+def other_base_series(rng, nvars, cap):
+    """A series with cap ``cap`` whose keys use a base above cap + 1 (a truncation or a derivative)."""
+    high = cancelling_series(rng, nvars, cap + rng.randint(1, 3))
+    if rng.random() < 0.5:
+        return high.truncate(cap)
+    return high.deriv(rng.randint(1, nvars)).truncate(cap)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_every_series_operation_matches_tuple_keyed_reference(nvars):
+    rng = random.Random(1207 + nvars)
+    for trial in range(30):
+        cap = rng.randint(1, 6)
+        s = cancelling_series(rng, nvars, cap) if trial % 2 else other_base_series(rng, nvars, cap)
+        t = cancelling_series(rng, nvars, rng.randint(0, cap))
+        i = rng.randint(1, nvars)
+        assert_same_series(s + t, ref_series_add(s, t))
+        assert_same_series(t + s, ref_series_add(s, t))
+        assert_same_series(s - t, ref_series_add(s, t, -1))
+        assert_same_series(-s, ref_series(nvars, cap, {e: -c for e, c in s.coeffs.items()}))
+        for factor in (2, -4, Fraction(1, 2), Fraction(2, 3)):
+            want = {e: c * factor for e, c in s.coeffs.items()}
+            assert_same_series(s.scale(factor), ref_series(nvars, cap, want))
+        assert_same_series(s.scale(0), TruncSeries.zero(nvars, cap))
+        assert_same_series(s * t, ref_series_mul(s, t))
+        # The derivative keeps the base of s; t with a smaller cap has another.
+        d = s.deriv(i)
+        assert_same_series(d, ref_series_shift(s, i - 1, lambda e: e))
+        assert_same_series(d * t, ref_series_mul(d, t))
+        assert_same_series(t * d, ref_series_mul(t, d))
+        assert_same_series(d + t, ref_series_add(d, t))
+        assert_same_series(s.divdiff(i), ref_series_shift(s, i - 1, lambda e: 1))
+        free = {e: c for e, c in s.coeffs.items() if not e[i - 1]}
+        assert_same_series(s.substitute_zero(i), ref_series(nvars, cap, free))
+        low = rng.randint(0, cap)
+        assert_same_series(s.truncate(low), ref_series(nvars, low, s.coeffs))
+        # Integration at the base limit (cap + 1 reaches the base) and below it.
+        assert_same_series(s.integrate(i), ref_series_integrate(s, i - 1))
+        assert_same_series(s.truncate(low).integrate(i), ref_series_integrate(s.truncate(low), i - 1))
+        unit = s - TruncSeries.constant(nvars, cap, s.coeff((0,) * nvars) - 1)
+        assert_same_series(unit.inv(), ref_series_inv(unit))
+        assert_same_series(unit.sqrt(), ref_series_sqrt(unit))
+        assert unit.sqrt() * unit.sqrt() == unit
+        assert s.terms_sorted() == ref_terms_sorted(s)
+        for e in s.coeffs:
+            assert s.coeff(e) == s.coeffs[e]
+        assert s.agrees_with(t) == all(
+            s.coeffs.get(e, 0) == t.coeffs.get(e, 0)
+            for e in set(s.coeffs) | set(t.coeffs) if sum(e) <= t.cap
+        )
+        assert s.agrees_with(s.truncate(low)) and s.truncate(low).agrees_with(s)
+        assert s.is_zero == (not s.coeffs)
+        assert s.max_abs_coeff() == max(map(abs, s.coeffs.values()), default=0)
+        assert hash(s) == hash(ref_series(nvars, cap, s.coeffs))
+
+
+def test_series_operands_in_different_bases():
+    s = TruncSeries(2, 6, {(2, 1): Fraction(1, 2), (0, 3): 3, (5, 1): 1})
+    t = TruncSeries(2, 2, {(0, 0): 1, (1, 0): Fraction(3, 2), (0, 2): -1})
+    d = s.deriv(1)
+    assert d._base != t._base
+    assert_same_series(d * t, ref_series_mul(d, t))
+    assert_same_series(t * d, ref_series_mul(t, d))
+    assert_same_series(d - t, ref_series_add(d, t, -1))
+    assert d.truncate(2) == ref_series(2, 2, d.coeffs)
+    assert d.agrees_with(ref_series(2, 2, d.coeffs))
+    # Integrating a series truncated at its base limit raises the cap to the base.
+    assert s.integrate(2) == ref_series_integrate(s, 1)
+    assert s.integrate(2)._base > s._base
+    # sqrt lifts its partial root in the operand's base, here above cap + 1.
+    root = TruncSeries.from_poly(ONE - 2 * X1 + X2, 2, 9).truncate(5)
+    assert root._base > root.cap + 1
+    assert_same_series(root.sqrt(), ref_series_sqrt(root))
+
+
+def test_fractions_that_cancel_to_integers_are_ints():
+    half = TruncSeries(2, 3, {(1, 0): Fraction(1, 2), (0, 1): Fraction(3, 2), (2, 1): Fraction(1, 4)})
+    results = [
+        half.scale(2),
+        half + half,
+        half * TruncSeries.constant(2, 3, 2),
+        half.deriv(1).scale(4),
+        TruncSeries(2, 3, {(2, 0): Fraction(1, 2)}).deriv(1),
+        TruncSeries(2, 3, {(1, 0): Fraction(1, 2)}).integrate(1).deriv(1).scale(2),
+        TruncSeries.constant(2, 3, Fraction(1, 2)).inv(),
+        (TruncSeries.one(2, 3) + half.scale(2)).sqrt().scale(2) - TruncSeries.one(2, 3),
+    ]
+    for series in results:
+        for c in series.coeffs.values():
+            assert type(c) is int or c.denominator != 1
+    # Fraction(1, 2) * 2 is integral: scaling, not only dividing, makes integral Fractions.
+    assert results[0] == TruncSeries(2, 3, {(1, 0): 1, (0, 1): 3, (2, 1): Fraction(1, 2)})
+    assert type(results[0].coeff((1, 0))) is int and type(results[0].coeff((0, 1))) is int
+    assert type(results[1].coeff((1, 0))) is int and type(results[2].coeff((0, 1))) is int
+    assert type(results[4].coeff((1, 0))) is int
+    assert type(results[6].coeff((0, 0))) is int
+
+
+def test_series_coeff_rejects_negative_exponents():
+    s = TruncSeries(2, 3, {(0, 1): 5})
+    with pytest.raises(ValueError, match="negative exponent"):
+        s.coeff((-1, 2))
+    with pytest.raises(ValueError, match="negative exponent"):
+        s.coeff((2, -1))
+
+
+def test_series_truncate_rejects_negative_cap():
+    s = TruncSeries.one(2, 3)
+    with pytest.raises(ValueError, match="cap must be >= 0"):
+        s.truncate(-1)
+    assert s.truncate(0) == TruncSeries.one(2, 0)
 
 
 # ---------------------------------------------------------- operator algebra

@@ -259,18 +259,8 @@ class CountCache:
 
     @classmethod
     def load(cls, path: str | Path) -> "CountCache":
-        text = Path(path).read_text()
-        cache = cls()
-        saved = _parse_saved(text)
-        if saved is not None:
-            cache._counts = saved
-            return cache
-        # Any other text: parse it as JSON and check entry by entry, so a
-        # valid file in another layout loads and an error names the first
-        # bad key or value.
-        table = cache._counts
         try:
-            data = json.loads(text)
+            data = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
             raise CacheFormatError(f"cache file is not valid JSON: {exc}") from exc
         version = data.get("version") if isinstance(data, dict) else data
@@ -280,6 +270,8 @@ class CountCache:
         counts = data.get("counts")
         if not isinstance(counts, dict):
             raise CacheFormatError("cache file has no counts table")
+        cache = cls()
+        table = cache._counts
         key_ok, value_ok = _KEY_TEXT.fullmatch, _VALUE_TEXT.fullmatch
         for key_text, value_text in counts.items():
             # JSON object keys are always strings; values need not be.
@@ -290,31 +282,6 @@ class CountCache:
                 raise CacheFormatError(f"non-canonical cache value {value_text!r}")
             table[tuple(map(int, key_text.split(",")))] = int(value_text)
         return cache
-
-
-# The layout ``CountCache.save`` writes for a nonempty table: this head,
-# a newline, the entry lines joined by ",\n", and this tail.
-_SAVED_HEAD = f'{{\n  "version": {CountCache.VERSION},\n  "counts": {{'
-_SAVED_TAIL = "\n  }\n}\n"
-_SAVED_ENTRY = re.compile(rf'    "{_KEY_TEXT.pattern}": "(?:{_VALUE_TEXT.pattern})"')
-
-
-def _parse_saved(text: str) -> dict[Mults, int] | None:
-    """The table of a nonempty cache file in exactly the layout ``save`` writes, else None.
-
-    Keys hold no newline, so splitting the entries on ",\\n" is exact, and
-    one regex checks each line.  (One regex over the whole text would
-    keep backtracking state for every entry: about 5 MB for 6,000.)  The
-    checked entries, rewritten as one flat JSON array [[parts...], value,
-    ...], parse in one call.
-    """
-    if not (text.startswith(_SAVED_HEAD + "\n") and text.endswith(_SAVED_TAIL)):
-        return None
-    body = text[len(_SAVED_HEAD):-len(_SAVED_TAIL)]
-    if not all(map(_SAVED_ENTRY.fullmatch, body[1:].split(",\n"))):
-        return None
-    flat = json.loads("[" + body.replace('\n    "', "[").replace('": "', "],").replace('"', "") + "]")
-    return dict(zip(map(tuple, flat[::2]), flat[1::2]))
 
 
 #: Process-wide memo table shared by default between all count queries.

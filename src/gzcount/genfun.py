@@ -110,7 +110,7 @@ def _report_from_series(identity: str, k: int | None, cap: int, residual: TruncS
         k=k,
         cap=cap,
         max_abs=residual.max_abs_coeff(),
-        nonzero_terms=len(residual.coeffs),
+        nonzero_terms=len(residual),
         detail=detail,
     )
 
@@ -236,17 +236,11 @@ def closed_form_H(cap: int) -> TruncSeries:
     return numer * denom_inv
 
 
-def _h_slices(series: TruncSeries) -> dict[int, dict[tuple[int, int], object]]:
-    """Every coefficient of y^s in a (x, z, y) series, read in one pass: s -> {(k, m): value}."""
-    slices: dict[int, dict[tuple[int, int], object]] = {}
-    for (k, m, s), c in series.coeffs.items():
-        slices.setdefault(s, {})[k, m] = c
-    return slices
-
-
 def h_slice(series: TruncSeries, s: int) -> dict[tuple[int, int], object]:
     """Coefficient of y^s in a (x, z, y) series, as a map (k, m) -> value."""
-    return _h_slices(series).get(s, {})
+    return {
+        (e[0], e[1]): c for e, c in series.coeffs.items() if e[2] == s
+    }
 
 
 def verify_g3(cap: int, cache: CountCache | None = None) -> ResidualReport:
@@ -273,7 +267,10 @@ def verify_h(s_max: int) -> ResidualReport:
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
-    slices = _h_slices(closed_form_H(3 * s_max))
+    # One pass over the series buckets every y^s slice: s -> {(k, m): value}.
+    slices: dict[int, dict[tuple[int, int], object]] = {}
+    for (k, m, s), c in closed_form_H(3 * s_max).coeffs.items():
+        slices.setdefault(s, {})[k, m] = c
     bad_terms = 0
     max_abs = 0
     for s in range(1, s_max + 1):

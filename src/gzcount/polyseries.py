@@ -698,8 +698,12 @@ class TruncSeries:
     def __hash__(self):
         return hash((self.nvars, self.cap, frozenset(self.coeffs.items())))
 
+    def __len__(self) -> int:
+        """The number of nonzero terms, counted without building ``coeffs``."""
+        return sum(map(len, self._layers))
+
     def __repr__(self) -> str:
-        return f"TruncSeries(nvars={self.nvars}, cap={self.cap}, terms={sum(map(len, self._layers))})"
+        return f"TruncSeries(nvars={self.nvars}, cap={self.cap}, terms={len(self)})"
 
 
 def _series(nvars: int, cap: int, base: int, layers: list[dict[int, object]]) -> TruncSeries:

@@ -485,6 +485,7 @@ def test_every_series_operation_matches_tuple_keyed_reference(nvars):
         )
         assert s.agrees_with(s.truncate(low)) and s.truncate(low).agrees_with(s)
         assert s.is_zero == (not s.coeffs)
+        assert len(s) == len(s.coeffs) and len(s * t) == len(ref_series_mul(s, t).coeffs)
         assert s.max_abs_coeff() == max(map(abs, s.coeffs.values()), default=0)
         assert hash(s) == hash(ref_series(nvars, cap, s.coeffs))
 

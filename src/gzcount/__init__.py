@@ -8,11 +8,11 @@ in exact arithmetic.
 The names below are loaded lazily: ``import gzcount`` imports no
 submodule, and ``gzcount.build_G`` imports ``gzcount.genfun`` on first
 use.  A ``gzcount count`` (default method, with or without a cache file),
-``table`` or ``cache`` process loads only ``gzcount``, ``gzcount.cli``,
-``gzcount.counting`` and ``gzcount.limits``: ``counting`` imports
-``polyseries`` inside the functions that build polynomials, so neither
-the series nor the oracle code, nor ``fractions``, ``decimal`` or
-``dataclasses``, is loaded.
+``table``, ``cache`` or ``g4-explore`` process loads only ``gzcount``,
+``gzcount.cli``, ``gzcount.counting`` and ``gzcount.limits``:
+``counting`` imports ``polyseries`` inside the functions that build
+polynomials, so neither the series nor the oracle code, nor
+``fractions``, ``decimal`` or ``dataclasses``, is loaded.
 """
 
 import importlib
@@ -30,6 +30,7 @@ _EXPORTS = {
         "binomial_formula_V",
         "coeff_theorem_V",
         "count_by_fiber_recursion",
+        "g4_explore",
         "g_polynomial",
         "h_polynomial",
         "recurrence_V3",
@@ -45,7 +46,6 @@ _EXPORTS = {
         "closed_form_H",
         "dde_residual",
         "g3_roots",
-        "g4_explore",
         "h_slice",
         "pde_residual",
         "verify_dde_G",

@@ -15,8 +15,8 @@ cache file does not rewrite it, so a read-only cache file serves lookups.
 
 from __future__ import annotations
 
-# Only counting and limits are imported here: count, table and cache need
-# nothing else of the package.  polyseries (with fractions and decimal),
+# Only counting and limits are imported here: count, table, cache and
+# g4-explore need nothing else of the package.  polyseries (with fractions and decimal),
 # genfun and oracle are imported by the handlers that use them, which
 # saves a count process about 20 ms of compiling them from source when no
 # bytecode is cached, and about 1.8 MB of peak RSS.  The two are imported
@@ -30,6 +30,7 @@ from .counting import (
     a_infinity,
     binomial_formula_V,
     count_by_fiber_recursion,
+    g4_explore,
     recurrence_V3,
     tri_table,
 )
@@ -178,7 +179,7 @@ def _cmd_count(args, cache: CountCache | None) -> int:
 # ---------------------------------------------------------------- table
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args, cache: None) -> int:
     table = tri_table(args.s, args.variant)
     if args.format == "json":
         cells = [
@@ -201,28 +202,30 @@ def _cmd_table(args) -> int:
 # ---------------------------------------------------------------- series
 
 
-def _series_names(which: str, k: int) -> list[str]:
-    if which == "E":
-        return [f"z{i}" for i in range(1, k + 1)]
-    if which == "G":
-        return ["x", "y", "z"] if k == 3 else [f"y{i}" for i in range(1, k + 1)]
-    if which == "G3closed":
-        return ["x", "y", "z"]
-    if which == "E2closed":
-        return ["z1", "z2"]
-    return ["x", "z", "y"]
+# Series name -> (fixed variable count or None, builder, variable names).
+# A builder is called as builder(genfun, k, cap, cache); genfun is
+# imported by the handler, so only a series process loads it.
+_SERIES = {
+    "E": (None, lambda g, k, cap, cache: g.build_E(k, cap, cache),
+          lambda k: [f"z{i}" for i in range(1, k + 1)]),
+    "G": (None, lambda g, k, cap, cache: g.build_G(k, cap, cache),
+          lambda k: ["x", "y", "z"] if k == 3 else [f"y{i}" for i in range(1, k + 1)]),
+    "G3closed": (3, lambda g, k, cap, cache: g.closed_form_G3(cap), lambda k: ["x", "y", "z"]),
+    "E2closed": (2, lambda g, k, cap, cache: g.closed_form_E2(cap), lambda k: ["z1", "z2"]),
+    "H": (3, lambda g, k, cap, cache: g.closed_form_H(cap), lambda k: ["x", "z", "y"]),
+}
 
 
 def _cmd_series(args, cache: CountCache | None) -> int:
-    from .genfun import build_E, build_G, closed_form_E2, closed_form_G3, closed_form_H
+    from . import genfun
     from .polyseries import format_rational
 
     which = args.which
-    fixed_k = {"G3closed": 3, "E2closed": 2, "H": 3}
-    if which in fixed_k:
-        if args.k is not None and args.k != fixed_k[which]:
-            raise ValueError(f"series {which} has a fixed variable count {fixed_k[which]}")
-        k = fixed_k[which]
+    fixed_k, build, variables = _SERIES[which]
+    if fixed_k is not None:
+        if args.k is not None and args.k != fixed_k:
+            raise ValueError(f"series {which} has a fixed variable count {fixed_k}")
+        k = fixed_k
     else:
         k = args.k if args.k is not None else 1
         if k < 1:
@@ -230,18 +233,8 @@ def _cmd_series(args, cache: CountCache | None) -> int:
     if args.cap < 0:
         raise ValueError(f"cap must be >= 0, got {args.cap}")
 
-    if which == "E":
-        series = build_E(k, args.cap, cache)
-    elif which == "G":
-        series = build_G(k, args.cap, cache)
-    elif which == "G3closed":
-        series = closed_form_G3(args.cap)
-    elif which == "E2closed":
-        series = closed_form_E2(args.cap)
-    else:
-        series = closed_form_H(args.cap)
-
-    names = _series_names(which, k)
+    series = build(genfun, k, args.cap, cache)
+    names = variables(k)
     rows = series.terms_sorted()
     if args.format == "json":
         print(_json_dump({
@@ -281,16 +274,12 @@ def _cmd_verify(args, cache: CountCache | None) -> int:
 
     lo, hi = _parse_k_range(args.k)
     reports = []
-    if args.suite in ("pde", "all"):
-        for k in range(lo, hi + 1):
-            if args.cap < k:
-                raise ValueError(f"cap {args.cap} too small for pde at k = {k}")
-            reports.append(verify_pde_E(k, args.cap, cache))
-    if args.suite in ("dde", "all"):
-        for k in range(lo, hi + 1):
-            if args.cap < k:
-                raise ValueError(f"cap {args.cap} too small for dde at k = {k}")
-            reports.append(verify_dde_G(k, args.cap, cache))
+    for suite, verify in (("pde", verify_pde_E), ("dde", verify_dde_G)):
+        if args.suite in (suite, "all"):
+            for k in range(lo, hi + 1):
+                if args.cap < k:
+                    raise ValueError(f"cap {args.cap} too small for {suite} at k = {k}")
+                reports.append(verify(k, args.cap, cache))
     if args.suite in ("g3", "all"):
         reports.append(verify_g3(args.cap, cache))
     if args.suite in ("e2", "all"):
@@ -315,7 +304,7 @@ def _cmd_verify(args, cache: CountCache | None) -> int:
 # ---------------------------------------------------------------- cache
 
 
-def _cmd_cache(args) -> int:
+def _cmd_cache(args, cache: None) -> int:
     path = args.path or os.environ.get(ENV_CACHE)
     if not path:
         raise ValueError("no cache path given (use --path or set GZCOUNT_CACHE)")
@@ -339,8 +328,6 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_g4(args, cache: CountCache | None) -> int:
-    from .genfun import g4_explore
-
     if args.cap < 0:
         raise ValueError(f"cap must be >= 0, got {args.cap}")
     rows = g4_explore(args.cap, cache)
@@ -423,8 +410,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if not exc.code else int(exc.code)
     try:
-        if "cache" not in vars(args):
-            return _DISPATCH[args.command](args)
+        handler = _DISPATCH[args.command]
         # Subcommands with --cache share one count cache file: opened
         # before the handler runs, saved after it returns whatever the
         # exit code, so entries computed by a failing verify are kept.
@@ -432,14 +418,15 @@ def main(argv=None) -> int:
         # count unchanged added nothing and leaves an existing file
         # untouched.  The handler's stdout is held back until the save
         # succeeds, so a run whose save fails prints no answer.
-        path = args.cache or os.environ.get(ENV_CACHE)
+        # table and cache have no --cache option and get no count cache.
+        path = (args.cache or os.environ.get(ENV_CACHE)) if "cache" in vars(args) else None
         if not path:
-            return _DISPATCH[args.command](args, None)
+            return handler(args, None)
         existed = os.path.exists(path)
         cache = CountCache.load(path) if existed else CountCache()
         loaded = len(cache)
         with contextlib.redirect_stdout(io.StringIO()) as held:
-            code = _DISPATCH[args.command](args, cache)
+            code = handler(args, cache)
         if not existed or len(cache) != loaded:
             cache.save(path)
         sys.stdout.write(held.getvalue())

@@ -16,6 +16,9 @@ routes are provided and cross-checked by the test suite:
 * triangular tables ``T^s`` / skew tables and the generating polynomials
   ``g_s`` / ``h_s`` they tabulate.
 
+``g4_explore`` lists the ``a_infinity`` counts of every four-value
+vector up to a total, so ``gzcount g4-explore`` needs no series code.
+
 The first two routes share one piece of code: the iterative memo walk
 ``_memo_walk`` that sums child values up the count DAG.  It works on a
 plain dict memo (a ``CountCache``'s table, ``_FIBER_MEMO``, a per-call
@@ -297,18 +300,15 @@ def apply_A(p: SparsePoly) -> SparsePoly:
     """
     from .polyseries import SparsePoly
 
-    out = SparsePoly.zero()
+    acc: dict = {}
     for mono, coeff in p.items():
         support = mono.support()
-        if not support:
-            out = out + SparsePoly.const(coeff)
-            continue
-        factor = SparsePoly.one()
+        term = SparsePoly({mono.divide_by_support(): coeff})
         for a, b in zip(support, support[1:]):
-            factor = factor * (SparsePoly.variable(a) + SparsePoly.variable(b))
-        rest = SparsePoly({mono.divide_by_support(): coeff})
-        out = out + factor * rest
-    return out
+            term = term * (SparsePoly.variable(a) + SparsePoly.variable(b))
+        for m, c in term.items():
+            acc[m] = acc.get(m, 0) + c
+    return SparsePoly(acc)
 
 
 def _memo_walk(
@@ -421,6 +421,30 @@ def a_infinity_unnormalized(mults: Sequence[int]) -> int:
     if p.degree():
         raise ArithmeticError(f"A^{sum(key)} of the monomial {key} is not constant: {p}")
     return p.coeff(Monomial())
+
+
+def _bounded_exponents(k: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """All length-k exponent tuples with total degree <= cap."""
+    if k == 1:
+        for v in range(cap + 1):
+            yield (v,)
+        return
+    for head in range(cap + 1):
+        for tail in _bounded_exponents(k - 1, cap - head):
+            yield (head,) + tail
+
+
+def g4_explore(cap: int, cache: CountCache | None = None) -> list[tuple[tuple[int, int, int, int], int]]:
+    """Counts for all four-value multiplicity vectors with total <= cap.
+
+    Emitted in graded lexicographic order for external experimentation;
+    no structural claim about the four-variable series is made.
+    """
+    rows = []
+    for e in _bounded_exponents(4, cap):
+        rows.append((e, a_infinity(e, cache)))
+    rows.sort(key=lambda row: (sum(row[0]), row[0]))
+    return rows
 
 
 def vertex_count(partition: Sequence[int], cache: CountCache | None = None) -> int:

@@ -21,21 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterator
 
-from .counting import CountCache, a_infinity, h_polynomial
+# g4_explore lives beside the counters it calls; it is imported here too,
+# so ``genfun.g4_explore`` and ``counting.g4_explore`` are one object.
+from .counting import CountCache, _bounded_exponents, a_infinity, g4_explore, h_polynomial
 from .polyseries import SparsePoly, TruncSeries, format_rational
-
-
-def _bounded_exponents(k: int, cap: int) -> Iterator[tuple[int, ...]]:
-    """All length-k exponent tuples with total degree <= cap."""
-    if k == 1:
-        for v in range(cap + 1):
-            yield (v,)
-        return
-    for head in range(cap + 1):
-        for tail in _bounded_exponents(k - 1, cap - head):
-            yield (head,) + tail
 
 
 def build_G(k: int, cap: int, cache: CountCache | None = None) -> TruncSeries:
@@ -297,16 +287,3 @@ def verify_h(s_max: int) -> ResidualReport:
         nonzero_terms=bad_terms,
         detail="slices compared through s_max at series cap 3*s_max",
     )
-
-
-def g4_explore(cap: int, cache: CountCache | None = None) -> list[tuple[tuple[int, int, int, int], int]]:
-    """Counts for all four-value multiplicity vectors with total <= cap.
-
-    Emitted in graded lexicographic order for external experimentation;
-    no structural claim about the four-variable series is made.
-    """
-    rows = []
-    for e in _bounded_exponents(4, cap):
-        rows.append((e, a_infinity(e, cache)))
-    rows.sort(key=lambda row: (sum(row[0]), row[0]))
-    return rows

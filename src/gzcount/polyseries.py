@@ -27,7 +27,13 @@ no exponent of a result reaches B.
 * A ``SparsePoly`` product or exact division packs its operands, over
   the variables they use, in a base B above every exponent the result
   can hold (for a product, 1 + the sum of the operands' largest
-  exponents), and unpacks the result to ``Monomial`` keys.
+  exponents; for a division, 1 + the dividend's degree + the divisor's
+  largest exponent), and unpacks the result to ``Monomial`` keys.
+
+One loop, ``_add_products``, multiplies two term maps for both carriers.
+``TruncSeries.inv`` and ``divide_exact`` are one triangular solve,
+``_quotient``, of num = den * q degree by degree (Knuth, TAOCP vol. 2,
+section 4.7); ``TruncSeries.sqrt`` solves r * r = a the same way.
 
 Coefficients are Python ints wherever possible and ``fractions.Fraction``
 only where denominators genuinely appear; every stored Fraction has a
@@ -231,14 +237,8 @@ class SparsePoly:
         other = self._coerce(other)
         base = 1 + _max_exponent(self) + _max_exponent(other)
         weights = _sparse_weights(base, self, other)
-        b_terms = [(_pack(m, weights), c) for m, c in other.terms.items()]
         acc: dict[int, int] = {}
-        get = acc.get
-        for ma, ca in self.terms.items():
-            ka = _pack(ma, weights)
-            for kb, cb in b_terms:
-                key = ka + kb
-                acc[key] = get(key, 0) + ca * cb
+        _add_products(acc, _packed(self, weights), _packed(other, weights))
         out = SparsePoly()
         out.terms = {_unpack(k, weights, base): c for k, c in acc.items() if c}
         return out
@@ -313,44 +313,44 @@ def _unpack(key: int, weights: dict[int, int], base: int) -> Monomial:
     return _monomial(tuple(pairs))
 
 
+def _packed(poly: SparsePoly, weights: dict[int, int]) -> dict[int, int]:
+    return {_pack(m, weights): c for m, c in poly.terms.items()}
+
+
+def _graded(poly: SparsePoly, weights: dict[int, int], cap: int) -> list[dict[int, object]]:
+    """The terms of degree <= cap as one packed layer per total degree 0..cap."""
+    layers: list[dict[int, object]] = [{} for _ in range(cap + 1)]
+    for mono, coeff in poly.terms.items():
+        degree = mono.degree()
+        if degree <= cap:
+            layers[degree][_pack(mono, weights)] = coeff
+    return layers
+
+
 def divide_exact(dividend: SparsePoly, divisor: SparsePoly) -> SparsePoly:
     """Exact polynomial quotient for divisors with constant term +1 or -1.
 
-    Builds the quotient one total degree at a time; raises ArithmeticError
-    if the division leaves a remainder.
+    Solves dividend = divisor * q as a power series, one total degree at
+    a time (``_quotient``), through degree top + deg(divisor), where top
+    is the dividend's degree.  The division is exact if and only if every
+    layer of q above top is zero; otherwise the first nonzero one is the
+    lowest layer of the remainder, and ArithmeticError is raised.
     """
     c0 = divisor.coeff(_MONO_ONE)
     if c0 not in (1, -1):
         raise ValueError("divisor must have constant term +1 or -1")
-    # A quotient term has degree at most ``top``, so every key formed
-    # below (quotient times divisor term) has exponents under ``base``.
+    # q up to degree top and the remainder have every exponent below
+    # ``base``.  Higher keys may carry, which keeps key sums consistent, so
+    # a layer above top is zero when the true one is.
     top = dividend.degree()
+    span = divisor.degree()
     base = 1 + top + _max_exponent(divisor)
     weights = _sparse_weights(base, dividend, divisor)
-    tail = [(m.degree(), _pack(m, weights), c) for m, c in divisor.items() if m.pairs]
-    rem_by_deg: dict[int, dict[int, int]] = {}
-    for mono, coeff in dividend.items():
-        rem_by_deg.setdefault(mono.degree(), {})[_pack(mono, weights)] = coeff
-    quotient: dict[int, int] = {}
-    for d in range(top + 1):
-        layer = rem_by_deg.pop(d, {})
-        q_layer = {k: c * c0 for k, c in layer.items() if c}
-        if q_layer:
-            quotient.update(q_layer)
-            for dt, kt, ct in tail:
-                bucket = rem_by_deg.setdefault(d + dt, {})
-                for kq, cq in q_layer.items():
-                    key = kq + kt
-                    new = bucket.get(key, 0) - ct * cq
-                    if new:
-                        bucket[key] = new
-                    else:
-                        bucket.pop(key, None)
-    for bucket in rem_by_deg.values():
-        if any(bucket.values()):
-            raise ArithmeticError("exact division left a nonzero remainder")
+    q = _quotient(_graded(dividend, weights, top), _graded(divisor, weights, span), top + span)
+    if any(q[top + 1:]):
+        raise ArithmeticError("exact division left a nonzero remainder")
     out = SparsePoly()
-    out.terms = {_unpack(k, weights, base): c for k, c in quotient.items()}
+    out.terms = {_unpack(k, weights, base): c for layer in q for k, c in layer.items()}
     return out
 
 
@@ -368,6 +368,27 @@ def _add_products(acc: dict[int, object], la: dict[int, object], lb: dict[int, o
         for kb, cb in lb.items():
             key = ka + kb
             acc[key] = get(key, 0) + ca * cb
+
+
+def _quotient(num: list[dict[int, object]], den: list[dict[int, object]],
+              cap: int) -> list[dict[int, object]]:
+    """Layers 0..cap of the power series num / den, by back-substitution.
+
+    ``num`` and ``den`` are packed layers by total degree (layers past
+    their ends are zero), and den's constant term is nonzero.  Degree d
+    of num = den * q gives q_d = (num_d - sum_(0<j<=d) den_j q_(d-j)) / den_0.
+    """
+    inv0 = _norm_coeff(Fraction(1, 1) / den[0][0])
+    q: list[dict[int, object]] = []
+    for d in range(cap + 1):
+        acc: dict[int, object] = {}
+        for j in range(1, min(d, len(den) - 1) + 1):
+            if den[j] and q[d - j]:
+                _add_products(acc, den[j], q[d - j])
+        for k, c in (num[d] if d < len(num) else {}).items():
+            acc[k] = acc.get(k, 0) - c
+        q.append(_kept((k, -c * inv0) for k, c in acc.items()))
+    return q
 
 
 def _exponents(key: int, base: int, nvars: int) -> tuple[int, ...]:
@@ -461,15 +482,11 @@ class TruncSeries:
     def from_poly(cls, poly: SparsePoly, nvars: int, cap: int) -> "TruncSeries":
         """View a polynomial as a series, dropping terms beyond the cap."""
         out = cls(nvars, cap)
-        base = out._base
-        for mono, coeff in poly.items():
+        for mono in poly.terms:
             if any(idx > nvars for idx in mono.support()):
                 raise ValueError(f"monomial {mono!r} uses a variable beyond x{nvars}")
-            degree = mono.degree()
-            coeff = _norm_coeff(coeff)
-            if degree <= cap and coeff:
-                key = sum(exp * base ** (nvars - idx) for idx, exp in mono.pairs)
-                out._layers[degree][key] = coeff
+        weights = {idx: out._base ** (nvars - idx) for idx in range(1, nvars + 1)}
+        out._layers = [_kept(layer.items()) for layer in _graded(poly, weights, cap)]
         return out
 
     @property
@@ -585,44 +602,31 @@ class TruncSeries:
         return _series(self.nvars, cap, base, layers)
 
     def inv(self) -> "TruncSeries":
-        """Multiplicative inverse; requires a nonzero constant term.
-
-        Built one total degree at a time by exact back-substitution in
-        the convolution a * q = 1.
-        """
-        a = self._layers
-        c0 = a[0].get(0, 0)
-        if not c0:
+        """Multiplicative inverse 1 / self by ``_quotient``; requires a nonzero constant term."""
+        if not self._layers[0].get(0, 0):
             raise ZeroDivisionError("series with zero constant term has no inverse")
-        inv0 = _norm_coeff(Fraction(1, 1) / c0)
-        q: list[dict[int, object]] = [{0: inv0}]
-        for d in range(1, self.cap + 1):
-            conv: dict[int, object] = {}
-            for da in range(1, d + 1):
-                if a[da] and q[d - da]:
-                    _add_products(conv, a[da], q[d - da])
-            q.append(_kept((k, -c * inv0) for k, c in conv.items()))
-        return _series(self.nvars, self.cap, self._base, q)
+        return _series(self.nvars, self.cap, self._base, _quotient([{0: 1}], self._layers, self.cap))
 
     def sqrt(self) -> "TruncSeries":
-        """Square root with constant term 1, by order-doubling Newton steps.
+        """Square root with constant term 1, solved one total degree at a time.
 
-        Requires constant term exactly 1; the defining property of the
-        result r is r * r == self up to the cap.
+        Requires constant term exactly 1.  Degree d of r * r == self gives
+        r_0 = 1 and 2 r_d = a_d - sum_(0<j<d) r_j r_(d-j).
         """
-        if self._layers[0].get(0, 0) != 1:
+        a = self._layers
+        if a[0].get(0, 0) != 1:
             raise ValueError("series square root requires constant term 1")
         half = Fraction(1, 2)
-        r = _series(self.nvars, 0, self._base, [{0: 1}])
-        known = 0
-        while known < self.cap:
-            known = min(2 * known + 1, self.cap)
-            target = self.truncate(known)
-            lifted = _series(
-                self.nvars, known, self._base, r._layers + [{} for _ in range(known - r.cap)]
-            )
-            r = (lifted + target * lifted.inv()).scale(half)
-        return r
+        r: list[dict[int, object]] = [{0: 1}]
+        for d in range(1, self.cap + 1):
+            acc: dict[int, object] = {}
+            for j in range(1, d):
+                if r[j] and r[d - j]:
+                    _add_products(acc, r[j], r[d - j])
+            for k, c in a[d].items():
+                acc[k] = acc.get(k, 0) - c
+            r.append(_kept((k, -c * half) for k, c in acc.items()))
+        return _series(self.nvars, self.cap, self._base, r)
 
     def _weight(self, index: int) -> int:
         """Packing weight of variable ``index`` (1-based) in the series' base."""

@@ -644,6 +644,7 @@ LEAN_RUNS = (
     ("cache", "stats", "--path", "c.json"),
     ("cache", "load", "--path", "c.json"),
     ("cache", "save", "--path", "c.json"),
+    ("g4-explore", "--cap", "4"),
 )
 
 
@@ -670,8 +671,7 @@ def test_oracle_and_series_commands_import_their_modules(tmp_path):
     # code imported on first use.
     for argv in (("series", "H", "--cap", "3", "--format", "json"),
                  ("series", "E2closed", "--cap", "3", "--cache", "c.json"),
-                 ("verify", "all", "--cap", "4"),
-                 ("g4-explore", "--cap", "4")):
+                 ("verify", "all", "--cap", "4")):
         loaded = _modules_after(tmp_path, argv)
         assert {"gzcount.genfun", "gzcount.polyseries"} <= loaded, argv
 

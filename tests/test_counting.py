@@ -240,13 +240,14 @@ def test_fixed_point_and_fiber_routes_share_no_child_generator(monkeypatch):
 
 
 def test_routes_agree_on_seeded_random_vectors():
-    # Totals stay at most 10: the zero-keeping reference iterates apply_A
-    # on SparsePoly objects, which takes about 18 s at (4,) * 6.
+    # Totals stay at most 12: the zero-keeping reference iterates apply_A
+    # on SparsePoly objects, which takes about 6 s at (4,) * 6 (Python
+    # 3.11, 2 vCPUs); the 200 references here take about 0.8 s.
     rng = random.Random(2012)
     vectors = []
     while len(vectors) < 200:
         vec = tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 7)))
-        if sum(vec) <= 10:
+        if sum(vec) <= 12:
             vectors.append(vec)
     assert sum(1 for vec in vectors if 0 in MultiplicityVector(vec).mults) >= 20
     for vec in vectors:

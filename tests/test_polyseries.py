@@ -285,6 +285,23 @@ def test_divide_exact_requires_unit_constant():
     assert q == ONE + X1
 
 
+def test_divide_exact_remainder_at_the_last_solved_degree_raises():
+    # x1 = (1 + x1 x2) * x1 - x1^2 x2: the remainder has degree 3 only,
+    # the dividend's degree plus the divisor's, the last degree solved.
+    with pytest.raises(ArithmeticError):
+        divide_exact(X1, ONE + X1 * X2)
+
+
+def test_divide_exact_by_constant_minus_one_raises_on_remainder():
+    with pytest.raises(ArithmeticError):
+        divide_exact(ONE + X1, -(ONE) + X1 * X2)
+    with pytest.raises(ArithmeticError):
+        divide_exact(X1, -(ONE) + X1 * X2)
+    q = divide_exact((X1 * X1 - X2) * (X1 * X2 - ONE), -(ONE) + X1 * X2)
+    assert q == X1 * X1 - X2
+    assert all(type(c) is int for _, c in q.items())
+
+
 def test_poly_mul_matches_monomial_keyed_reference():
     rng = random.Random(5150)
     for _ in range(200):

@@ -230,8 +230,6 @@ def _cmd_series(args, cache: CountCache | None) -> int:
         k = args.k if args.k is not None else 1
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-    if args.cap < 0:
-        raise ValueError(f"cap must be >= 0, got {args.cap}")
 
     series = build(genfun, k, args.cap, cache)
     names = variables(k)

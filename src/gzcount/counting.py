@@ -54,8 +54,9 @@ import functools
 import json
 import os
 import re
+from itertools import chain
 from math import comb
-from operator import mul
+from operator import index, mul
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -69,7 +70,7 @@ def compress(mults: Iterable[int]) -> Mults:
     """Drop all zero multiplicities; validates entries are nonnegative ints."""
     out = []
     for v in mults:
-        v = int(v)
+        v = index(v)
         if v < 0:
             raise ValueError(f"multiplicities must be nonnegative, got {v}")
         if v:
@@ -127,7 +128,7 @@ class MultiplicityVector(_Frozen):
     mults: Mults
 
     def __init__(self, mults: Iterable[int]):
-        vals = tuple(int(v) for v in mults)
+        vals = tuple(map(index, mults))
         if any(v < 0 for v in vals):
             raise ValueError("multiplicities must be nonnegative")
         lo, hi = 0, len(vals)
@@ -140,7 +141,7 @@ class MultiplicityVector(_Frozen):
     @classmethod
     def from_partition(cls, values: Sequence[int]) -> "MultiplicityVector":
         """Multiplicities of the distinct values of a weakly increasing list."""
-        vals = [int(v) for v in values]
+        vals = list(map(index, values))
         if any(a > b for a, b in zip(vals, vals[1:])):
             raise ValueError(f"partition must be weakly increasing, got {vals}")
         mults: list[int] = []
@@ -193,7 +194,7 @@ class CountCache:
     @staticmethod
     def _check_key(key) -> Mults:
         key = tuple(key)
-        if not key or any(not isinstance(v, int) or v <= 0 for v in key):
+        if not key or any(type(v) is not int or v <= 0 for v in key):
             raise CacheFormatError(
                 f"cache key must be a nonempty tuple of positive integers, got {key}"
             )
@@ -201,7 +202,8 @@ class CountCache:
 
     @staticmethod
     def _check_value(value) -> int:
-        if not isinstance(value, int) or value < 0:
+        # ``True`` is an int too, but ``save`` would write it as "True".
+        if type(value) is not int or value < 0:
             raise CacheFormatError(f"cache value must be a nonnegative integer, got {value}")
         return value
 
@@ -266,6 +268,9 @@ class CountCache:
             data = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
             raise CacheFormatError(f"cache file is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            # No cache file nests more than two levels deep.
+            raise CacheFormatError(f"cache file is nested too deeply: {exc}") from exc
         version = data.get("version") if isinstance(data, dict) else data
         # ``True`` and ``1.0`` compare equal to 1; only the int itself is version 1.
         if not isinstance(data, dict) or type(version) is not int or version != cls.VERSION:
@@ -296,17 +301,22 @@ def apply_A(p: SparsePoly) -> SparsePoly:
 
     Acting on a monomial with support xj1 < ... < xjk, replace the
     squarefree part xj1*...*xjk by (xj1+xj2)*...*(xj(k-1)+xjk); constants
-    are fixed.  Extended linearly to the whole polynomial.
+    are fixed.  Extended linearly to the whole polynomial, so the
+    monomials of one support are divided by it together and their sum is
+    multiplied by the neighbour sums once.
     """
     from .polyseries import SparsePoly
 
-    acc: dict = {}
+    # Dividing by the support is one-to-one on the monomials of that support.
+    quotients: dict[tuple[int, ...], dict] = {}
     for mono, coeff in p.items():
-        support = mono.support()
-        term = SparsePoly({mono.divide_by_support(): coeff})
+        quotients.setdefault(mono.support(), {})[mono.divide_by_support()] = coeff
+    acc: dict = {}
+    for support, quotient in quotients.items():
+        image = SparsePoly(quotient)
         for a, b in zip(support, support[1:]):
-            term = term * (SparsePoly.variable(a) + SparsePoly.variable(b))
-        for m, c in term.items():
+            image = image * (SparsePoly.variable(a) + SparsePoly.variable(b))
+        for m, c in image.items():
             acc[m] = acc.get(m, 0) + c
     return SparsePoly(acc)
 
@@ -412,7 +422,7 @@ def a_infinity_unnormalized(mults: Sequence[int]) -> int:
     """
     from .polyseries import Monomial, SparsePoly
 
-    key = tuple(int(v) for v in mults)
+    key = tuple(map(index, mults))
     if any(v < 0 for v in key):
         raise ValueError("multiplicities must be nonnegative")
     p = SparsePoly({Monomial((j + 1, e) for j, e in enumerate(key)): 1})
@@ -423,15 +433,29 @@ def a_infinity_unnormalized(mults: Sequence[int]) -> int:
     return p.coeff(Monomial())
 
 
-def _bounded_exponents(k: int, cap: int) -> Iterator[tuple[int, ...]]:
-    """All length-k exponent tuples with total degree <= cap."""
-    if k == 1:
-        for v in range(cap + 1):
-            yield (v,)
-        return
-    for head in range(cap + 1):
-        for tail in _bounded_exponents(k - 1, cap - head):
-            yield (head,) + tail
+def _bounded_exponents(k: int, cap: int) -> list[tuple[int, ...]]:
+    """All length-k exponent tuples with total degree <= cap, in graded lexicographic order.
+
+    Built one total at a time, without recursion.  The tuples of total t + 1
+    whose first nonzero entry is at f are those of total t that are zero
+    before f, in order, each with one unit added at f.  Tuples zero before f
+    lead their total, so taking f from k - 1 down to 0 keeps each total in order.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    out = [(0,) * k] if cap >= 0 else []
+    # first[f]: the tuples of the current total whose first nonzero entry
+    # is at f; the zero tuple, zero before every f, is filed under k - 1.
+    first = [[] for _ in range(k - 1)] + [out[:]]
+    for _ in range(cap):
+        zero_before, blocks = [], []
+        for f in range(k - 1, -1, -1):
+            zero_before += first[f]
+            lead = (0,) * f
+            blocks.append([(*lead, e[f] + 1, *e[f + 1:]) for e in zero_before])
+        out += chain.from_iterable(blocks)
+        first = blocks[::-1]
+    return out
 
 
 def g4_explore(cap: int, cache: CountCache | None = None) -> list[tuple[tuple[int, int, int, int], int]]:
@@ -440,11 +464,7 @@ def g4_explore(cap: int, cache: CountCache | None = None) -> list[tuple[tuple[in
     Emitted in graded lexicographic order for external experimentation;
     no structural claim about the four-variable series is made.
     """
-    rows = []
-    for e in _bounded_exponents(4, cap):
-        rows.append((e, a_infinity(e, cache)))
-    rows.sort(key=lambda row: (sum(row[0]), row[0]))
-    return rows
+    return [(e, a_infinity(e, cache)) for e in _bounded_exponents(4, cap)]
 
 
 def vertex_count(partition: Sequence[int], cache: CountCache | None = None) -> int:
@@ -524,8 +544,7 @@ def coeff_theorem_V(k: int, l: int, m: int) -> int:
     s = k + l + m
     cap = k + m
     one, x, z = _one_x_z()
-    bracket = (one + x) ** s * (one + z) ** s - (x + z) ** s
-    numerator = TruncSeries.from_poly((one - x * z) * bracket, 2, cap)
+    numerator = TruncSeries.from_poly(_h_numerator(s), 2, cap)
     series = numerator * TruncSeries.from_poly(one + x * z, 2, cap).inv()
     value = series.coeff((k, m))
     if not isinstance(value, int):
@@ -571,6 +590,12 @@ def _one_x_z() -> tuple[SparsePoly, SparsePoly, SparsePoly]:
     from .polyseries import SparsePoly
 
     return SparsePoly.one(), SparsePoly.variable(1), SparsePoly.variable(2)
+
+
+def _h_numerator(s: int) -> SparsePoly:
+    """(1-xz) ((1+x)^s (1+z)^s - (x+z)^s), which is (1+xz) h_s."""
+    one, x, z = _one_x_z()
+    return (one - x * z) * ((one + x) ** s * (one + z) ** s - (x + z) ** s)
 
 
 # g_s and h_s by s.  The seeds g_0 = 1 and h_0 = 0 are built on the first
@@ -634,8 +659,7 @@ def h_polynomial(s: int, method: str = "recurrence") -> SparsePoly:
             reflected[Monomial({1: s - m, 2: s - k})] = coeff
         return g - SparsePoly(reflected)
     if method == "closed-form":
-        bracket = (one + x) ** s * (one + z) ** s - (x + z) ** s
-        return divide_exact((one - x * z) * bracket, one + x * z)
+        return divide_exact(_h_numerator(s), one + x * z)
     raise ValueError(f"unknown h_polynomial method {method!r}; expected one of {H_METHODS}")
 
 

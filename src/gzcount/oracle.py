@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, product
-from operator import eq, gt, sub
+from operator import eq, gt, index, sub
 from typing import Iterable, Iterator
 
 from .limits import DEFAULT_LIMIT_DIM, ResourceLimitError
@@ -49,7 +49,7 @@ class GZShape:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        vals = tuple(int(v) for v in self.values)
+        vals = tuple(map(index, self.values))
         if not vals:
             raise ValueError("shape needs at least one value")
         if any(a > b for a, b in zip(vals, vals[1:])):

@@ -62,10 +62,16 @@ def format_rational(value) -> str:
 
 
 def _norm_coeff(c):
-    """Collapse integral Fractions to plain ints (exactness is unaffected)."""
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
+    """Collapse integral Fractions to plain ints (exactness is unaffected).
+
+    Anything that is neither an int nor a Fraction, a float above all,
+    raises TypeError: no coefficient is ever rounded.
+    """
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
 
 
 class Monomial:
@@ -159,6 +165,10 @@ class SparsePoly:
         clean: dict[Monomial, int] = {}
         if terms:
             for mono, coeff in terms.items():
+                if type(coeff) is not int:
+                    if not isinstance(coeff, int):
+                        raise TypeError(f"coefficient {coeff!r} is not an int")
+                    coeff = int(coeff)
                 if coeff:
                     clean[mono] = coeff
         self.terms = clean
@@ -583,8 +593,8 @@ class TruncSeries:
         return self + (-other)
 
     def scale(self, factor) -> "TruncSeries":
-        if not factor:
-            return _series(self.nvars, self.cap, self._base, [{} for _ in self._layers])
+        if type(factor) is not int:
+            factor = _norm_coeff(factor)
         layers = [_kept((k, c * factor) for k, c in layer.items()) for layer in self._layers]
         return _series(self.nvars, self.cap, self._base, layers)
 

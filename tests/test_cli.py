@@ -221,6 +221,29 @@ def test_series_G3closed_naming_and_fixed_k(capsys):
     assert "fixed variable count" in err
 
 
+def test_series_with_many_variables_answers(capsys):
+    # The builders list exponent vectors without recursion, so 1,200
+    # variables do not reach the interpreter's recursion limit.
+    code, out, err = run_cli(capsys, "series", "G", "--k", "1200", "--cap", "1")
+    assert (code, err) == (EXIT_OK, "")
+    lines = out.splitlines()
+    assert len(lines) == 1202
+    assert lines[1] == ",".join(["0"] * 1200 + ["1"])
+    assert lines[-1] == ",".join(["1"] + ["0"] * 1199 + ["1"])
+
+
+@pytest.mark.parametrize("argv, out", [
+    (("series", "H"), "x,z,y,coefficient\n"),
+    (("series", "E2closed"), "z1,z2,coefficient\n0,0,1\n"),
+    (("series", "G3closed"), "x,y,z,coefficient\n0,0,0,1\n"),
+])
+def test_series_at_cap_zero_and_below(capsys, argv, out):
+    assert run_cli(capsys, *argv, "--cap", "0") == (EXIT_OK, out, "")
+    for below in (argv, ("series", "E", "--k", "2"), ("series", "G", "--k", "3")):
+        assert run_cli(capsys, *below, "--cap", "-1") == (
+            EXIT_USAGE, "", "gzcount: error: cap must be >= 0, got -1\n")
+
+
 def test_series_deterministic_bytes(capsys):
     _, first, _ = run_cli(capsys, "series", "G", "--k", "3", "--cap", "4")
     _, second, _ = run_cli(capsys, "series", "G", "--k", "3", "--cap", "4")
@@ -368,6 +391,15 @@ def test_cache_rejects_malformed_file(tmp_path, capsys):
         code, out, err = run_cli(capsys, "count", "1 2", "--cache", str(path))
         assert (code, out) == (EXIT_USAGE, "")
         assert f"unsupported cache version {version!r}" in err
+
+
+@pytest.mark.parametrize("argv", [("count", "1 2 3", "--cache"), ("cache", "stats", "--path")])
+def test_deeply_nested_cache_file_is_a_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("gzcount: error: cache file is nested too deeply")
 
 
 @pytest.mark.parametrize("argv", [

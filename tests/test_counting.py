@@ -83,6 +83,21 @@ def test_apply_A_is_linear():
         assert apply_A(a + b) == apply_A(a) + apply_A(b)
 
 
+def test_apply_A_on_one_support_is_the_sum_over_its_monomials():
+    # apply_A multiplies all monomials of one support by the neighbour sums
+    # together; applied one monomial at a time it is the definition itself.
+    rng = random.Random(5)
+    for _ in range(20):
+        support = sorted(rng.sample(range(1, 6), rng.randint(1, 4)))
+        terms = {Monomial({i: rng.randint(1, 3) for i in support}): rng.randint(-3, 3)
+                 for _ in range(4)}
+        terms[Monomial({i: rng.randint(0, 2) for i in (1, 2, 3)})] = rng.randint(1, 3)
+        p = SparsePoly(terms)
+        assert len(p.terms) >= 2
+        singles = [apply_A(SparsePoly({m: c})) for m, c in p.items()]
+        assert apply_A(p) == sum(singles, SparsePoly())
+
+
 def test_apply_A_drops_degree_by_one():
     rng = random.Random(8)
     for _ in range(30):
@@ -240,14 +255,15 @@ def test_fixed_point_and_fiber_routes_share_no_child_generator(monkeypatch):
 
 
 def test_routes_agree_on_seeded_random_vectors():
-    # Totals stay at most 12: the zero-keeping reference iterates apply_A
-    # on SparsePoly objects, which takes about 6 s at (4,) * 6 (Python
-    # 3.11, 2 vCPUs); the 200 references here take about 0.8 s.
+    # Totals stay at most 13: the zero-keeping reference iterates apply_A
+    # on SparsePoly objects, which takes about 2.5 s at (4,) * 6 (Python
+    # 3.11, 2 vCPUs); the 200 references here take about 1 s, and total
+    # 14 would take about 3 s.
     rng = random.Random(2012)
     vectors = []
     while len(vectors) < 200:
         vec = tuple(rng.randint(0, 4) for _ in range(rng.randint(1, 7)))
-        if sum(vec) <= 12:
+        if sum(vec) <= 13:
             vectors.append(vec)
     assert sum(1 for vec in vectors if 0 in MultiplicityVector(vec).mults) >= 20
     for vec in vectors:
@@ -530,6 +546,18 @@ def test_multiplicity_vector_from_partition():
     assert mv.mults == (2, 1, 3)
     with pytest.raises(ValueError):
         MultiplicityVector.from_partition([3, 1])
+
+
+@pytest.mark.parametrize("build", [
+    counting.compress, MultiplicityVector, MultiplicityVector.from_partition,
+    a_infinity, count_by_fiber_recursion, a_infinity_unnormalized,
+])
+def test_multiplicities_must_be_integers(build):
+    # int() would answer for (2, 1); nothing is ever truncated.
+    with pytest.raises(TypeError):
+        build((2.7, 1))
+    with pytest.raises(TypeError):
+        build((1, 2.0))
 
 
 # The two record types as the frozen dataclasses they replaced, kept as the
@@ -834,6 +862,18 @@ def test_cache_constructor_validates_entries():
         CountCache({(0, 1): 3})
     with pytest.raises(CacheFormatError):
         CountCache({(1, 1): -2})
+    # True is an int, but save would write it as "True", which load refuses.
+    with pytest.raises(CacheFormatError, match="value"):
+        CountCache({(1, 1): True})
+    with pytest.raises(CacheFormatError, match="key"):
+        CountCache({(True, 1): 2})
+
+
+def test_cache_load_refuses_deep_nesting_as_a_format_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(CacheFormatError, match="nested too deeply"):
+        CountCache.load(path)
 
 
 def test_cache_entries_survive_spot_rederivation(tmp_path):

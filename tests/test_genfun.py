@@ -1,11 +1,13 @@
 """Tests for series builders, closed forms, and identity verifiers."""
 
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial
 
 import pytest
 
-from gzcount.counting import CountCache, a_infinity, h_polynomial
+from gzcount import genfun
+from gzcount.counting import CountCache, _bounded_exponents, a_infinity, h_polynomial
 from gzcount.genfun import (
     ResidualReport,
     build_E,
@@ -34,6 +36,27 @@ def poly_series(poly, nvars, cap):
 
 
 # ----------------------------------------------------------------- builders
+
+
+def test_bounded_exponents_lists_every_vector_in_graded_lex_order():
+    for k in range(1, 5):
+        for cap in range(7):
+            want = sorted((e for e in product(range(cap + 1), repeat=k) if sum(e) <= cap),
+                          key=lambda e: (sum(e), e))
+            assert list(_bounded_exponents(k, cap)) == want, (k, cap)
+    assert list(_bounded_exponents(3, -1)) == []
+    # Many variables: nothing recurses.
+    vectors = list(_bounded_exponents(1200, 1))
+    assert len(vectors) == 1201 and vectors[1] == (0,) * 1199 + (1,)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _bounded_exponents(0, 3), lambda: build_G(0, 3), lambda: build_E(0, 3),
+    lambda: verify_pde_E(0, 3), lambda: verify_dde_G(-1, 3),
+], ids=["_bounded_exponents", "build_G", "build_E", "verify_pde_E", "verify_dde_G"])
+def test_builders_refuse_fewer_than_one_variable(call):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        call()
 
 
 def test_build_E_single_variable_is_exponential():
@@ -213,6 +236,29 @@ def test_verify_h_small():
     assert report.ok
     with pytest.raises(ValueError):
         verify_h(0)
+
+
+def test_verify_h_counts_every_residual(monkeypatch):
+    # A wrong constant term in the reference route at s = 2 differs from
+    # both other routes and from the series slice; one in the definition
+    # route at s = 3 differs from the reference only.
+    shifts = {(2, "recurrence"): 5, (3, "definition"): -7}
+
+    def corrupted(s, method="recurrence"):
+        return h_polynomial(s, method) + SparsePoly.const(shifts.get((s, method), 0))
+
+    monkeypatch.setattr(genfun, "h_polynomial", corrupted)
+    report = verify_h(3)
+    assert (report.ok, report.nonzero_terms, report.max_abs) == (False, 4, 7)
+
+
+@pytest.mark.parametrize("build, nvars, constant", [
+    (closed_form_G3, 3, 1), (closed_form_E2, 2, 1), (closed_form_H, 3, 0),
+])
+def test_closed_forms_at_cap_zero_and_below(build, nvars, constant):
+    assert build(0) == TruncSeries.constant(nvars, 0, constant)
+    with pytest.raises(ValueError, match="cap must be >= 0, got -1"):
+        build(-1)
 
 
 # ---------------------------------------------------------------- g4 dump

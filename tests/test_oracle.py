@@ -51,6 +51,11 @@ def test_shape_validation():
         GZShape(())
     with pytest.raises(ValueError):
         GZShape((2, 1))
+    # int() would make (0, 1) of these; values must be integers.
+    with pytest.raises(TypeError):
+        GZShape((0.5, 1.7))
+    with pytest.raises(TypeError):
+        GZShape((1, 2.0))
     shape = GZShape((1, 1, 3))
     assert shape.n == 3
     assert shape.ambient_dim == 3

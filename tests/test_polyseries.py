@@ -1,6 +1,7 @@
 """Unit and property tests for the polynomial and series carriers."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 
@@ -547,6 +548,23 @@ def test_fractions_that_cancel_to_integers_are_ints():
     assert type(results[1].coeff((1, 0))) is int and type(results[2].coeff((0, 1))) is int
     assert type(results[4].coeff((1, 0))) is int
     assert type(results[6].coeff((0, 0))) is int
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, Decimal("0.5"), "1"])
+def test_coefficients_are_exact(value):
+    # Series hold ints and Fractions, polynomials ints only; nothing rounds.
+    with pytest.raises(TypeError):
+        TruncSeries(2, 3, {(1, 1): value})
+    with pytest.raises(TypeError):
+        SparsePoly({Monomial(): value})
+    for series in (TruncSeries.one(2, 3), TruncSeries.zero(2, 3)):
+        with pytest.raises(TypeError):
+            series.scale(value)
+    with pytest.raises(TypeError):
+        SparsePoly({Monomial(): Fraction(1, 2)})
+    # An int subclass is stored as the plain int.
+    assert type(TruncSeries(1, 1, {(1,): True}).coeff((1,))) is int
+    assert type(SparsePoly({Monomial(): True}).coeff(Monomial())) is int
 
 
 def test_series_coeff_rejects_negative_exponents():

@@ -326,8 +326,6 @@ def _cmd_cache(args, cache: None) -> int:
 
 
 def _cmd_g4(args, cache: CountCache | None) -> int:
-    if args.cap < 0:
-        raise ValueError(f"cap must be >= 0, got {args.cap}")
     rows = g4_explore(args.cap, cache)
     if args.format == "json":
         print(_json_dump({

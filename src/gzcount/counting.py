@@ -443,7 +443,9 @@ def _bounded_exponents(k: int, cap: int) -> list[tuple[int, ...]]:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    out = [(0,) * k] if cap >= 0 else []
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+    out = [(0,) * k]
     # first[f]: the tuples of the current total whose first nonzero entry
     # is at f; the zero tuple, zero before every f, is filed under k - 1.
     first = [[] for _ in range(k - 1)] + [out[:]]

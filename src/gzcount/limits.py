@@ -10,3 +10,7 @@ DEFAULT_LIMIT_DIM = 15
 
 class ResourceLimitError(Exception):
     """Refusal to run an input above a resource guardrail (CLI exit 3)."""
+
+
+class DegreeLimitError(ResourceLimitError):
+    """Refusal to build a ``SparsePoly`` term above its packed-key degree limit."""

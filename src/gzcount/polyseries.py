@@ -3,8 +3,8 @@
 Two carriers cover everything the counting and verification layers need:
 
 * ``SparsePoly`` is a polynomial in countably many variables x1, x2, ...
-  with arbitrary-precision integer coefficients, stored as a map from
-  ``Monomial`` to coefficient.
+  with arbitrary-precision integer coefficients and total degree at most
+  2^30 - 2.
 * ``TruncSeries`` is a power series in a fixed number of variables,
   truncated at a total degree ``cap``, with exact rational coefficients.
   A series carries no information beyond total degree ``cap`` and every
@@ -24,11 +24,17 @@ no exponent of a result reaches B.
   two bases repacks one operand into the smaller, and ``integrate``
   repacks when the raised cap reaches the base.  The map from exponent
   tuples, ``coeffs``, is built only when read.
-* A ``SparsePoly`` product or exact division packs its operands, over
-  the variables they use, in a base B above every exponent the result
-  can hold (for a product, 1 + the sum of the operands' largest
-  exponents; for a division, 1 + the dividend's degree + the divisor's
-  largest exponent), and unpacks the result to ``Monomial`` keys.
+* A ``SparsePoly`` also keeps its terms packed between operations, in
+  one dict with a fixed 30-bit field per variable, x1 in the lowest bits
+  (B = 2^30).  The key of a term is then its exponent vector alone, a
+  product or ``_quotient`` adds keys, and a key modulo 2^30 - 1 is the
+  term's total degree, so ``degree``, ``truncate`` and the graded layers
+  of ``divide_exact`` read no exponents.  No field carries while every
+  total degree stays below 2^30 - 1: a term, product or division that
+  would reach it raises ``DegreeLimitError``, a ``ResourceLimitError``
+  (CLI exit 3).  ``TruncSeries.from_poly`` repacks each term once into
+  the series' base.  The map from ``Monomial``, ``terms``, is built only
+  when read.
 
 One loop, ``_add_products``, multiplies two term maps for both carriers.
 ``TruncSeries.inv`` and ``divide_exact`` are one triangular solve,
@@ -48,8 +54,10 @@ functions, so they can be shared freely between concurrent callers.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Mapping
+
+from .limits import DegreeLimitError
 
 
 def format_rational(value) -> str:
@@ -78,7 +86,9 @@ class Monomial:
     """A product of variables with positive integer exponents, e.g. x1^2*x3.
 
     Stored as a tuple of (variable index, exponent) pairs, sorted by index.
-    Variable indices are 1-based; zero exponents are never stored.
+    Variable indices are 1-based; zero exponents are never stored.  Both
+    are read through ``operator.index``, so a float raises TypeError and a
+    bool is stored as a plain int.
     """
 
     __slots__ = ("pairs",)
@@ -90,6 +100,7 @@ class Monomial:
             items = exponents
         merged: dict[int, int] = {}
         for idx, exp in items:
+            idx, exp = index(idx), index(exp)
             if idx < 1:
                 raise ValueError(f"variable index must be >= 1, got {idx}")
             if exp < 0:
@@ -152,26 +163,44 @@ def _monomial(pairs: tuple[tuple[int, int], ...]) -> Monomial:
 
 _MONO_ONE = Monomial()
 
+# A SparsePoly key gives each variable a field of _WIDTH bits.  Since
+# 2^_WIDTH = 1 modulo _MASK = 2^_WIDTH - 1, a key modulo _MASK is the sum of
+# its fields, the term's total degree, while that sum is below _MASK; terms
+# of total degree above _MAX_DEGREE are refused with DegreeLimitError.  30
+# bits is one CPython int digit, so a key is reduced modulo a one-digit int.
+_WIDTH = 30
+_MASK = (1 << _WIDTH) - 1
+_MAX_DEGREE = _MASK - 1
+
 
 class SparsePoly:
     """Multivariate polynomial with arbitrary-precision integer coefficients.
 
-    Zero coefficients are never stored; the zero polynomial has no terms.
+    Stored as one dict from packed key to coefficient: the exponent of
+    x_i is the ``_WIDTH``-bit field at bit ``_WIDTH * (i - 1)``.  Every term
+    has total degree at most ``_MAX_DEGREE``, so no field ever carries into
+    the next and the key modulo 2^_WIDTH - 1 is the term's total degree.
+    ``terms``, the same map keyed by ``Monomial``, is built when first
+    read.  Zero coefficients are never stored; the zero polynomial has no terms.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_keys", "_terms", "_degree")
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        clean: dict[Monomial, int] = {}
+        keys: dict[int, int] = {}
         if terms:
             for mono, coeff in terms.items():
+                if not isinstance(mono, Monomial):
+                    raise TypeError(f"polynomial key {mono!r} is not a Monomial")
                 if type(coeff) is not int:
                     if not isinstance(coeff, int):
                         raise TypeError(f"coefficient {coeff!r} is not an int")
                     coeff = int(coeff)
                 if coeff:
-                    clean[mono] = coeff
-        self.terms = clean
+                    keys[_key(mono)] = coeff
+        self._keys = keys
+        self._terms = None
+        self._degree = None
 
     @classmethod
     def zero(cls) -> "SparsePoly":
@@ -189,25 +218,37 @@ class SparsePoly:
     def variable(cls, index: int) -> "SparsePoly":
         return cls({Monomial.unit(index): 1})
 
+    @property
+    def terms(self) -> dict[Monomial, int]:
+        """The nonzero coefficients keyed by ``Monomial``.
+
+        Built on first read and kept, so callers must not modify it.
+        """
+        if self._terms is None:
+            self._terms = {_monomial_of(k): c for k, c in self._keys.items()}
+        return self._terms
+
     def items(self):
         return self.terms.items()
 
     def coeff(self, mono: Monomial) -> int:
-        return self.terms.get(mono, 0)
+        if mono.degree() > _MAX_DEGREE:
+            return 0
+        return self._keys.get(_key(mono), 0)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._keys
 
     def degree(self) -> int:
         """Total degree; the zero polynomial reports 0."""
-        return max((m.degree() for m in self.terms), default=0)
+        if self._degree is None:
+            self._degree = max((k % _MASK for k in self._keys), default=0)
+        return self._degree
 
     def truncate(self, max_total: int) -> "SparsePoly":
         """Drop every term of total degree above ``max_total``."""
-        out = SparsePoly()
-        out.terms = {m: c for m, c in self.terms.items() if m.degree() <= max_total}
-        return out
+        return _poly({k: c for k, c in self._keys.items() if k % _MASK <= max_total})
 
     @staticmethod
     def _coerce(value) -> "SparsePoly":
@@ -219,23 +260,20 @@ class SparsePoly:
 
     def __add__(self, other) -> "SparsePoly":
         other = self._coerce(other)
-        merged = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            new = merged.get(mono, 0) + coeff
+        merged = dict(self._keys)
+        get = merged.get
+        for k, c in other._keys.items():
+            new = get(k, 0) + c
             if new:
-                merged[mono] = new
+                merged[k] = new
             else:
-                merged.pop(mono, None)
-        out = SparsePoly()
-        out.terms = merged
-        return out
+                del merged[k]
+        return _poly(merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SparsePoly":
-        out = SparsePoly()
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return _poly({k: -c for k, c in self._keys.items()}, self._degree)
 
     def __sub__(self, other) -> "SparsePoly":
         return self + (-self._coerce(other))
@@ -245,13 +283,15 @@ class SparsePoly:
 
     def __mul__(self, other) -> "SparsePoly":
         other = self._coerce(other)
-        base = 1 + _max_exponent(self) + _max_exponent(other)
-        weights = _sparse_weights(base, self, other)
+        if not self._keys or not other._keys:
+            return _poly({})
+        # Over the integers the leading forms multiply to a nonzero form,
+        # so the product's degree is exactly the sum of the degrees.
+        degree = self.degree() + other.degree()
+        _check_degree(degree)
         acc: dict[int, int] = {}
-        _add_products(acc, _packed(self, weights), _packed(other, weights))
-        out = SparsePoly()
-        out.terms = {_unpack(k, weights, base): c for k, c in acc.items() if c}
-        return out
+        _add_products(acc, self._keys, other._keys)
+        return _poly({k: c for k, c in acc.items() if c}, degree)
 
     __rmul__ = __mul__
 
@@ -270,20 +310,20 @@ class SparsePoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = SparsePoly.const(other)
-        return isinstance(other, SparsePoly) and self.terms == other.terms
+        return isinstance(other, SparsePoly) and self._keys == other._keys
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._keys.items()))
 
     def terms_sorted(self) -> list[tuple[Monomial, int]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._keys:
             return "0"
         parts = []
         for mono, coeff in self.terms_sorted():
-            if mono is _MONO_ONE or not mono.pairs:
+            if not mono.pairs:
                 parts.append(str(coeff))
             elif coeff == 1:
                 parts.append(repr(mono))
@@ -294,46 +334,52 @@ class SparsePoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def _max_exponent(poly: SparsePoly) -> int:
-    return max((exp for mono in poly.terms for _, exp in mono.pairs), default=0)
+def _poly(keys: dict[int, int], degree: int | None = None) -> SparsePoly:
+    """Internal constructor: trusts ``keys`` (packed, no zero coefficients) and ``degree``."""
+    out = object.__new__(SparsePoly)
+    out._keys = keys
+    out._terms = None
+    out._degree = degree
+    return out
 
 
-def _sparse_weights(base: int, *polys: SparsePoly) -> dict[int, int]:
-    """Packing weight ``base**j`` of each variable the polynomials use.
-
-    ``j`` is the variable's rank among those variables, so sparse indices
-    such as x9 cost no more than x2; the dict is in index order.
-    """
-    indices = sorted({idx for poly in polys for mono in poly.terms for idx, _ in mono.pairs})
-    return {idx: base ** j for j, idx in enumerate(indices)}
-
-
-def _pack(mono: Monomial, weights: dict[int, int]) -> int:
-    return sum(exp * weights[idx] for idx, exp in mono.pairs)
+def _key(mono: Monomial) -> int:
+    """The packed key of a monomial; DegreeLimitError above the degree limit."""
+    key = degree = 0
+    for idx, exp in mono.pairs:
+        key += exp << _WIDTH * (idx - 1)
+        degree += exp
+    _check_degree(degree)
+    return key
 
 
-def _unpack(key: int, weights: dict[int, int], base: int) -> Monomial:
+def _monomial_of(key: int) -> Monomial:
+    """The monomial whose packed key is ``key``."""
     pairs = []
-    for idx in weights:
-        if not key:
-            break
-        key, exp = divmod(key, base)
+    idx = 1
+    while key:
+        exp = key & _MASK
         if exp:
             pairs.append((idx, exp))
+        key >>= _WIDTH
+        idx += 1
     return _monomial(tuple(pairs))
 
 
-def _packed(poly: SparsePoly, weights: dict[int, int]) -> dict[int, int]:
-    return {_pack(m, weights): c for m, c in poly.terms.items()}
+def _check_degree(degree: int) -> None:
+    if degree > _MAX_DEGREE:
+        raise DegreeLimitError(
+            f"total degree {degree} exceeds the SparsePoly limit {_MAX_DEGREE}"
+        )
 
 
-def _graded(poly: SparsePoly, weights: dict[int, int], cap: int) -> list[dict[int, object]]:
-    """The terms of degree <= cap as one packed layer per total degree 0..cap."""
-    layers: list[dict[int, object]] = [{} for _ in range(cap + 1)]
-    for mono, coeff in poly.terms.items():
-        degree = mono.degree()
+def _layers(keys: dict[int, int], cap: int) -> list[dict[int, int]]:
+    """The packed terms of total degree <= cap, one layer per degree 0..cap."""
+    layers: list[dict[int, int]] = [{} for _ in range(cap + 1)]
+    for k, c in keys.items():
+        degree = k % _MASK
         if degree <= cap:
-            layers[degree][_pack(mono, weights)] = coeff
+            layers[degree][k] = c
     return layers
 
 
@@ -346,22 +392,18 @@ def divide_exact(dividend: SparsePoly, divisor: SparsePoly) -> SparsePoly:
     layer of q above top is zero; otherwise the first nonzero one is the
     lowest layer of the remainder, and ArithmeticError is raised.
     """
-    c0 = divisor.coeff(_MONO_ONE)
+    c0 = divisor._keys.get(0, 0)
     if c0 not in (1, -1):
         raise ValueError("divisor must have constant term +1 or -1")
-    # q up to degree top and the remainder have every exponent below
-    # ``base``.  Higher keys may carry, which keeps key sums consistent, so
-    # a layer above top is zero when the true one is.
+    # Every key of layer d is a sum of term keys of total degree d, so no
+    # field carries while d stays within the degree limit.
     top = dividend.degree()
     span = divisor.degree()
-    base = 1 + top + _max_exponent(divisor)
-    weights = _sparse_weights(base, dividend, divisor)
-    q = _quotient(_graded(dividend, weights, top), _graded(divisor, weights, span), top + span)
+    _check_degree(top + span)
+    q = _quotient(_layers(dividend._keys, top), _layers(divisor._keys, span), top + span)
     if any(q[top + 1:]):
         raise ArithmeticError("exact division left a nonzero remainder")
-    out = SparsePoly()
-    out.terms = {_unpack(k, weights, base): c for layer in q for k, c in layer.items()}
-    return out
+    return _poly({k: c for layer in q for k, c in layer.items()})
 
 
 def _kept(pairs: Iterable[tuple[int, object]]) -> dict[int, object]:
@@ -492,11 +534,18 @@ class TruncSeries:
     def from_poly(cls, poly: SparsePoly, nvars: int, cap: int) -> "TruncSeries":
         """View a polynomial as a series, dropping terms beyond the cap."""
         out = cls(nvars, cap)
-        for mono in poly.terms:
-            if any(idx > nvars for idx in mono.support()):
-                raise ValueError(f"monomial {mono!r} uses a variable beyond x{nvars}")
-        weights = {idx: out._base ** (nvars - idx) for idx in range(1, nvars + 1)}
-        out._layers = [_kept(layer.items()) for layer in _graded(poly, weights, cap)]
+        end = _WIDTH * nvars
+        for k in poly._keys:
+            if k >> end:
+                raise ValueError(f"monomial {_monomial_of(k)!r} uses a variable beyond x{nvars}")
+        base = out._base
+        for k, c in poly._keys.items():
+            degree = k % _MASK
+            if degree <= cap:
+                packed = 0
+                for shift in range(0, end, _WIDTH):
+                    packed = packed * base + (k >> shift & _MASK)
+                out._layers[degree][packed] = c
         return out
 
     @property

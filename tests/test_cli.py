@@ -127,6 +127,19 @@ def test_count_refuses_on_memory_error(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_polynomial_degree_limit_is_a_refusal(capsys, monkeypatch):
+    from gzcount.polyseries import _MAX_DEGREE, Monomial, SparsePoly
+
+    def too_high(s_max):
+        return SparsePoly({Monomial({1: _MAX_DEGREE}): 1}) * SparsePoly.variable(1)
+
+    monkeypatch.setattr("gzcount.genfun.verify_h", too_high)
+    assert run_cli(capsys, "verify", "h", "--cap", "1") == (
+        EXIT_LIMIT, "",
+        f"gzcount: refused: total degree {_MAX_DEGREE + 1} exceeds the SparsePoly limit {_MAX_DEGREE}\n",
+    )
+
+
 def test_count_usage_errors(capsys):
     code, _, err = run_cli(capsys, "count", "2 1")
     assert code == EXIT_USAGE
@@ -554,6 +567,11 @@ def test_g4_explore_json(capsys):
     rows = {tuple(r["mults"]): r["count"] for r in data["rows"]}
     assert rows[(1, 1, 0, 0)] == "2"
     assert rows[(0, 2, 0, 0)] == "1"
+
+
+def test_g4_explore_negative_cap_is_usage_error(capsys):
+    assert run_cli(capsys, "g4-explore", "--cap", "-1") == (
+        EXIT_USAGE, "", "gzcount: error: cap must be >= 0, got -1\n")
 
 
 # ----------------------------------------------------------------- wiring

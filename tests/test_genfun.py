@@ -44,7 +44,8 @@ def test_bounded_exponents_lists_every_vector_in_graded_lex_order():
             want = sorted((e for e in product(range(cap + 1), repeat=k) if sum(e) <= cap),
                           key=lambda e: (sum(e), e))
             assert list(_bounded_exponents(k, cap)) == want, (k, cap)
-    assert list(_bounded_exponents(3, -1)) == []
+    with pytest.raises(ValueError, match=r"^cap must be >= 0, got -1$"):
+        _bounded_exponents(3, -1)
     # Many variables: nothing recurses.
     vectors = list(_bounded_exponents(1200, 1))
     assert len(vectors) == 1201 and vectors[1] == (0,) * 1199 + (1,)
@@ -269,6 +270,14 @@ def test_g4_explore_base_cases():
     rows = dict(g4_explore(4))
     assert rows[(1, 1, 1, 1)] == 40
     assert rows[(1, 1, 1, 1)] == a_infinity((1, 1, 1, 1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: g4_explore(-1), lambda: build_G(2, -1), lambda: build_E(2, -1),
+], ids=["g4_explore", "build_G", "build_E"])
+def test_count_series_refuse_a_negative_cap(call):
+    with pytest.raises(ValueError, match=r"^cap must be >= 0, got -1$"):
+        call()
 
 
 def test_g4_explore_rows_sorted_graded_lex():

@@ -7,7 +7,10 @@ from itertools import product
 
 import pytest
 
+from gzcount.limits import DegreeLimitError, ResourceLimitError
 from gzcount.polyseries import (
+    _MAX_DEGREE,
+    _WIDTH,
     Monomial,
     SparsePoly,
     TruncSeries,
@@ -44,13 +47,32 @@ def random_series(rng, nvars=3, cap=5, terms=8, fractions=False):
 
 
 def ref_poly_mul(a, b):
-    """Monomial-keyed product: the loop SparsePoly.__mul__ used before packed keys."""
+    """Monomial-keyed product (of polynomials or maps): the loop SparsePoly.__mul__ used before packed keys."""
     acc = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
             key = ma * mb
             acc[key] = acc.get(key, 0) + ca * cb
     return {m: c for m, c in acc.items() if c}
+
+
+def ref_poly_add(a, b, sign=1):
+    """Monomial-keyed a + sign * b, zeros dropped."""
+    acc = dict(a.items())
+    for m, c in b.items():
+        acc[m] = acc.get(m, 0) + sign * c
+    return {m: c for m, c in acc.items() if c}
+
+
+def ref_poly_pow(a, n):
+    out = {Monomial(): 1}
+    for _ in range(n):
+        out = ref_poly_mul(out, a)
+    return out
+
+
+def ref_poly_sorted(terms):
+    return sorted(terms.items(), key=lambda kv: (kv[0].degree(), kv[0].pairs))
 
 
 def _by_degree(series):
@@ -168,14 +190,21 @@ def random_capped_series(rng, nvars, cap, fractions):
     return TruncSeries(nvars, cap, coeffs)
 
 
-def random_sparse_poly(rng):
-    """Variables x1, x2, x5, x9, x17 to the power 1, 2 or 40; coefficients +-1 so terms often cancel."""
+def random_sparse_terms(rng):
+    """Variables x1, x2, x5, x9, x17 to the power 1, 2 or 40; coefficients +-1 so terms often cancel.
+
+    Returned as a Monomial-keyed map without zeros, the reference for ``SparsePoly`` of it.
+    """
     out = {}
     for _ in range(rng.randint(0, 6)):
         picked = rng.sample((1, 2, 5, 9, 17), rng.randint(0, 3))
         mono = Monomial({i: rng.choice((1, 2, 40)) for i in picked})
         out[mono] = out.get(mono, 0) + rng.choice((-1, 1))
-    return SparsePoly(out)
+    return {m: c for m, c in out.items() if c}
+
+
+def random_sparse_poly(rng):
+    return SparsePoly(random_sparse_terms(rng))
 
 
 # ---------------------------------------------------------------- monomials
@@ -195,6 +224,26 @@ def test_monomial_validation():
         Monomial({0: 1})
     with pytest.raises(ValueError):
         Monomial({1: -1})
+
+
+@pytest.mark.parametrize("exponents", [{1: 2.0}, {2.0: 1}, ((1, 1.5),), {1: "2"}])
+def test_monomial_rejects_non_integer_indices_and_exponents(exponents):
+    with pytest.raises(TypeError):
+        Monomial(exponents)
+
+
+def test_monomial_reads_bools_as_plain_ints():
+    for m in (Monomial({True: 1}), Monomial({1: True}), Monomial({True: True})):
+        assert m == Monomial({1: 1})
+        assert repr(m) == "x1"
+        assert all(type(v) is int for pair in m.pairs for v in pair)
+    assert repr(Monomial({3: 2}) * Monomial({3: 2})) == "x3^4"
+
+
+def test_poly_keys_must_be_monomials():
+    for key in ((1, 2), 1, "x1", None):
+        with pytest.raises(TypeError, match="is not a Monomial"):
+            SparsePoly({key: 3})
 
 
 def test_monomial_multiplication_merges():
@@ -327,6 +376,122 @@ def test_divide_exact_sparse_large_exponents():
         assert divide_exact(q * divisor, divisor) == q
         with pytest.raises(ArithmeticError):
             divide_exact(q * divisor + X3, divisor)
+
+
+def _check_poly_against(p, terms):
+    """Every read of ``p`` agrees with the Monomial-keyed map ``terms``."""
+    assert p.terms == terms
+    assert dict(p.items()) == terms
+    assert p.terms_sorted() == ref_poly_sorted(terms)
+    assert p.degree() == max((m.degree() for m in terms), default=0)
+    assert p.is_zero == (not terms)
+    for m, c in terms.items():
+        assert p.coeff(m) == c
+    assert p.coeff(Monomial({3: 1, 7: 2})) == terms.get(Monomial({3: 1, 7: 2}), 0)
+    same = SparsePoly(terms)
+    assert p == same and hash(p) == hash(same)
+
+
+def test_every_poly_operation_matches_monomial_keyed_reference():
+    rng = random.Random(2718)
+    for _ in range(150):
+        ta, tb = random_sparse_terms(rng), random_sparse_terms(rng)
+        a, b = SparsePoly(ta), SparsePoly(tb)
+        _check_poly_against(a, ta)
+        _check_poly_against(a + b, ref_poly_add(ta, tb))
+        _check_poly_against(a - b, ref_poly_add(ta, tb, -1))
+        _check_poly_against(-a, {m: -c for m, c in ta.items()})
+        _check_poly_against(a * b, ref_poly_mul(ta, tb))
+        _check_poly_against(3 - a, ref_poly_add({Monomial(): 3}, ta, -1))
+        small = {Monomial({1: rng.randint(0, 2), 3: rng.randint(0, 2)}): rng.choice((-2, 1, 3))
+                 for _ in range(rng.randint(0, 3))}
+        n = rng.randint(0, 3)
+        _check_poly_against(SparsePoly(small) ** n, ref_poly_pow(small, n))
+        t = rng.randint(0, 90)
+        _check_poly_against((a * b).truncate(t),
+                            {m: c for m, c in ref_poly_mul(ta, tb).items() if m.degree() <= t})
+        assert (a == b) == (ta == tb)
+
+
+def test_poly_sparse_indices_and_cancellation():
+    x9 = SparsePoly.variable(9)
+    p = (X1 + x9 ** 3) * (X1 - x9 ** 3)
+    _check_poly_against(p, {Monomial({1: 2}): 1, Monomial({9: 6}): -1})
+    assert repr(p) == "x1^2 - x9^6"
+    zero = (x9 + X1) - x9 - X1
+    _check_poly_against(zero, {})
+    assert zero == 0 and zero == SparsePoly.zero() and hash(zero) == hash(SparsePoly.zero())
+    assert repr(zero) == "0" and zero.degree() == 0
+    assert (x9 * zero).is_zero and (zero * x9).is_zero
+    assert (x9 - x9 + 5) == 5 and (x9 - x9 + 5).degree() == 0
+    assert (p - p).truncate(3).is_zero
+
+
+def test_divide_exact_matches_monomial_keyed_reference():
+    rng = random.Random(1618)
+    for _ in range(40):
+        rest = random_sparse_terms(rng)
+        rest.pop(Monomial(), None)
+        rest = rest or {Monomial({5: 1}): 1}
+        rest[Monomial()] = rng.choice((1, -1))
+        divisor = SparsePoly(rest)
+        tq = random_sparse_terms(rng)
+        dividend = SparsePoly(ref_poly_mul(tq, rest))
+        got = divide_exact(dividend, divisor)
+        _check_poly_against(got, tq)
+        assert all(type(c) is int for _, c in got.items())
+        # A divisor that is not a unit times a monomial divides no nonzero
+        # single term, so adding one leaves a remainder.
+        extra = SparsePoly({Monomial({rng.choice((1, 2, 9)): rng.randint(0, 3)}): rng.choice((-2, 1))})
+        with pytest.raises(ArithmeticError, match="nonzero remainder"):
+            divide_exact(dividend + extra, divisor)
+
+
+def test_from_poly_matches_reference_and_refuses_extra_variables():
+    rng = random.Random(31)
+    for _ in range(60):
+        nvars = rng.randint(1, 3)
+        cap = rng.randint(0, 6)
+        exps = {tuple(rng.randint(0, 3) for _ in range(nvars)): rng.randint(-5, 5) for _ in range(6)}
+        p = SparsePoly({Monomial(enumerate(e, 1)): c for e, c in exps.items()})
+        want = {e: c for e, c in exps.items() if sum(e) <= cap}
+        assert_same_series(TruncSeries.from_poly(p, nvars, cap), TruncSeries(nvars, cap, want))
+    with pytest.raises(ValueError, match=r"^monomial x1\*x3\^2 uses a variable beyond x2$"):
+        TruncSeries.from_poly(ONE + X1 * X3 * X3, 2, 1)
+    with pytest.raises(ValueError, match=r"^monomial x9 uses a variable beyond x3$"):
+        TruncSeries.from_poly(X1 + SparsePoly.variable(9), 3, 4)
+
+
+def test_poly_degree_limit():
+    limit = 2 ** _WIDTH - 2
+    assert _MAX_DEGREE == limit
+    assert issubclass(DegreeLimitError, ResourceLimitError)
+    top = SparsePoly({Monomial({1: limit}): 1})
+    assert top.degree() == limit
+    assert top.terms == {Monomial({1: limit}): 1}
+    assert repr(top) == f"x1^{limit}"
+    # The fields of x1 and x2 are next to each other: a carry out of x1's
+    # would turn x1^(2^W - 2) * x1^2 into x2.
+    for factor in (X1 * X1, X1, X2, ONE + X1):
+        with pytest.raises(DegreeLimitError, match=f"exceeds the SparsePoly limit {limit}"):
+            top * factor
+        with pytest.raises(DegreeLimitError):
+            factor * top
+    assert (top * 7).terms == {Monomial({1: limit}): 7}
+    mixed = SparsePoly({Monomial({1: limit - 5}): 1}) * SparsePoly({Monomial({2: 3, 9: 2}): 2})
+    assert mixed.terms == {Monomial({1: limit - 5, 2: 3, 9: 2}): 2}
+    with pytest.raises(DegreeLimitError):
+        SparsePoly({Monomial({1: limit + 1}): 1})
+    with pytest.raises(DegreeLimitError):
+        SparsePoly({Monomial({1: limit, 2: 1}): 1})
+    with pytest.raises(DegreeLimitError):
+        X1 ** (limit + 1)
+    assert X1 ** limit == top
+    with pytest.raises(DegreeLimitError):
+        divide_exact(SparsePoly({Monomial({1: limit - 1}): 1}), ONE + X1 * X2)
+    # A monomial above the limit is in no polynomial, whatever its key would alias.
+    assert X2.coeff(Monomial({1: 2 ** _WIDTH})) == 0
+    assert X2.coeff(Monomial({2: 1})) == 1
 
 
 # ---------------------------------------------------------------- series ring

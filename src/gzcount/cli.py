@@ -428,7 +428,7 @@ def main(argv=None) -> int:
         sys.stdout.write(held.getvalue())
         return code
     except (ResourceLimitError, RecursionError, MemoryError) as exc:
-        print(f"gzcount: refused: {exc or type(exc).__name__}", file=sys.stderr)
+        print(f"gzcount: refused: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_LIMIT
     except BrokenPipeError:
         # The reader of stdout has gone; run() ends the process quietly.

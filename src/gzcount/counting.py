@@ -305,20 +305,14 @@ def apply_A(p: SparsePoly) -> SparsePoly:
     monomials of one support are divided by it together and their sum is
     multiplied by the neighbour sums once.
     """
-    from .polyseries import SparsePoly
+    from .polyseries import SparsePoly, _support_classes
 
-    # Dividing by the support is one-to-one on the monomials of that support.
-    quotients: dict[tuple[int, ...], dict] = {}
-    for mono, coeff in p.items():
-        quotients.setdefault(mono.support(), {})[mono.divide_by_support()] = coeff
-    acc: dict = {}
-    for support, quotient in quotients.items():
-        image = SparsePoly(quotient)
+    acc = SparsePoly()
+    for support, image in _support_classes(p).items():
         for a, b in zip(support, support[1:]):
             image = image * (SparsePoly.variable(a) + SparsePoly.variable(b))
-        for m, c in image.items():
-            acc[m] = acc.get(m, 0) + c
-    return SparsePoly(acc)
+        acc = acc + image
+    return acc
 
 
 def _memo_walk(

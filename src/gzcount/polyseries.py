@@ -366,6 +366,38 @@ def _monomial_of(key: int) -> Monomial:
     return _monomial(tuple(pairs))
 
 
+def _support_classes(p: SparsePoly) -> dict[tuple[int, ...], SparsePoly]:
+    """The terms of ``p`` grouped by support, each class divided by its support.
+
+    Maps the support (variable indices, increasing) of each class to the
+    sum of its terms divided by the product of those variables.  Read on
+    packed keys: a field is nonzero exactly when its variable is in the
+    support, and the division subtracts one from each such field, so it
+    is one-to-one on a class.
+    """
+    classes: dict[int, dict[int, int]] = {}
+    for key, coeff in p._keys.items():
+        ones = shift = 0
+        rest = key
+        while rest:
+            if rest & _MASK:
+                ones |= 1 << shift
+            rest >>= _WIDTH
+            shift += _WIDTH
+        classes.setdefault(ones, {})[key - ones] = coeff
+    out = {}
+    for ones, keys in classes.items():
+        support = []
+        idx = 1
+        while ones:
+            if ones & 1:
+                support.append(idx)
+            ones >>= _WIDTH
+            idx += 1
+        out[tuple(support)] = _poly(keys)
+    return out
+
+
 def _check_degree(degree: int) -> None:
     if degree > _MAX_DEGREE:
         raise DegreeLimitError(

@@ -1,5 +1,6 @@
 """Tests for series builders, closed forms, and identity verifiers."""
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial
@@ -109,6 +110,50 @@ def test_dde_small_ks():
     assert verify_dde_G(3, 6).ok
 
 
+def fraction_pde_report(series, k, cap):
+    """The report of the PDE check run on the rational series itself."""
+    residual = pde_residual(series, k)
+    return ResidualReport("pde-E", k, cap, residual.max_abs_coeff(), len(residual))
+
+
+def assert_same_report(got, want):
+    assert got == want
+    assert type(got.max_abs) is type(want.max_abs)
+    assert got.summary() == want.summary()
+    assert got.to_json_obj() == want.to_json_obj()
+    assert got.to_csv_row() == want.to_csv_row()
+
+
+def test_verify_pde_E_matches_fraction_reference():
+    rng = random.Random(4242)
+    for k in range(1, 6):
+        for cap in sorted({k, *rng.sample(range(k, 11), 3)}):
+            got = verify_pde_E(k, cap)
+            assert got.ok
+            assert_same_report(got, fraction_pde_report(build_E(k, cap), k, cap))
+
+
+def test_verify_pde_E_matches_fraction_reference_on_perturbed_series(monkeypatch):
+    # One coefficient moved by a non-integral rational: d1...dk carries a
+    # term with every exponent positive down to a lower degree than the
+    # neighbour-sum part reaches, so the residual is nonzero, and the
+    # integer-scaled check must report it byte for byte.
+    rng = random.Random(977)
+    real_build_E = genfun.build_E
+    for _ in range(15):
+        k = rng.randint(1, 5)
+        cap = rng.randint(k, 9)
+        coeffs = dict(real_build_E(k, cap).coeffs)
+        exps = rng.choice(sorted(e for e in coeffs if min(e) > 0))
+        coeffs[exps] += Fraction(rng.choice((-1, 1)), rng.choice((2, 3, 7, 11, 13, 97)))
+        perturbed = TruncSeries(k, cap, coeffs)
+        monkeypatch.setattr(genfun, "build_E", lambda k_, cap_, cache=None: perturbed)
+        got = verify_pde_E(k, cap)
+        want = fraction_pde_report(perturbed, k, cap)
+        assert not want.ok
+        assert_same_report(got, want)
+
+
 def test_pde_residual_validation():
     with pytest.raises(ValueError):
         pde_residual(build_E(2, 6), 3)
@@ -175,6 +220,26 @@ def test_closed_form_G3_y_zero_slice():
 def test_closed_form_G3_matches_counts():
     assert closed_form_G3(6) == build_G(3, 6)
     assert verify_g3(7).ok
+
+
+def closed_form_G3_reference(cap):
+    """G_3 as lam * (lam - y)^-1 * (1 - x - z)^-1, two inverses and two products."""
+    lam, _ = g3_roots(cap)
+    x = SparsePoly.variable(1)
+    y = poly_series(SparsePoly.variable(2), 3, cap)
+    z = SparsePoly.variable(3)
+    return lam * (lam - y).inv() * poly_series(ONE - x - z, 3, cap).inv()
+
+
+def test_closed_form_G3_matches_two_inverse_reference():
+    for cap in range(17):
+        assert closed_form_G3(cap) == closed_form_G3_reference(cap), cap
+
+
+def test_closed_form_G3_matches_counts_through_cap_20():
+    cache = CountCache()
+    for cap in range(21):
+        assert closed_form_G3(cap) == build_G(3, cap, cache), cap
 
 
 def test_closed_form_G3_satisfies_literal_fraction():

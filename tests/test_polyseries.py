@@ -14,6 +14,7 @@ from gzcount.polyseries import (
     Monomial,
     SparsePoly,
     TruncSeries,
+    _support_classes,
     divide_exact,
     format_rational,
 )
@@ -445,6 +446,23 @@ def test_divide_exact_matches_monomial_keyed_reference():
         extra = SparsePoly({Monomial({rng.choice((1, 2, 9)): rng.randint(0, 3)}): rng.choice((-2, 1))})
         with pytest.raises(ArithmeticError, match="nonzero remainder"):
             divide_exact(dividend + extra, divisor)
+
+
+def test_support_classes_match_monomial_grouping():
+    # Grouping on packed keys agrees with grouping the Monomial terms by
+    # support() and dividing each by divide_by_support().
+    rng = random.Random(2718)
+    for _ in range(60):
+        terms = random_sparse_terms(rng)
+        terms[Monomial({1: _MAX_DEGREE - 1, 17: 1})] = 3
+        want: dict = {}
+        for mono, coeff in terms.items():
+            want.setdefault(mono.support(), {})[mono.divide_by_support()] = coeff
+        got = _support_classes(SparsePoly(terms))
+        assert got == {support: SparsePoly(quotient) for support, quotient in want.items()}
+        assert all(list(support) == sorted(set(support)) for support in got)
+    assert _support_classes(SparsePoly()) == {}
+    assert _support_classes(SparsePoly.const(4)) == {(): SparsePoly.const(4)}
 
 
 def test_from_poly_matches_reference_and_refuses_extra_variables():

@@ -139,7 +139,7 @@ def verify_pde_E(k: int, cap: int, cache: CountCache | None = None) -> ResidualR
     e! with |e| <= cap divides cap!); the largest residual is divided by
     cap! again, so the report is the one the rational series would give.
     """
-    series = build_E(k, cap, cache)
+    series = build_E(k, cap, cache)  # first, so a bad k or cap gets build_E's message
     scale = factorial(cap)
     residual = pde_residual(series.scale(scale), k)
     return ResidualReport(

@@ -385,17 +385,8 @@ def _support_classes(p: SparsePoly) -> dict[tuple[int, ...], SparsePoly]:
             rest >>= _WIDTH
             shift += _WIDTH
         classes.setdefault(ones, {})[key - ones] = coeff
-    out = {}
-    for ones, keys in classes.items():
-        support = []
-        idx = 1
-        while ones:
-            if ones & 1:
-                support.append(idx)
-            ones >>= _WIDTH
-            idx += 1
-        out[tuple(support)] = _poly(keys)
-    return out
+    # ``ones`` is itself the key of the product of the support's variables.
+    return {_monomial_of(ones).support(): _poly(keys) for ones, keys in classes.items()}
 
 
 def _check_degree(degree: int) -> None:

@@ -131,22 +131,29 @@ def dde_residual(series: TruncSeries, k: int) -> TruncSeries:
     return _neighbour_operator_residual(series, k, TruncSeries.divdiff)
 
 
+def _scaled_E(k: int, cap: int, cache: CountCache | None = None) -> TruncSeries:
+    """cap! * E_k in ints: the coefficient of z^e is count(e) * (cap! // e!),
+    as every e! with |e| <= cap divides cap!."""
+    exponents = _bounded_exponents(k, cap)  # first, so a bad k or cap gets its message
+    scale = factorial(cap)
+    coeffs = {e: a_infinity(e, cache) * (scale // prod(map(factorial, e))) for e in exponents}
+    return TruncSeries(k, cap, coeffs)
+
+
 def verify_pde_E(k: int, cap: int, cache: CountCache | None = None) -> ResidualReport:
     """Build E_k from counts and check its differential equation exactly.
 
     The operator is linear with constant coefficients, so it is applied
-    to cap! * E_k, whose coefficients count(e) * cap! / e! are ints (every
-    e! with |e| <= cap divides cap!); the largest residual is divided by
-    cap! again, so the report is the one the rational series would give.
+    to cap! * E_k, whose coefficients are ints; the largest residual is
+    divided by cap! again, so the report is the one the rational series
+    of ``build_E`` would give.
     """
-    series = build_E(k, cap, cache)  # first, so a bad k or cap gets build_E's message
-    scale = factorial(cap)
-    residual = pde_residual(series.scale(scale), k)
+    residual = pde_residual(_scaled_E(k, cap, cache), k)
     return ResidualReport(
         identity="pde-E",
         k=k,
         cap=cap,
-        max_abs=_norm_coeff(Fraction(residual.max_abs_coeff(), scale)),
+        max_abs=_norm_coeff(Fraction(residual.max_abs_coeff(), factorial(cap))),
         nonzero_terms=len(residual),
     )
 
@@ -171,10 +178,8 @@ def g3_roots(cap: int) -> tuple[TruncSeries, TruncSeries]:
     inner = TruncSeries.from_poly(one - 2 * x - 2 * z + x * x - 2 * x * z + z * z, 3, cap)
     root = inner.sqrt()
     base = TruncSeries.from_poly(one - x - z, 3, cap)
-    half = Fraction(1, 2)
-    lam = (base + root).scale(half)
-    mu = (base - root).scale(half)
-    return lam, mu
+    lam = (base + root).scale(Fraction(1, 2))
+    return lam, base - lam
 
 
 def closed_form_G3(cap: int) -> TruncSeries:

@@ -9,7 +9,8 @@ it satisfies all inequalities and its tight normals have full rank.  So
 each reported point is a vertex of the H-representation, not merely a
 pattern of a known shape.  Nothing here touches the operator/recursion
 machinery, so agreement between this module and the counters is a real
-cross-check.
+cross-check.  The certificate runs down the tree of pattern rows, so rows
+that candidates share are checked once.
 
 Every facet row is ``+-e_i`` or ``e_i - e_j``, so the tight rows at a
 candidate are the edges of a graph on the coordinates plus a ground
@@ -18,17 +19,18 @@ H-rep with a row of any other form breaks ``HRep``'s invariant and is
 refused with ``OracleError``.
 
 The enumeration is limited to small ambient dimension (the default
-guardrail is 15, i.e. partitions of length up to 6, about 0.2 s for
-(1, ..., 6)); the point of this module is correctness at desk scale, not
-generality.
+guardrail is 15, i.e. partitions of length up to 6: about 0.03 s for the
+4,884 vertices of (1, ..., 6), and about 0.7 s for the 99,665 of
+(1, ..., 7) at dimension 21, timed on a 2-vCPU x86-64 VM); the point of
+this module is correctness at desk scale, not generality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, product
-from operator import eq, gt, index, sub
-from typing import Iterable, Iterator
+from itertools import product, repeat
+from operator import index
+from typing import Iterator
 
 from .limits import DEFAULT_LIMIT_DIM, ResourceLimitError
 from .polyseries import format_rational
@@ -157,15 +159,10 @@ class VertexSet:
         return [[format_rational(c) for c in point] for point in self.sorted_points()]
 
 
-def _copy_patterns(row: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def _child_rows(row: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Rows below ``row`` in which every entry equals one of its two upper
-    neighbours, flattened top to bottom; each distinct pattern once."""
-    if len(row) == 1:
-        yield ()
-        return
-    for child in set(product(*({a, b} for a, b in zip(row, row[1:])))):
-        for rest in _copy_patterns(child):
-            yield child + rest
+    neighbours.  Each position chooses from a set, so no row comes twice."""
+    return product(*({a, b} for a, b in zip(row, row[1:])))
 
 
 def _incidence_edges(hrep: HRep) -> list[tuple[int, int, int]]:
@@ -185,26 +182,6 @@ def _incidence_edges(hrep: HRep) -> list[tuple[int, int, int]]:
             raise OracleError(f"H-rep row {normal} <= {bound} is not +-e_i or e_i - e_j")
         edges.append((ends.get(1, ground), ends.get(-1, ground), bound))
     return edges
-
-
-def _graph_rank(nodes: int, edges: Iterable[tuple[int, int]]) -> int:
-    """Rank of the incidence rows ``e_a - e_b`` of ``edges`` on ``nodes``
-    nodes: the number of edges that join two components of a union-find.
-
-    Deleting the ground column keeps the rank, since in every row it is
-    minus the sum of the other columns.
-    """
-    parent = list(range(nodes))
-    rank = 0
-    for a, b in edges:
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a != b:
-            parent[a] = b
-            rank += 1
-    return rank
 
 
 def enumerate_vertices(hrep: HRep, limit_dim: int | None = None) -> VertexSet:
@@ -231,14 +208,21 @@ def enumerate_vertices(hrep: HRep, limit_dim: int | None = None) -> VertexSet:
     exactly when every entry equals one of its two upper neighbours;
     such a point is feasible, as it lies between those neighbours.
 
-    Those points are enumerated row by row, keeping distinct rows only,
-    as integer tuples.  Each is then certified against ``hrep`` itself:
-    it must satisfy every row of ``hrep.rows``, and its tight rows must
-    have rank ``hrep.dim``.  Each row is read once per call as an edge
-    ``(a, b, bound)`` with ``normal . u = u[a] - u[b]``; a candidate's
-    tight edges are joined in a union-find over the ``dim + 1`` nodes,
-    and their rank is the number of joins that merge two components.
-    A row of ``hrep`` that is not of that form, or a failed certificate,
+    Those points are enumerated as integer tuples, flattened top to
+    bottom, down the tree of their rows: a node fixes one more row, each
+    of whose entries chooses one of its two upper neighbours.  Each
+    position chooses from a set, so no pattern comes twice.  The points
+    are certified against ``hrep`` itself as the rows are fixed.  Each
+    row of ``hrep`` is read once per call as an edge ``(a, b, bound)``
+    with ``normal . u = u[a] - u[b]`` and filed under the triangle row of
+    its deepest coordinate, the first row at which both ends are known.
+    When a node fixes a row, it checks the edges filed there and joins
+    the tight ones into a copy of its parent's union-find over the
+    ``dim + 1`` nodes, adding the joins that merge two components to its
+    parent's count.  So a shared prefix is certified once, and every
+    complete pattern has had every row checked and counts the rank of
+    all its tight rows, which must be ``hrep.dim``.  A row of ``hrep``
+    that is not of that form, a violated row or a rank below ``dim``
     raises ``OracleError``.
     """
     limit = DEFAULT_LIMIT_DIM if limit_dim is None else limit_dim
@@ -247,20 +231,45 @@ def enumerate_vertices(hrep: HRep, limit_dim: int | None = None) -> VertexSet:
             f"ambient dimension {hrep.dim} exceeds the enumeration limit {limit}"
         )
     dim = hrep.dim
-    edges = _incidence_edges(hrep)
-    pairs = [(a, b) for a, b, _ in edges]
-    tails = [a for a, _, _ in edges]
-    heads = [b for _, b, _ in edges]
-    bounds = [bound for _, _, bound in edges]
+    n = hrep.shape.n
+    # Rows are keyed by width: row i of the triangle has n - i entries,
+    # the first at starts[n - i], and the ground stands for lambda.
+    width = [w for w in range(n - 1, 0, -1) for _ in range(w)] + [n]
+    starts = [dim - w * (w + 1) // 2 for w in range(n)]
+    levels = [[] for _ in range(n)]
+    for a, b, bound in _incidence_edges(hrep):
+        levels[min(width[a], width[b])].append((a, b, bound))
     points = []
-    for candidate in _copy_patterns(hrep.shape.values):
-        u = (*candidate, 0)
-        values = list(map(sub, map(u.__getitem__, tails), map(u.__getitem__, heads)))
-        if any(map(gt, values, bounds)):
-            raise OracleError(f"candidate {candidate} violates an inequality")
-        if _graph_rank(dim + 1, compress(pairs, map(eq, values, bounds))) != dim:
-            raise OracleError(f"candidate {candidate} is not a vertex: tight rank too low")
-        points.append(candidate)
+    # u holds the rows fixed so far, then the ground coordinate 0; each
+    # stack entry is a row still to certify, with its parent's union-find
+    # and join count.
+    u = [0] * (dim + 1)
+    stack = [(row, list(range(dim + 1)), 0) for row in _child_rows(hrep.shape.values)]
+    while stack:
+        row, parent, joins = stack.pop()
+        w = len(row)
+        u[starts[w]:starts[w] + w] = row
+        parent = parent[:]
+        for a, b, bound in levels[w]:
+            value = u[a] - u[b]
+            if value < bound:
+                continue
+            if value > bound:
+                prefix = tuple(u[:starts[w] + w])
+                raise OracleError(f"candidate prefix {prefix} violates an inequality")
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[a] = b
+                joins += 1
+        if w > 1:
+            stack.extend(zip(_child_rows(row), repeat(parent), repeat(joins)))
+        elif joins != dim:
+            raise OracleError(f"candidate {tuple(u[:dim])} is not a vertex: tight rank too low")
+        else:
+            points.append(tuple(u[:dim]))
     return VertexSet(frozenset(points))
 
 

@@ -137,7 +137,8 @@ def test_verify_pde_E_matches_fraction_reference_on_perturbed_series(monkeypatch
     # One coefficient moved by a non-integral rational: d1...dk carries a
     # term with every exponent positive down to a lower degree than the
     # neighbour-sum part reaches, so the residual is nonzero, and the
-    # integer-scaled check must report it byte for byte.
+    # integer-scaled check must report it byte for byte.  The perturbed
+    # series reaches the check through the scaled builder, times cap!.
     rng = random.Random(977)
     real_build_E = genfun.build_E
     for _ in range(15):
@@ -147,11 +148,20 @@ def test_verify_pde_E_matches_fraction_reference_on_perturbed_series(monkeypatch
         exps = rng.choice(sorted(e for e in coeffs if min(e) > 0))
         coeffs[exps] += Fraction(rng.choice((-1, 1)), rng.choice((2, 3, 7, 11, 13, 97)))
         perturbed = TruncSeries(k, cap, coeffs)
-        monkeypatch.setattr(genfun, "build_E", lambda k_, cap_, cache=None: perturbed)
+        monkeypatch.setattr(genfun, "_scaled_E",
+                            lambda k_, cap_, cache=None: perturbed.scale(factorial(cap_)))
         got = verify_pde_E(k, cap)
         want = fraction_pde_report(perturbed, k, cap)
         assert not want.ok
         assert_same_report(got, want)
+
+
+def test_scaled_E_is_build_E_times_cap_factorial_in_ints():
+    for k in range(1, 5):
+        for cap in range(k, 9):
+            scaled = genfun._scaled_E(k, cap)
+            assert scaled == build_E(k, cap).scale(factorial(cap)), (k, cap)
+            assert all(type(c) is int for c in scaled.coeffs.values())
 
 
 def test_pde_residual_validation():

@@ -183,25 +183,81 @@ def vertex_sets_n_le_6():
 # ------------------------------------------------------------ certificate
 
 
+def copy_patterns(row):
+    """Reference generator: every pattern below ``row`` in which each entry
+    equals one of its two upper neighbours, flattened top to bottom, with
+    the rows deduplicated by a set."""
+    if len(row) == 1:
+        yield ()
+        return
+    for child in set(product(*({a, b} for a, b in zip(row, row[1:])))):
+        for rest in copy_patterns(child):
+            yield child + rest
+
+
+def graph_rank(nodes, edges):
+    """Reference union-find: the number of ``edges`` that join two
+    components of a graph on ``nodes`` nodes."""
+    parent = list(range(nodes))
+    joins = 0
+    for a, b in edges:
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            joins += 1
+    return joins
+
+
+def pattern_rows(values, pattern):
+    """The rows of ``pattern`` below ``values``, top to bottom."""
+    rows, start = [], 0
+    for width in range(len(values) - 1, 0, -1):
+        rows.append(pattern[start:start + width])
+        start += width
+    return rows
+
+
 def test_union_find_rank_equals_elimination_rank():
     # Every prefix of the tight rows of every candidate with n <= 5: the
     # short prefixes are rank-deficient, the full tight set has rank dim.
+    # The oracle's certificate counts union-find joins the same way.
     candidates = 0
     for total in range(1, 6):
         for mults in compositions(total):
             h = build_hrep(shape_for(mults))
             edges = oracle._incidence_edges(h)
             assert len(edges) == len(h.rows)
-            for candidate in oracle._copy_patterns(h.shape.values):
+            for candidate in copy_patterns(h.shape.values):
                 candidates += 1
                 tight = [(normal, (a, b)) for (normal, bound), (a, b, _) in zip(h.rows, edges)
                          if dot(normal, candidate) == bound]
                 for stop in range(len(tight) + 1):
                     normals = [normal for normal, _ in tight[:stop]]
                     pairs = [pair for _, pair in tight[:stop]]
-                    assert oracle._graph_rank(h.dim + 1, pairs) == rank(normals)
-                assert oracle._graph_rank(h.dim + 1, pairs) == h.dim
+                    assert graph_rank(h.dim + 1, pairs) == rank(normals)
+                assert graph_rank(h.dim + 1, pairs) == h.dim
     assert candidates == 1227
+
+
+def test_child_rows_never_repeat_for_n_le_6():
+    # Each position of a child row chooses from a set, so two choice
+    # sequences never give the same row: checked on lambda and on every
+    # row of every pattern with n <= 6.
+    rows_checked = 0
+    for total in range(1, 7):
+        for mults in compositions(total):
+            values = shape_for(mults).values
+            rows = {values}
+            for pattern in copy_patterns(values):
+                rows.update(pattern_rows(values, pattern))
+            for row in rows:
+                children = list(oracle._child_rows(row))
+                assert len(children) == len(set(children)), row
+                rows_checked += 1
+    assert rows_checked > 1000
 
 
 def test_incidence_edges_read_rows_as_differences():
@@ -220,7 +276,7 @@ def test_graph_path_matches_rank_path_for_n_le_6(vertex_sets_n_le_6):
     for mults, vs in vertex_sets_n_le_6.items():
         h = build_hrep(shape_for(mults))
         expected = set()
-        for candidate in oracle._copy_patterns(h.shape.values):
+        for candidate in copy_patterns(h.shape.values):
             values = [dot(normal, candidate) for normal, _ in h.rows]
             assert all(v <= bound for v, (_, bound) in zip(values, h.rows))
             tight = [normal for v, (normal, bound) in zip(values, h.rows) if v == bound]
@@ -254,12 +310,44 @@ def test_certificate_rejects_bad_candidates(monkeypatch):
     # between them.  (0, 2, 1) is feasible with three tight rows, two of
     # them the parallel bounds pinning u(1,1), so its tight rank is 2: a
     # non-vertex, as u(2,1) = 1 lies strictly between its upper
-    # neighbours.  (0, 3, 0) breaks u(1,2) <= 2.
+    # neighbours.  (0, 3, 0) breaks u(1,2) <= 2.  Each is fed to the walk
+    # as the only child row at every level.
     h = build_hrep(GZShape((0, 0, 2)))
     for point, message in [((0, 3, 0), "violates"), ((0, 2, 1), "not a vertex")]:
-        monkeypatch.setattr(oracle, "_copy_patterns", lambda values, point=point: iter([point]))
+        rows = {len(row) + 1: row for row in pattern_rows(h.shape.values, point)}
+        monkeypatch.setattr(oracle, "_child_rows", lambda row, rows=rows: iter([rows[len(row)]]))
         with pytest.raises(OracleError, match=message):
             enumerate_vertices(h)
+
+
+def replace_rows(h, rows):
+    return HRep(dim=h.dim, rows=tuple(rows), shape=h.shape, var_pairs=h.var_pairs)
+
+
+def test_every_row_is_checked():
+    # Each row of the H-rep is tight at some vertex, so lowering its bound
+    # by one leaves that vertex violating it: whichever triangle row the
+    # row is filed under, the walk must check it.
+    h = build_hrep(GZShape((0, 1, 3, 6)))
+    vertices = enumerate_vertices(h).points
+    for r, (normal, bound) in enumerate(h.rows):
+        assert any(dot(normal, p) == bound for p in vertices)
+        lowered = [*h.rows[:r], (normal, bound - 1), *h.rows[r + 1:]]
+        with pytest.raises(OracleError, match="violates an inequality"):
+            enumerate_vertices(replace_rows(h, lowered))
+
+
+def test_deleting_a_tight_row_leaves_a_non_vertex():
+    # With distinct lambda, the pattern copying every upper-left neighbour
+    # has a tree of tight rows (one per coordinate), and so has the one
+    # copying every upper-right neighbour; every row lies in one of the
+    # two trees, so deleting it drops some vertex's tight rank below dim.
+    h = build_hrep(GZShape((0, 1, 3, 6)))
+    vertices = enumerate_vertices(h).points
+    for r, (normal, bound) in enumerate(h.rows):
+        assert any(dot(normal, p) == bound for p in vertices)
+        with pytest.raises(OracleError, match="not a vertex: tight rank too low"):
+            enumerate_vertices(replace_rows(h, h.rows[:r] + h.rows[r + 1:]))
 
 
 def test_oracle_against_independent_counters():

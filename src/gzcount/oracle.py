@@ -12,15 +12,17 @@ machinery, so agreement between this module and the counters is a real
 cross-check.  The certificate runs down the tree of pattern rows, so rows
 that candidates share are checked once.
 
-Every facet row is ``+-e_i`` or ``e_i - e_j``, so the tight rows at a
-candidate are the edges of a graph on the coordinates plus a ground
-node, and their rank is found by a union-find over that graph; an
-H-rep with a row of any other form breaks ``HRep``'s invariant and is
-refused with ``OracleError``.
+Every facet is ``u[a] - u[b] <= bound`` for two coordinates, or for one
+coordinate and a ground node fixed at 0, so ``HRep`` stores it as the
+edge ``(a, b, bound)`` of a graph on the coordinates plus that ground
+node; the tight facets at a candidate are edges of that graph, and their
+rank is found by a union-find over it.  A facet of any other form cannot
+be written down, and a malformed edge is refused with ``OracleError``
+when the ``HRep`` is built.
 
 The enumeration is limited to small ambient dimension (the default
-guardrail is 15, i.e. partitions of length up to 6: about 0.03 s for the
-4,884 vertices of (1, ..., 6), and about 0.7 s for the 99,665 of
+guardrail is 15, i.e. partitions of length up to 6: about 0.016 s for
+the 4,884 vertices of (1, ..., 6), and about 0.35 s for the 99,665 of
 (1, ..., 7) at dimension 21, timed on a 2-vCPU x86-64 VM); the point of
 this module is correctness at desk scale, not generality.
 """
@@ -91,45 +93,64 @@ def _var_pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class HRep:
-    """Inequality system  normal . u <= bound  cutting out GZ(shape).
+    """Inequality system cutting out GZ(shape), one facet per edge.
 
-    Each coordinate u(i,j) is squeezed between its two upper neighbours
-    in the triangle, so there are exactly n(n-1) rows and every normal
-    has at most two nonzero entries, each +-1.
+    Each edge ``(a, b, bound)`` is the inequality  u[a] - u[b] <= bound,
+    where ``u`` is the point followed by a ground coordinate ``u[dim]``
+    fixed at 0: an edge to ground is a bound by an entry of lambda, any
+    other edge compares two neighbouring entries.  Each coordinate
+    u(i,j) is squeezed between its two upper neighbours in the triangle,
+    so there are exactly n(n-1) edges.  A system whose dimension or
+    coordinate labels are not those of ``shape``, or with an edge whose
+    ends are not two distinct indices in 0..dim or whose bound is not an
+    ``int``, is refused with ``OracleError`` when it is built.
     """
 
     dim: int
-    rows: tuple[tuple[tuple[int, ...], int], ...]
+    edges: tuple[tuple[int, int, int], ...]
     shape: GZShape
     var_pairs: tuple[tuple[int, int], ...]
 
+    def __post_init__(self):
+        if self.dim != self.shape.ambient_dim:
+            raise OracleError(
+                f"H-rep dimension {self.dim} is not the ambient dimension "
+                f"{self.shape.ambient_dim} of {self.shape.values}"
+            )
+        if self.var_pairs != _var_pairs(self.shape.n):
+            raise OracleError(
+                f"H-rep coordinate labels {self.var_pairs} are not those of {self.shape.values}"
+            )
+        dim = self.dim
+        for edge in self.edges:
+            a, b, bound = edge
+            if not (type(a) is type(b) is int and 0 <= a <= dim and 0 <= b <= dim):
+                raise OracleError(
+                    f"H-rep edge {edge} has an end that is not an index in 0..{dim}"
+                )
+            if a == b:
+                raise OracleError(f"H-rep edge {edge} joins an index to itself")
+            if type(bound) is not int:
+                raise OracleError(f"H-rep edge {edge} has a bound that is not an int")
+
 
 def build_hrep(shape: GZShape) -> HRep:
-    """Facet system of GZ(shape): for every triangle a, b over c emit a <= c <= b."""
+    """Facet system of GZ(shape): for every triangle a, b over c emit the
+    edges of a <= c and c <= b."""
     lam = shape.values
     n = shape.n
     pairs = _var_pairs(n)
-    index = {pair: pos for pos, pair in enumerate(pairs)}
-    dim = len(pairs)
-    rows: list[tuple[tuple[int, ...], int]] = []
-
-    def unit(pos: int, sign: int) -> list[int]:
-        normal = [0] * dim
-        normal[pos] = sign
-        return normal
-
+    dim = len(pairs)  # also the index of the ground, which stands for lambda
+    edges: list[tuple[int, int, int]] = []
     for pos, (i, j) in enumerate(pairs):
         if i == 1:
-            rows.append((tuple(unit(pos, -1)), -lam[j - 1]))
-            rows.append((tuple(unit(pos, 1)), lam[j]))
+            edges += ((dim, pos, -lam[j - 1]), (pos, dim, lam[j]))
         else:
-            lower = unit(pos, -1)
-            lower[index[(i - 1, j)]] = 1
-            rows.append((tuple(lower), 0))
-            upper = unit(pos, 1)
-            upper[index[(i - 1, j + 1)]] = -1
-            rows.append((tuple(upper), 0))
-    return HRep(dim=dim, rows=tuple(rows), shape=shape, var_pairs=pairs)
+            # Row i - 1 has n - i + 1 entries, so u(i-1,j) sits that far
+            # before u(i,j) and u(i-1,j+1) right after it.
+            left = pos - (n - i + 1)
+            edges += ((left, pos, 0), (pos, left + 1, 0))
+    return HRep(dim=dim, edges=tuple(edges), shape=shape, var_pairs=pairs)
 
 
 @dataclass(frozen=True)
@@ -161,41 +182,23 @@ class VertexSet:
 
 def _child_rows(row: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Rows below ``row`` in which every entry equals one of its two upper
-    neighbours.  Each position chooses from a set, so no row comes twice."""
-    return product(*({a, b} for a, b in zip(row, row[1:])))
-
-
-def _incidence_edges(hrep: HRep) -> list[tuple[int, int, int]]:
-    """Each row of ``hrep`` as an edge ``(a, b, bound)`` with
-    ``normal . u = u[a] - u[b]``, where index ``hrep.dim`` is a ground
-    coordinate fixed at 0; ``OracleError`` if some row is not of that form.
-
-    A row with one nonzero, +-1, is an edge to ground; a row with two
-    nonzeros, +1 and -1, is an edge between two coordinates.
-    """
-    ground = hrep.dim
-    edges = []
-    for normal, bound in hrep.rows:
-        support = [(c, i) for i, c in enumerate(normal) if c]
-        ends = dict(support)
-        if not support or len(ends) < len(support) or not ends.keys() <= {1, -1}:
-            raise OracleError(f"H-rep row {normal} <= {bound} is not +-e_i or e_i - e_j")
-        edges.append((ends.get(1, ground), ends.get(-1, ground), bound))
-    return edges
+    neighbours.  Each position chooses among distinct values, ``(a, b)``
+    or ``(a,)`` when a == b, so no row comes twice."""
+    return product(*[(a, b) if a != b else (a,) for a, b in zip(row, row[1:])])
 
 
 def enumerate_vertices(hrep: HRep, limit_dim: int | None = None) -> VertexSet:
     """Exact vertex set of GZ(shape), certified against ``hrep``.
 
-    Every row of the H-rep is ``+-e_i`` (a bound by an entry of the top
-    row lambda) or ``e_i - e_j`` (two neighbouring entries).  Read the
-    rows tight at a feasible point as edges of a graph on the
-    coordinates plus one ground node standing for lambda; the normals are
-    then the rows of that graph's incidence matrix with the ground column
-    deleted, whose rank is ``dim + 1`` minus the number of components of
-    the graph.  So the rank is ``dim``, and the point a vertex, exactly
-    when every coordinate is linked to lambda by a chain of tight
-    equalities.
+    Every facet of the H-rep is an edge ``(a, b, bound)`` meaning
+    ``u[a] - u[b] <= bound``: to the ground node, which stands for the
+    top row lambda, it bounds a coordinate by an entry of lambda;
+    otherwise it compares two neighbouring entries.  The normals of the
+    edges tight at a feasible point are the rows of the incidence matrix
+    of the graph they form, with the ground column deleted, whose rank
+    is ``dim + 1`` minus the number of components of the graph.  So the
+    rank is ``dim``, and the point a vertex, exactly when every
+    coordinate is linked to lambda by a chain of tight equalities.
 
     Rows of a pattern are weakly increasing, since
     u(i,j) <= u(i-1,j+1) <= u(i,j+1).  An entry x strictly between its
@@ -203,7 +206,7 @@ def enumerate_vertices(hrep: HRep, limit_dim: int | None = None) -> VertexSet:
     row.  A tight link joins equal values, and x has none upward, so a
     chain leaving x returns to its row only through x and can never
     climb above it: x is not linked to lambda.  Conversely, an entry
-    equal to an upper neighbour is linked to it by a tight row, and by
+    equal to an upper neighbour is linked to it by a tight edge, and by
     induction down the triangle to lambda.  Hence a point is a vertex
     exactly when every entry equals one of its two upper neighbours;
     such a point is feasible, as it lies between those neighbours.
@@ -211,19 +214,18 @@ def enumerate_vertices(hrep: HRep, limit_dim: int | None = None) -> VertexSet:
     Those points are enumerated as integer tuples, flattened top to
     bottom, down the tree of their rows: a node fixes one more row, each
     of whose entries chooses one of its two upper neighbours.  Each
-    position chooses from a set, so no pattern comes twice.  The points
-    are certified against ``hrep`` itself as the rows are fixed.  Each
-    row of ``hrep`` is read once per call as an edge ``(a, b, bound)``
-    with ``normal . u = u[a] - u[b]`` and filed under the triangle row of
-    its deepest coordinate, the first row at which both ends are known.
-    When a node fixes a row, it checks the edges filed there and joins
-    the tight ones into a copy of its parent's union-find over the
-    ``dim + 1`` nodes, adding the joins that merge two components to its
-    parent's count.  So a shared prefix is certified once, and every
-    complete pattern has had every row checked and counts the rank of
-    all its tight rows, which must be ``hrep.dim``.  A row of ``hrep``
-    that is not of that form, a violated row or a rank below ``dim``
-    raises ``OracleError``.
+    position chooses among distinct values, so no pattern comes twice.
+    The points are certified against ``hrep`` itself as the rows are
+    fixed.  Each edge of ``hrep`` is filed once per call under the
+    triangle row of its deepest coordinate, the first row at which both
+    ends are known.  When a node fixes a row, it checks the edges filed
+    there and joins the tight ones into a copy of its parent's
+    union-find over the ``dim + 1`` nodes, adding the joins that merge
+    two components to its parent's count.  So a shared prefix is
+    certified once, and every complete pattern has had every edge
+    checked and counts the rank of all its tight edges, which must be
+    ``hrep.dim``.  A violated edge or a rank below ``dim`` raises
+    ``OracleError``.
     """
     limit = DEFAULT_LIMIT_DIM if limit_dim is None else limit_dim
     if hrep.dim > limit:
@@ -237,8 +239,8 @@ def enumerate_vertices(hrep: HRep, limit_dim: int | None = None) -> VertexSet:
     width = [w for w in range(n - 1, 0, -1) for _ in range(w)] + [n]
     starts = [dim - w * (w + 1) // 2 for w in range(n)]
     levels = [[] for _ in range(n)]
-    for a, b, bound in _incidence_edges(hrep):
-        levels[min(width[a], width[b])].append((a, b, bound))
+    for edge in hrep.edges:
+        levels[min(width[edge[0]], width[edge[1]])].append(edge)
     points = []
     # u holds the rows fixed so far, then the ground coordinate 0; each
     # stack entry is a row still to certify, with its parent's union-find

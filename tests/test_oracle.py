@@ -71,28 +71,128 @@ def test_shape_transforms():
 # ------------------------------------------------------------------ H-rep
 
 
+def reference_rows(shape):
+    """Reference facet system of GZ(shape) as dense ``(normal, bound)``
+    pairs, ``normal . u <= bound``: for every triangle a, b over c emit
+    a <= c <= b."""
+    lam = shape.values
+    pairs = oracle._var_pairs(shape.n)
+    index = {pair: pos for pos, pair in enumerate(pairs)}
+    dim = len(pairs)
+    rows = []
+
+    def unit(pos, sign):
+        normal = [0] * dim
+        normal[pos] = sign
+        return normal
+
+    for pos, (i, j) in enumerate(pairs):
+        if i == 1:
+            rows.append((tuple(unit(pos, -1)), -lam[j - 1]))
+            rows.append((tuple(unit(pos, 1)), lam[j]))
+        else:
+            lower = unit(pos, -1)
+            lower[index[(i - 1, j)]] = 1
+            rows.append((tuple(lower), 0))
+            upper = unit(pos, 1)
+            upper[index[(i - 1, j + 1)]] = -1
+            rows.append((tuple(upper), 0))
+    return rows
+
+
+def dense_rows(h):
+    """The edges of ``h`` as dense ``(normal, bound)`` pairs: +1 at ``a``,
+    -1 at ``b``, the ground column ``h.dim`` dropped."""
+    rows = []
+    for a, b, bound in h.edges:
+        normal = [0] * (h.dim + 1)
+        normal[a] += 1
+        normal[b] -= 1
+        rows.append((tuple(normal[:h.dim]), bound))
+    return rows
+
+
+def edge_of(normal, dim):
+    """Reference reading of a dense row ``+-e_i`` or ``e_i - e_j`` as the
+    graph edge ``(a, b)`` with ``normal . u = u[a] - u[b]``, where index
+    ``dim`` is a ground coordinate fixed at 0."""
+    ends = {c: i for i, c in enumerate(normal) if c}
+    assert len(ends) == sum(1 for c in normal if c) and ends.keys() <= {1, -1}, normal
+    return ends.get(1, dim), ends.get(-1, dim)
+
+
 def test_hrep_segment():
     h = build_hrep(GZShape((0, 1)))
     assert h.dim == 1
-    assert set(h.rows) == {((-1,), 0), ((1,), 1)}
+    assert set(h.edges) == {(1, 0, 0), (0, 1, 1)}
+    assert set(dense_rows(h)) == {((-1,), 0), ((1,), 1)}
 
 
 def test_hrep_row_count_and_normal_shape():
     h = build_hrep(GZShape((1, 2, 3)))
     assert h.dim == 3
-    assert len(h.rows) == 6
-    assert len(set(h.rows)) == 6
-    for normal, _ in h.rows:
-        nonzero = [c for c in normal if c]
-        assert 1 <= len(nonzero) <= 2
-        assert all(c in (1, -1) for c in nonzero)
+    assert len(h.edges) == 6
+    assert len(set(h.edges)) == 6
+    for a, b, bound in h.edges:
+        assert a != b
+        assert 0 <= a <= h.dim and 0 <= b <= h.dim
+        assert type(bound) is int
 
 
 def test_hrep_pinned_variable_rows():
     h = build_hrep(GZShape((1, 1, 2)))
-    # u(1,1) sits between two equal values, so its bounds coincide.
-    assert ((-1, 0, 0), -1) in h.rows
-    assert ((1, 0, 0), 1) in h.rows
+    # u(1,1) sits between two equal values, so its bounds coincide:
+    # -u(1,1) <= -1 and u(1,1) <= 1.
+    assert (3, 0, -1) in h.edges
+    assert (0, 3, 1) in h.edges
+
+
+def test_hrep_edges_match_reference_rows():
+    shapes = [shape_for(mults) for total in range(1, 7) for mults in compositions(total)]
+    assert len(shapes) == 63
+    shapes.append(GZShape((1, 2, 3, 4, 5, 6, 7)))
+    for shape in shapes:
+        h = build_hrep(shape)
+        rows = dense_rows(h)
+        assert len(rows) == shape.n * (shape.n - 1)
+        assert set(rows) == set(reference_rows(shape)), shape
+        assert len(set(rows)) == len(rows)
+
+
+# Each case changes one field of the H-rep of (0, 1, 1, 3), whose dimension
+# and ground index are 6, or appends one edge to it.
+NOT_AN_INDEX = r"has an end that is not an index in 0\.\.6"
+SELF_LOOP = r"joins an index to itself"
+NOT_AN_INT = r"has a bound that is not an int"
+MALFORMED_HREPS = {
+    "dim-below-ambient": ({"dim": 5}, r"dimension 5 is not the ambient dimension 6"),
+    "dim-above-ambient": ({"dim": 7}, r"dimension 7 is not the ambient dimension 6"),
+    "var-pairs-reordered": ({"var_pairs": oracle._var_pairs(4)[::-1]}, r"coordinate labels"),
+    "var-pairs-of-other-n": ({"var_pairs": oracle._var_pairs(3)}, r"coordinate labels"),
+    "end-above-ground": ({"extra": (7, 0, 5)}, r"edge \(7, 0, 5\) " + NOT_AN_INDEX),
+    "end-negative": ({"extra": (0, -1, 5)}, r"edge \(0, -1, 5\) " + NOT_AN_INDEX),
+    "end-not-int": ({"extra": (1.0, 0, 5)}, r"edge \(1\.0, 0, 5\) " + NOT_AN_INDEX),
+    "self-loop": ({"extra": (2, 2, 5)}, r"edge \(2, 2, 5\) " + SELF_LOOP),
+    "ground-to-ground": ({"extra": (6, 6, 5)}, r"edge \(6, 6, 5\) " + SELF_LOOP),
+    "bound-float": ({"extra": (0, 6, 5.0)}, r"edge \(0, 6, 5\.0\) " + NOT_AN_INT),
+    "bound-bool": ({"extra": (0, 6, True)}, r"edge \(0, 6, True\) " + NOT_AN_INT),
+    "bound-fraction": ({"extra": (0, 6, Fraction(5))}, NOT_AN_INT),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_HREPS)
+def test_malformed_hrep_is_refused_when_built(case):
+    # A bad item is refused when the H-rep is built, naming the item,
+    # instead of being read by the walk as some other inequality.
+    h = build_hrep(GZShape((0, 1, 1, 3)))
+    fields = {"dim": h.dim, "edges": h.edges, "shape": h.shape, "var_pairs": h.var_pairs}
+    change, message = MALFORMED_HREPS[case]
+    change = dict(change)
+    if "extra" in change:
+        fields["edges"] = (*h.edges, change.pop("extra"))
+    fields.update(change)
+    with pytest.raises(OracleError, match=message):
+        HRep(**fields)
 
 
 # ------------------------------------------------------------- enumeration
@@ -116,41 +216,43 @@ def test_point_polytope():
 
 def test_vertices_satisfy_all_rows_exactly():
     for values in [(0, 1, 2), (0, 0, 1, 2), (1, 2, 3, 4)]:
-        h = build_hrep(GZShape(values))
-        for point in enumerate_vertices(h).points:
-            for normal, bound in h.rows:
+        shape = GZShape(values)
+        for point in enumerate_vertices(build_hrep(shape)).points:
+            for normal, bound in reference_rows(shape):
                 assert sum(c * x for c, x in zip(normal, point)) <= bound
 
 
 def test_vertices_have_full_rank_tight_sets():
-    h = build_hrep(GZShape((1, 2, 3)))
-    vs = enumerate_vertices(h)
+    shape = GZShape((1, 2, 3))
+    vs = enumerate_vertices(build_hrep(shape))
     assert len(vs) == 7
     for point in vs.points:
-        tight = [normal for normal, bound in h.rows
+        tight = [normal for normal, bound in reference_rows(shape)
                  if sum(c * x for c, x in zip(normal, point)) == bound]
-        assert rank(tight) == h.dim
+        assert rank(tight) == shape.ambient_dim
 
 
 def test_vertices_are_all_full_rank_integer_points():
-    # Every H-rep row is +-e_i or e_i - e_j, so the constraint matrix is a
+    # Every facet row is +-e_i or e_i - e_j, so the constraint matrix is a
     # network matrix, hence totally unimodular: with integer lambda every
     # vertex is integral.  Brute force over the integer points of the
     # interlacing box is then a complete search that does not rely on the
     # copy-an-upper-neighbour criterion the oracle enumerates.
     for values in [(0, 2, 3), (0, 0, 1, 3), (1, 2, 4, 5), (-1, 1, 1, 4)]:
-        h = build_hrep(GZShape(values))
-        box = [range(values[j - 1], values[i + j - 1] + 1) for i, j in h.var_pairs]
+        shape = GZShape(values)
+        rows = reference_rows(shape)
+        box = [range(values[j - 1], values[i + j - 1] + 1)
+               for i, j in oracle._var_pairs(shape.n)]
         expected = set()
         for point in product(*box):
             slack = [bound - sum(c * x for c, x in zip(normal, point))
-                     for normal, bound in h.rows]
+                     for normal, bound in rows]
             if min(slack) < 0:
                 continue
-            tight = [normal for (normal, _), s in zip(h.rows, slack) if s == 0]
-            if rank(tight) == h.dim:
+            tight = [normal for (normal, _), s in zip(rows, slack) if s == 0]
+            if rank(tight) == shape.ambient_dim:
                 expected.add(point)
-        assert enumerate_vertices(h).points == expected
+        assert enumerate_vertices(build_hrep(shape)).points == expected
 
 
 def compositions(total):
@@ -227,25 +329,32 @@ def test_union_find_rank_equals_elimination_rank():
     candidates = 0
     for total in range(1, 6):
         for mults in compositions(total):
-            h = build_hrep(shape_for(mults))
-            edges = oracle._incidence_edges(h)
-            assert len(edges) == len(h.rows)
-            for candidate in copy_patterns(h.shape.values):
+            shape = shape_for(mults)
+            dim = shape.ambient_dim
+            rows = reference_rows(shape)
+            for candidate in copy_patterns(shape.values):
                 candidates += 1
-                tight = [(normal, (a, b)) for (normal, bound), (a, b, _) in zip(h.rows, edges)
+                tight = [(normal, edge_of(normal, dim)) for normal, bound in rows
                          if dot(normal, candidate) == bound]
                 for stop in range(len(tight) + 1):
                     normals = [normal for normal, _ in tight[:stop]]
                     pairs = [pair for _, pair in tight[:stop]]
-                    assert graph_rank(h.dim + 1, pairs) == rank(normals)
-                assert graph_rank(h.dim + 1, pairs) == h.dim
+                    assert graph_rank(dim + 1, pairs) == rank(normals)
+                assert graph_rank(dim + 1, pairs) == dim
     assert candidates == 1227
 
 
 def test_child_rows_never_repeat_for_n_le_6():
-    # Each position of a child row chooses from a set, so two choice
-    # sequences never give the same row: checked on lambda and on every
-    # row of every pattern with n <= 6.
+    # Each position of a child row chooses among distinct values, (a, b)
+    # or (a,) when a == b, so two choice sequences never give the same
+    # row, and the rows are those of the set-based reference: checked on
+    # lambda and on every row of every pattern with n <= 6, and on rows
+    # with runs of repeated values.
+    def check(row):
+        children = list(oracle._child_rows(row))
+        assert len(children) == len(set(children)), row
+        assert set(children) == set(product(*({a, b} for a, b in zip(row, row[1:])))), row
+
     rows_checked = 0
     for total in range(1, 7):
         for mults in compositions(total):
@@ -254,19 +363,23 @@ def test_child_rows_never_repeat_for_n_le_6():
             for pattern in copy_patterns(values):
                 rows.update(pattern_rows(values, pattern))
             for row in rows:
-                children = list(oracle._child_rows(row))
-                assert len(children) == len(set(children)), row
+                check(row)
                 rows_checked += 1
     assert rows_checked > 1000
+    for row in [(0, 0, 1, 1), (2, 2, 2), (0, 0, 0, 1, 1, 1), (-3, -3, 5, 5, 5, 9), (7, 7)]:
+        check(row)
+        free = sum(a != b for a, b in zip(row, row[1:]))
+        assert len(list(oracle._child_rows(row))) == 2 ** free, row
 
 
-def test_incidence_edges_read_rows_as_differences():
-    h = build_hrep(GZShape((0, 1, 3)))
-    edges = oracle._incidence_edges(h)
+def test_edges_read_reference_rows_as_differences():
+    shape = GZShape((0, 1, 3))
+    h = build_hrep(shape)
+    rows = reference_rows(shape)
     for point in product(range(-2, 3), repeat=h.dim):
         u = point + (0,)
-        for (normal, bound), (a, b, edge_bound) in zip(h.rows, edges):
-            assert (dot(normal, point), bound) == (u[a] - u[b], edge_bound)
+        assert (sorted((dot(normal, point), bound) for normal, bound in rows)
+                == sorted((u[a] - u[b], bound) for a, b, bound in h.edges))
 
 
 def test_graph_path_matches_rank_path_for_n_le_6(vertex_sets_n_le_6):
@@ -274,35 +387,17 @@ def test_graph_path_matches_rank_path_for_n_le_6(vertex_sets_n_le_6):
     # the union-find certificate must accept the same points.
     assert len(vertex_sets_n_le_6) == 63
     for mults, vs in vertex_sets_n_le_6.items():
-        h = build_hrep(shape_for(mults))
+        shape = shape_for(mults)
+        rows = reference_rows(shape)
         expected = set()
-        for candidate in copy_patterns(h.shape.values):
-            values = [dot(normal, candidate) for normal, _ in h.rows]
-            assert all(v <= bound for v, (_, bound) in zip(values, h.rows))
-            tight = [normal for v, (normal, bound) in zip(values, h.rows) if v == bound]
-            assert rank(tight) == h.dim
+        for candidate in copy_patterns(shape.values):
+            values = [dot(normal, candidate) for normal, _ in rows]
+            assert all(v <= bound for v, (_, bound) in zip(values, rows))
+            tight = [normal for v, (normal, bound) in zip(values, rows) if v == bound]
+            assert rank(tight) == shape.ambient_dim
             expected.add(candidate)
         assert vs.points == expected
         assert all(type(c) is int for point in vs.points for c in point)
-
-
-def test_rows_outside_incidence_form_are_refused():
-    # The same polytope with its first row scaled by 2, or with one more
-    # redundant row e_1 + e_2 <= 100, e_1 - e_2 + e_3 <= 100 or 0 <= 5:
-    # each breaks HRep's invariant and is refused, not certified by
-    # another route.
-    h = build_hrep(GZShape((0, 1, 1, 3)))
-    (normal, bound), *rest = h.rows
-    scaled = (tuple(2 * c for c in normal), 2 * bound)
-    for rows in [
-        (scaled, *rest),
-        (*h.rows, ((1, 1, 0, 0, 0, 0), 100)),
-        (*h.rows, ((1, -1, 1, 0, 0, 0), 100)),
-        (*h.rows, ((0,) * h.dim, 5)),
-    ]:
-        off = HRep(dim=h.dim, rows=rows, shape=h.shape, var_pairs=h.var_pairs)
-        with pytest.raises(OracleError, match=r"is not \+-e_i or e_i - e_j"):
-            enumerate_vertices(off)
 
 
 def test_certificate_rejects_bad_candidates(monkeypatch):
@@ -320,34 +415,40 @@ def test_certificate_rejects_bad_candidates(monkeypatch):
             enumerate_vertices(h)
 
 
-def replace_rows(h, rows):
-    return HRep(dim=h.dim, rows=tuple(rows), shape=h.shape, var_pairs=h.var_pairs)
+def replace_edges(h, edges):
+    return HRep(dim=h.dim, edges=tuple(edges), shape=h.shape, var_pairs=h.var_pairs)
+
+
+def is_tight(edge, point):
+    a, b, bound = edge
+    u = point + (0,)
+    return u[a] - u[b] == bound
 
 
 def test_every_row_is_checked():
-    # Each row of the H-rep is tight at some vertex, so lowering its bound
+    # Each edge of the H-rep is tight at some vertex, so lowering its bound
     # by one leaves that vertex violating it: whichever triangle row the
-    # row is filed under, the walk must check it.
+    # edge is filed under, the walk must check it.
     h = build_hrep(GZShape((0, 1, 3, 6)))
     vertices = enumerate_vertices(h).points
-    for r, (normal, bound) in enumerate(h.rows):
-        assert any(dot(normal, p) == bound for p in vertices)
-        lowered = [*h.rows[:r], (normal, bound - 1), *h.rows[r + 1:]]
+    for r, (a, b, bound) in enumerate(h.edges):
+        assert any(is_tight((a, b, bound), p) for p in vertices)
+        lowered = [*h.edges[:r], (a, b, bound - 1), *h.edges[r + 1:]]
         with pytest.raises(OracleError, match="violates an inequality"):
-            enumerate_vertices(replace_rows(h, lowered))
+            enumerate_vertices(replace_edges(h, lowered))
 
 
 def test_deleting_a_tight_row_leaves_a_non_vertex():
     # With distinct lambda, the pattern copying every upper-left neighbour
-    # has a tree of tight rows (one per coordinate), and so has the one
-    # copying every upper-right neighbour; every row lies in one of the
+    # has a tree of tight edges (one per coordinate), and so has the one
+    # copying every upper-right neighbour; every edge lies in one of the
     # two trees, so deleting it drops some vertex's tight rank below dim.
     h = build_hrep(GZShape((0, 1, 3, 6)))
     vertices = enumerate_vertices(h).points
-    for r, (normal, bound) in enumerate(h.rows):
-        assert any(dot(normal, p) == bound for p in vertices)
+    for r, edge in enumerate(h.edges):
+        assert any(is_tight(edge, p) for p in vertices)
         with pytest.raises(OracleError, match="not a vertex: tight rank too low"):
-            enumerate_vertices(replace_rows(h, h.rows[:r] + h.rows[r + 1:]))
+            enumerate_vertices(replace_edges(h, h.edges[:r] + h.edges[r + 1:]))
 
 
 def test_oracle_against_independent_counters():

@@ -56,7 +56,7 @@ import os
 import re
 from itertools import chain
 from math import comb
-from operator import index, mul
+from operator import add, index, mul
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -635,7 +635,7 @@ def h_polynomial(s: int, method: str = "recurrence") -> SparsePoly:
     """
     if s < 1:
         raise ValueError("h_polynomial requires s >= 1")
-    from .polyseries import Monomial, SparsePoly, divide_exact
+    from .polyseries import SparsePoly, _reflected, divide_exact
 
     one, x, z = _one_x_z()
     if method == "recurrence":
@@ -648,12 +648,7 @@ def h_polynomial(s: int, method: str = "recurrence") -> SparsePoly:
         return _H_CACHE[s]
     if method == "definition":
         g = g_polynomial(s)
-        reflected: dict[Monomial, int] = {}
-        for mono, coeff in g.items():
-            k = mono.exponent(1)
-            m = mono.exponent(2)
-            reflected[Monomial({1: s - m, 2: s - k})] = coeff
-        return g - SparsePoly(reflected)
+        return g - _reflected(g, s)
     if method == "closed-form":
         return divide_exact(_h_numerator(s), one + x * z)
     raise ValueError(f"unknown h_polynomial method {method!r}; expected one of {H_METHODS}")
@@ -697,39 +692,41 @@ def tri_table(s: int, variant: str = "plain") -> TriTable:
         raise ValueError("tri_table requires s >= 1")
     if variant not in TABLE_VARIANTS:
         raise ValueError(f"unknown table variant {variant!r}; expected one of {TABLE_VARIANTS}")
+    # rows[k] holds the cells (k, 0), (k, 1), ... of the current table.
+    # Each step pads the rows with zeros to the new width and forms
+    # T(k, m) + T(k-1, m) once per cell, so a new cell is that column sum
+    # plus the one at m - 1, the four neighbours of the growth rule.
     if variant == "plain":
-        cells = {(0, 0): 1, (1, 0): 1, (0, 1): 1}
+        rows = [[1, 1], [1]]
         for t in range(1, s):
-            grown: dict[tuple[int, int], int] = {}
-            for k in range(t + 2):
-                for m in range(t + 2 - k):
-                    grown[(k, m)] = (
-                        cells.get((k, m), 0)
-                        + cells.get((k - 1, m), 0)
-                        + cells.get((k, m - 1), 0)
-                        + cells.get((k - 1, m - 1), 0)
-                    )
-            for k in range(t + 2):
-                m = t + 1 - k
-                grown[(k, m)] = cells.get((k - 1, m), 0) + cells.get((k, m - 1), 0)
-            cells = grown
+            width = t + 2
+            above = [0] * width  # row k - 1; none above row 0
+            grown = []
+            for k in range(width):
+                here = rows[k] + [0] * (k + 1) if k <= t else [0] * width
+                col = list(map(add, here, above))
+                row = [col[0]] + list(map(add, col[1:width - k], col))
+                # The new diagonal cell (k, t+1-k) has no (k-1, t-k) term.
+                if k <= t:
+                    row[-1] -= above[t - k]
+                grown.append(row)
+                above = here
+            rows = grown
     else:
-        cells = {(0, 0): 1, (1, 0): 0, (0, 1): 0, (1, 1): -1}
+        rows = [[1, 0], [0, -1]]
         for t in range(1, s):
-            size = t + 1
-            grown = {}
-            for k in range(size + 1):
-                for m in range(size + 1):
-                    grown[(k, m)] = (
-                        cells.get((k, m), 0)
-                        + cells.get((k - 1, m), 0)
-                        + cells.get((k, m - 1), 0)
-                        + cells.get((k - 1, m - 1), 0)
-                    )
+            width = t + 2
+            above = [0] * width
+            grown = []
+            for k in range(width):
+                here = rows[k] + [0] if k <= t else [0] * width
+                col = list(map(add, here, above))
+                grown.append([col[0]] + list(map(add, col[1:], col)))
+                above = here
             for k in range(t + 1):
-                m = t - k
-                b = comb(t, m)
-                grown[(k, m)] += b
-                grown[(k + 1, m + 1)] -= b
-            cells = grown
+                b = comb(t, t - k)
+                grown[k][t - k] += b
+                grown[k + 1][t - k + 1] -= b
+            rows = grown
+    cells = {(k, m): v for k, row in enumerate(rows) for m, v in enumerate(row)}
     return TriTable(s=s, variant=variant, entries=cells)

@@ -10,7 +10,12 @@ each identity as an exact residual:
   (d^k/dz1..dzk - (d1+d2)...(d(k-1)+dk)) E_k = 0;
 * G_k solves the same shape of equation in divided differences;
 * the closed forms match the count-built series coefficient by
-  coefficient, at every truncation degree.
+  coefficient, at every truncation degree;
+* the three routes to the skew slice polynomials h_s agree with each
+  other and with the y^s coefficients of H.  Those come from expanding H
+  in y alone, by the linear recurrence of its denominator
+  (``expand_H_in_y``), so each slice is a whole polynomial in x and z
+  and ``verify_h`` builds no term of y-degree above its s_max.
 
 A nonzero residual is reported, never raised; reports serialise to JSON
 and CSV with rationals rendered exactly as p/q.
@@ -263,33 +268,57 @@ def verify_e2(cap: int, cache: CountCache | None = None) -> ResidualReport:
     return _report_from_series("E2-closed-vs-counts", 2, cap, closed - built)
 
 
+def expand_H_in_y(s_max: int) -> list[SparsePoly]:
+    """The coefficients [y^s] H for s = 0..s_max, as polynomials in x and z.
+
+    H = y (1 - xz) / (d1 d2) with d1 = 1 - y(x+z) and
+    d2 = 1 - y(1+x)(1+z).  Write d1 d2 = 1 - y p1 + y^2 p2, where
+    p1 = (x+z) + (1+x)(1+z) and p2 = (x+z)(1+x)(1+z).  A rational series
+    in y is expanded by the linear recurrence of its denominator (Stanley,
+    EC1, Thm 4.1.1): 1 / (d1 d2) = sum_s r_s y^s with r_0 = 1, r_1 = p1
+    and r_s = p1 r_(s-1) - p2 r_(s-2), so [y^s] H = (1 - xz) r_(s-1).
+    Each slice is exact, with no truncation in x or z.  x and z are
+    variables 1 and 2, as in ``h_polynomial``.
+    """
+    if s_max < 0:
+        raise ValueError(f"s_max must be >= 0, got {s_max}")
+    one = SparsePoly.one()
+    x = SparsePoly.variable(1)
+    z = SparsePoly.variable(2)
+    plain = x + z
+    paired = (one + x) * (one + z)
+    p1 = plain + paired
+    p2 = plain * paired
+    numer = one - x * z
+    slices = [SparsePoly.zero()]
+    before, r = SparsePoly.zero(), one  # r_(s-2) and r_(s-1)
+    for s in range(1, s_max + 1):
+        if s > 1:
+            before, r = r, p1 * r - p2 * before
+        slices.append(numer * r)
+    return slices
+
+
 def verify_h(s_max: int) -> ResidualReport:
     """Consistency of the skew slice polynomials up to s_max.
 
     Checks that the three evaluation routes for h_s coincide and that
-    the coefficient of y^s in the closed generating series reproduces
-    h_s, for every 1 <= s <= s_max.  The series is built at cap 3*s_max
-    so each compared slice is complete.
+    the coefficient of y^s in the generating series H reproduces h_s,
+    for every 1 <= s <= s_max.  The slices come from ``expand_H_in_y``,
+    which expands H in y alone: slice s is the whole polynomial, the
+    same as the y^s slice of H built to total degree 3*s_max (h_s has
+    degree at most 2s in x and z), without building the terms of higher
+    y-degree.  Each comparison is a ``SparsePoly`` difference, and every
+    nonzero coefficient of it counts as one residual term.
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
-    # One pass over the series buckets every y^s slice: s -> {(k, m): value}.
-    slices: dict[int, dict[tuple[int, int], object]] = {}
-    for (k, m, s), c in closed_form_H(3 * s_max).coeffs.items():
-        slices.setdefault(s, {})[k, m] = c
+    slices = expand_H_in_y(s_max)
     residuals = []
     for s in range(1, s_max + 1):
         reference = h_polynomial(s, "recurrence")
-        for method in ("definition", "closed-form"):
-            residuals.extend((h_polynomial(s, method) - reference).terms.values())
-        ref_map = {
-            (m.exponent(1), m.exponent(2)): c for m, c in reference.items()
-        }
-        slice_map = slices.get(s, {})
-        for key in set(ref_map) | set(slice_map):
-            diff = slice_map.get(key, 0) - ref_map.get(key, 0)
-            if diff:
-                residuals.append(diff)
+        for other in (h_polynomial(s, "definition"), h_polynomial(s, "closed-form"), slices[s]):
+            residuals.extend((other - reference).coefficients())
     return ResidualReport(
         identity="h-three-routes-and-series",
         k=None,

@@ -231,6 +231,10 @@ class SparsePoly:
     def items(self):
         return self.terms.items()
 
+    def coefficients(self):
+        """The nonzero coefficients, in no fixed order; builds no ``Monomial``."""
+        return self._keys.values()
+
     def coeff(self, mono: Monomial) -> int:
         if mono.degree() > _MAX_DEGREE:
             return 0
@@ -389,6 +393,18 @@ def _support_classes(p: SparsePoly) -> dict[tuple[int, ...], SparsePoly]:
     return {_monomial_of(ones).support(): _poly(keys) for ones, keys in classes.items()}
 
 
+def _reflected(p: SparsePoly, s: int) -> SparsePoly:
+    """p(x1, x2) with each term x1^k x2^m sent to x1^(s-m) x2^(s-k).
+
+    Read on packed keys: a term's key is k + (m << _WIDTH).  ``p`` must use
+    x1 and x2 only, with neither exponent above ``s``.
+    """
+    return _poly({
+        s - (key >> _WIDTH) + ((s - (key & _MASK)) << _WIDTH): coeff
+        for key, coeff in p._keys.items()
+    })
+
+
 def _check_degree(degree: int) -> None:
     if degree > _MAX_DEGREE:
         raise DegreeLimitError(
@@ -396,13 +412,11 @@ def _check_degree(degree: int) -> None:
         )
 
 
-def _layers(keys: dict[int, int], cap: int) -> list[dict[int, int]]:
-    """The packed terms of total degree <= cap, one layer per degree 0..cap."""
-    layers: list[dict[int, int]] = [{} for _ in range(cap + 1)]
+def _graded(keys: dict[int, int]) -> dict[int, dict[int, int]]:
+    """The packed terms grouped by total degree, one layer per degree that has a term."""
+    layers: dict[int, dict[int, int]] = {}
     for k, c in keys.items():
-        degree = k % _MASK
-        if degree <= cap:
-            layers[degree][k] = c
+        layers.setdefault(k % _MASK, {})[k] = c
     return layers
 
 
@@ -413,7 +427,9 @@ def divide_exact(dividend: SparsePoly, divisor: SparsePoly) -> SparsePoly:
     a time (``_quotient``), through degree top + deg(divisor), where top
     is the dividend's degree.  The division is exact if and only if every
     layer of q above top is zero; otherwise the first nonzero one is the
-    lowest layer of the remainder, and ArithmeticError is raised.
+    lowest layer of the remainder, and ArithmeticError is raised.  The
+    solve starts at the dividend's lowest degree and keeps only nonzero
+    layers, so x1^(10^6) (1 + x1) / (1 + x1) solves three degrees.
     """
     c0 = divisor._keys.get(0, 0)
     if c0 not in (1, -1):
@@ -423,10 +439,10 @@ def divide_exact(dividend: SparsePoly, divisor: SparsePoly) -> SparsePoly:
     top = dividend.degree()
     span = divisor.degree()
     _check_degree(top + span)
-    q = _quotient(_layers(dividend._keys, top), _layers(divisor._keys, span), top + span)
-    if any(q[top + 1:]):
+    q = _quotient(_graded(dividend._keys), _graded(divisor._keys), top + span)
+    if any(d > top for d in q):
         raise ArithmeticError("exact division left a nonzero remainder")
-    return _poly({k: c for layer in q for k, c in layer.items()})
+    return _poly({k: c for layer in q.values() for k, c in layer.items()})
 
 
 def _kept(pairs: Iterable[tuple[int, object]]) -> dict[int, object]:
@@ -445,24 +461,29 @@ def _add_products(acc: dict[int, object], la: dict[int, object], lb: dict[int, o
             acc[key] = get(key, 0) + ca * cb
 
 
-def _quotient(num: list[dict[int, object]], den: list[dict[int, object]],
-              cap: int) -> list[dict[int, object]]:
-    """Layers 0..cap of the power series num / den, by back-substitution.
+def _quotient(num: dict[int, dict[int, object]], den: dict[int, dict[int, object]],
+              cap: int) -> dict[int, dict[int, object]]:
+    """The nonzero layers of degree <= cap of the power series num / den.
 
-    ``num`` and ``den`` are packed layers by total degree (layers past
-    their ends are zero), and den's constant term is nonzero.  Degree d
-    of num = den * q gives q_d = (num_d - sum_(0<j<=d) den_j q_(d-j)) / den_0.
+    ``num`` and ``den`` map a total degree to its packed layer (a missing
+    degree is zero), and den's constant term is nonzero.  Degree d of
+    num = den * q gives q_d = (num_d - sum_(0<j<=d) den_j q_(d-j)) / den_0,
+    so q is zero below num's lowest degree and the solve starts there.
+    The result maps the degree of each nonzero layer to that layer.
     """
     inv0 = _norm_coeff(Fraction(1, 1) / den[0][0])
-    q: list[dict[int, object]] = []
-    for d in range(cap + 1):
+    terms = [(j, layer) for j, layer in den.items() if j and layer]
+    q: dict[int, dict[int, object]] = {}
+    for d in range(min(num, default=cap + 1), cap + 1):
         acc: dict[int, object] = {}
-        for j in range(1, min(d, len(den) - 1) + 1):
-            if den[j] and q[d - j]:
-                _add_products(acc, den[j], q[d - j])
-        for k, c in (num[d] if d < len(num) else {}).items():
+        for j, layer in terms:
+            if d - j in q:
+                _add_products(acc, layer, q[d - j])
+        for k, c in num.get(d, {}).items():
             acc[k] = acc.get(k, 0) - c
-        q.append(_kept((k, -c * inv0) for k, c in acc.items()))
+        kept = _kept((k, -c * inv0) for k, c in acc.items())
+        if kept:
+            q[d] = kept
     return q
 
 
@@ -687,7 +708,8 @@ class TruncSeries:
         """Multiplicative inverse 1 / self by ``_quotient``; requires a nonzero constant term."""
         if not self._layers[0].get(0, 0):
             raise ZeroDivisionError("series with zero constant term has no inverse")
-        return _series(self.nvars, self.cap, self._base, _quotient([{0: 1}], self._layers, self.cap))
+        q = _quotient({0: {0: 1}}, dict(enumerate(self._layers)), self.cap)
+        return _series(self.nvars, self.cap, self._base, [q.get(d, {}) for d in range(self.cap + 1)])
 
     def sqrt(self) -> "TruncSeries":
         """Square root with constant term 1, solved one total degree at a time.

@@ -268,6 +268,13 @@ SERIES_STDOUT_SHA256 = {
     "series H --cap 12": "dd2d493ad2f32b18eb28b45dcceb34e31eb2e66d405f64f1d26e87d0fb9b1b2c",
     "verify all --cap 12 --format json":
         "ec9466c6f736a6bb6d52dacea40757e614039717d2e19a82aaeb5127adc62e42",
+    # Recorded with the dict-grown tables and verify_h on the series H
+    # inverted in three variables.
+    "table 40": "6818517b0431e84cbc2c4f57fa1b533090dc565e14a496bcbd1e1757b80b45b9",
+    "table 40 --variant skew --format json":
+        "27af4b3c535b8fdaf30bf56eba2a92457c4c42a3fd21a467d22141a1f2fcc647",
+    "series H --cap 30": "49bce588f17e765b299f527581a8799f09a481a53afa2dd83a43aab41b6c3e74",
+    "verify h --cap 18": "7de7adb45aeab08ab3f49ff8e5889dfa6e122f399c26b398d7b27610a8330ceb",
 }
 
 

@@ -520,6 +520,48 @@ def test_skew_table_skew_symmetry_and_zero_diagonal():
                 assert value == 0
 
 
+def reference_tables(s_max, variant):
+    """The tables of sizes 1..s_max, grown cell by cell on a dict with ``get``.
+
+    Each new cell sums its four neighbours (k, m), (k-1, m), (k, m-1) and
+    (k-1, m-1) in the previous table.  On the new diagonal of the plain
+    table only (k-1, m) and (k, m-1) count; the skew table then moves
+    binomial(t, m) from (k+1, m+1) to (k, m) along k + m = t.
+    """
+    plain = variant == "plain"
+    if plain:
+        cells = {(0, 0): 1, (1, 0): 1, (0, 1): 1}
+    else:
+        cells = {(0, 0): 1, (1, 0): 0, (0, 1): 0, (1, 1): -1}
+    tables = [cells]
+    for t in range(1, s_max):
+        get = cells.get
+        size = t + 1
+        grown = {}
+        for k in range(size + 1):
+            for m in range(size + 1 - k if plain else size + 1):
+                grown[(k, m)] = (get((k, m), 0) + get((k - 1, m), 0)
+                                 + get((k, m - 1), 0) + get((k - 1, m - 1), 0))
+        if plain:
+            for k in range(t + 2):
+                m = t + 1 - k
+                grown[(k, m)] = get((k - 1, m), 0) + get((k, m - 1), 0)
+        else:
+            for k in range(t + 1):
+                b = comb(t, t - k)
+                grown[(k, t - k)] += b
+                grown[(k + 1, t - k + 1)] -= b
+        cells = grown
+        tables.append(cells)
+    return tables
+
+
+@pytest.mark.parametrize("variant", counting.TABLE_VARIANTS)
+def test_tables_grown_on_rows_match_the_dict_reference(variant):
+    for s, cells in enumerate(reference_tables(60, variant), start=1):
+        assert tri_table(s, variant).entries == cells, (variant, s)
+
+
 def test_table_validation():
     with pytest.raises(ValueError):
         tri_table(0, "plain")

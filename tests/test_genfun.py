@@ -17,6 +17,7 @@ from gzcount.genfun import (
     closed_form_G3,
     closed_form_H,
     dde_residual,
+    expand_H_in_y,
     g3_roots,
     g4_explore,
     h_slice,
@@ -326,6 +327,69 @@ def test_verify_h_counts_every_residual(monkeypatch):
     monkeypatch.setattr(genfun, "h_polynomial", corrupted)
     report = verify_h(3)
     assert (report.ok, report.nonzero_terms, report.max_abs) == (False, 4, 7)
+
+
+def test_expand_H_in_y_matches_the_three_variable_inverse():
+    # closed_form_H inverts the denominator of H in all three variables; its
+    # y^s slice is the y-expansion's slice cut at total degree cap - s.
+    for cap in range(31):
+        series = closed_form_H(cap)
+        slices = expand_H_in_y(cap)
+        assert len(slices) == cap + 1
+        for s, poly in enumerate(slices):
+            cut = {(m.exponent(1), m.exponent(2)): c for m, c in poly.truncate(cap - s).items()}
+            assert cut == h_slice(series, s), (cap, s)
+    assert expand_H_in_y(0) == [SparsePoly.zero()]
+    with pytest.raises(ValueError, match="s_max must be >= 0, got -1"):
+        expand_H_in_y(-1)
+
+
+def verify_h_reference(s_max):
+    """The report of ``verify_h`` with every slice read from the series H
+    inverted in three variables at cap 3*s_max, compared on (k, m) maps."""
+    slices = {}
+    for (k, m, s), c in closed_form_H(3 * s_max).coeffs.items():
+        slices.setdefault(s, {})[k, m] = c
+    residuals = []
+    for s in range(1, s_max + 1):
+        reference = genfun.h_polynomial(s, "recurrence")
+        for method in ("definition", "closed-form"):
+            residuals.extend((genfun.h_polynomial(s, method) - reference).terms.values())
+        ref_map = {(m.exponent(1), m.exponent(2)): c for m, c in reference.items()}
+        slice_map = slices.get(s, {})
+        for key in set(ref_map) | set(slice_map):
+            diff = slice_map.get(key, 0) - ref_map.get(key, 0)
+            if diff:
+                residuals.append(diff)
+    return ResidualReport(
+        identity="h-three-routes-and-series",
+        k=None,
+        cap=s_max,
+        max_abs=max(map(abs, residuals), default=0),
+        nonzero_terms=len(residuals),
+        detail="slices compared through s_max at series cap 3*s_max",
+    )
+
+
+def test_verify_h_matches_the_three_variable_reference():
+    for s_max in range(1, 25):
+        assert verify_h(s_max) == verify_h_reference(s_max), s_max
+
+
+def test_verify_h_reports_corruption_like_the_reference(monkeypatch):
+    # A wrong term in one route, anywhere in the slice, is counted alike.
+    def corrupted(s, method="recurrence"):
+        poly = h_polynomial(s, method)
+        if (s, method) == (4, "closed-form"):
+            poly = poly + 3 * SparsePoly.variable(1) ** 8
+        if (s, method) == (5, "recurrence"):
+            poly = poly - SparsePoly.variable(2) ** 2
+        return poly
+
+    monkeypatch.setattr(genfun, "h_polynomial", corrupted)
+    report = verify_h(6)
+    assert not report.ok
+    assert report == verify_h_reference(6)
 
 
 @pytest.mark.parametrize("build, nvars, constant", [

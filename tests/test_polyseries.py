@@ -1,6 +1,7 @@
 """Unit and property tests for the polynomial and series carriers."""
 
 import random
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
@@ -351,6 +352,24 @@ def test_divide_exact_by_constant_minus_one_raises_on_remainder():
     q = divide_exact((X1 * X1 - X2) * (X1 * X2 - ONE), -(ONE) + X1 * X2)
     assert q == X1 * X1 - X2
     assert all(type(c) is int for _, c in q.items())
+
+
+def test_divide_exact_starts_at_the_dividends_lowest_degree():
+    # The solve starts at the dividend's lowest degree and keeps only
+    # nonzero layers, so a dividend of high degree and few terms
+    # allocates almost nothing.
+    high = X1 ** 1_000_000
+    dividend = high * (ONE + X1)
+    tracemalloc.start()
+    try:
+        q = divide_exact(dividend, ONE + X1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert q == high
+    assert peak < 1_000_000
+    with pytest.raises(ArithmeticError, match="nonzero remainder"):
+        divide_exact(dividend + X1 ** 999_999, ONE + X1)
 
 
 def test_poly_mul_matches_monomial_keyed_reference():

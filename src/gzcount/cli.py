@@ -400,6 +400,10 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
+    # Exact counts and cache values may run to any number of digits;
+    # Python 3.11 refuses to convert ints above 4,300 digits by default.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -530,22 +530,20 @@ def coeff_theorem_V(k: int, l: int, m: int) -> int:
     """Coefficient extraction route for counts with three distinct values.
 
     Reads off the coefficient of x^k z^m in
-    (1-xz)/(1+xz) * ((1+x)^s (1+z)^s - (x+z)^s), s = k+l+m,
-    expanding the quotient exactly in the truncated series ring.
+    (1-xz)/(1+xz) * ((1+x)^s (1+z)^s - (x+z)^s), s = k+l+m.  As
+    1/(1+xz) = sum_j (-xz)^j, it is the alternating sum over
+    j <= min(k, m) of the coefficients of x^(k-j) z^(m-j) in the
+    polynomial numerator, read off it with no series inverse.
     """
     if min(k, l, m) <= 0:
         raise ValueError("coeff_theorem_V requires k, l, m > 0")
-    from .polyseries import TruncSeries
+    from .polyseries import Monomial
 
-    s = k + l + m
-    cap = k + m
-    one, x, z = _one_x_z()
-    numerator = TruncSeries.from_poly(_h_numerator(s), 2, cap)
-    series = numerator * TruncSeries.from_poly(one + x * z, 2, cap).inv()
-    value = series.coeff((k, m))
-    if not isinstance(value, int):
-        raise ArithmeticError(f"coefficient {value} is not an integer")
-    return value
+    numerator = _h_numerator(k + l + m)
+    return sum(
+        (-1) ** j * numerator.coeff(Monomial({1: k - j, 2: m - j}))
+        for j in range(min(k, m) + 1)
+    )
 
 
 _REC3_MEMO: dict[Mults, int] = {}

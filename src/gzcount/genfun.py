@@ -216,17 +216,16 @@ def closed_form_E2(cap: int) -> TruncSeries:
     """Closed form of the two-variable exponential series.
 
     exp(z1 + z2) times the Bessel-type sum over n of (z1 z2)^n / (n!)^2.
+    Both factors are built from their coefficients: that of z1^a z2^b in
+    exp(z1 + z2) is 1 / (a! b!).
     """
-    u = TruncSeries.from_poly(SparsePoly.variable(1) + SparsePoly.variable(2), 2, cap)
-    expo = TruncSeries.one(2, cap)
-    power = TruncSeries.one(2, cap)
-    for t in range(1, cap + 1):
-        power = power * u
-        expo = expo + power.scale(Fraction(1, factorial(t)))
-    bessel = TruncSeries.one(2, cap)
-    for n in range(1, cap // 2 + 1):
-        term = {(n, n): Fraction(1, factorial(n) ** 2)}
-        bessel = bessel + TruncSeries(2, cap, term)
+    expo = TruncSeries(2, cap, {
+        (a, b): Fraction(1, factorial(a) * factorial(b))
+        for a in range(cap + 1) for b in range(cap + 1 - a)
+    })
+    bessel = TruncSeries(2, cap, {
+        (n, n): Fraction(1, factorial(n) ** 2) for n in range(cap // 2 + 1)
+    })
     return expo * bessel
 
 
@@ -325,5 +324,8 @@ def verify_h(s_max: int) -> ResidualReport:
         cap=s_max,
         max_abs=max(map(abs, residuals), default=0),
         nonzero_terms=len(residuals),
+        # The slices are those of H at total degree 3*s_max, though no series
+        # is built at that cap.  The text stays as it is: the ``verify all
+        # --cap 12 --format json`` digest pins the report bytes.
         detail="slices compared through s_max at series cap 3*s_max",
     )

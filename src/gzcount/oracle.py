@@ -100,27 +100,21 @@ class HRep:
     fixed at 0: an edge to ground is a bound by an entry of lambda, any
     other edge compares two neighbouring entries.  Each coordinate
     u(i,j) is squeezed between its two upper neighbours in the triangle,
-    so there are exactly n(n-1) edges.  A system whose dimension or
-    coordinate labels are not those of ``shape``, or with an edge whose
-    ends are not two distinct indices in 0..dim or whose bound is not an
-    ``int``, is refused with ``OracleError`` when it is built.
+    so there are exactly n(n-1) edges.  The dimension is the shape's
+    ambient dimension.  A system with an edge whose ends are not two
+    distinct indices in 0..dim or whose bound is not an ``int`` is
+    refused with ``OracleError`` when it is built.
     """
 
-    dim: int
     edges: tuple[tuple[int, int, int], ...]
     shape: GZShape
-    var_pairs: tuple[tuple[int, int], ...]
+
+    @property
+    def dim(self) -> int:
+        """The ambient dimension, also the index of the ground coordinate."""
+        return self.shape.ambient_dim
 
     def __post_init__(self):
-        if self.dim != self.shape.ambient_dim:
-            raise OracleError(
-                f"H-rep dimension {self.dim} is not the ambient dimension "
-                f"{self.shape.ambient_dim} of {self.shape.values}"
-            )
-        if self.var_pairs != _var_pairs(self.shape.n):
-            raise OracleError(
-                f"H-rep coordinate labels {self.var_pairs} are not those of {self.shape.values}"
-            )
         dim = self.dim
         for edge in self.edges:
             a, b, bound = edge
@@ -150,7 +144,7 @@ def build_hrep(shape: GZShape) -> HRep:
             # before u(i,j) and u(i-1,j+1) right after it.
             left = pos - (n - i + 1)
             edges += ((left, pos, 0), (pos, left + 1, 0))
-    return HRep(dim=dim, edges=tuple(edges), shape=shape, var_pairs=pairs)
+    return HRep(edges=tuple(edges), shape=shape)
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,12 @@ no exponent of a result reaches B.
   per total degree, keyed in a base B of at least cap + 1, with x1 the
   most significant digit.  Two terms whose degrees sum to at most the cap
   have no exponent above it, so a product of terms from two layers needs
-  no check.  Results keep their operands' base; a binary operation on
-  two bases repacks one operand into the smaller, and ``integrate``
-  repacks when the raised cap reaches the base.  The map from exponent
-  tuples, ``coeffs``, is built only when read.
+  no check.  Results keep their operands' base, so a truncation or a
+  derivative keeps a base above its own cap + 1.  A binary operation on
+  two bases rebuilds both operands from their coefficients, keyed in
+  base cap + 1 for the smaller cap, and ``integrate`` builds its result
+  from its coefficients.  The map from exponent tuples, ``coeffs``, is
+  built only when read.
 * A ``SparsePoly`` also keeps its terms packed between operations, in
   one dict with a fixed 30-bit field per variable, x1 in the lowest bits
   (B = 2^30).  The key of a term is then its exponent vector alone, a
@@ -496,17 +498,12 @@ def _exponents(key: int, base: int, nvars: int) -> tuple[int, ...]:
     return tuple(exps)
 
 
-def _repacked(layer: dict[int, object], old: int, new: int, nvars: int) -> dict[int, object]:
-    """The layer with its keys moved from base ``old`` to base ``new``."""
-    out = {}
-    for key, coeff in layer.items():
-        packed, weight = 0, 1
-        for _ in range(nvars):
-            key, e = divmod(key, old)
-            packed += e * weight
-            weight *= new
-        out[packed] = coeff
-    return out
+def _var_index(var, nvars: int) -> int:
+    """A 1-based variable index read through ``operator.index`` (a float raises TypeError)."""
+    var = index(var)
+    if not 1 <= var <= nvars:
+        raise ValueError(f"variable index {var} out of range 1..{nvars}")
+    return var
 
 
 class TruncSeries:
@@ -567,8 +564,7 @@ class TruncSeries:
 
     @classmethod
     def variable(cls, nvars: int, cap: int, index: int) -> "TruncSeries":
-        if not 1 <= index <= nvars:
-            raise ValueError(f"variable index {index} out of range 1..{nvars}")
+        index = _var_index(index, nvars)
         if cap < 1:
             raise ValueError("cap must be >= 1 to hold a variable")
         exps = tuple(1 if i == index - 1 else 0 for i in range(nvars))
@@ -605,33 +601,24 @@ class TruncSeries:
             }
         return self._coeffs
 
-    def _layers_in(self, base: int, cap: int) -> list[dict[int, object]]:
-        """The layers of degree <= cap keyed in ``base``; shared, not copied, in the series' own base."""
-        layers = self._layers[:cap + 1]
-        if base == self._base:
-            return layers
-        return [_repacked(layer, self._base, base, self.nvars) for layer in layers]
-
     def _common(self, other: "TruncSeries"):
-        """Cap, base and both operands' layers for a binary operation.
+        """Cap, base and both operands' layers of degree <= cap for a binary operation.
 
-        The result takes the smaller base, which is still above the
-        smaller cap; only an operand in the other base is repacked.
+        Operands in one base share their layers, not copied.  Otherwise
+        both are rebuilt from their coefficients in base cap + 1.
         """
-        self._check_compatible(other)
-        cap = min(self.cap, other.cap)
-        base = min(self._base, other._base)
-        return cap, base, self._layers_in(base, cap), other._layers_in(base, cap)
-
-    def _check_compatible(self, other: "TruncSeries") -> None:
         if self.nvars != other.nvars:
             raise ValueError(
                 f"variable count mismatch: {self.nvars} vs {other.nvars}"
             )
-
-    def _check_var(self, index: int) -> None:
-        if not 1 <= index <= self.nvars:
-            raise ValueError(f"variable index {index} out of range 1..{self.nvars}")
+        cap = min(self.cap, other.cap)
+        if self._base == other._base:
+            return cap, self._base, self._layers[:cap + 1], other._layers[:cap + 1]
+        a, b = (
+            TruncSeries(self.nvars, cap, {e: c for e, c in s.coeffs.items() if sum(e) <= cap})
+            for s in (self, other)
+        )
+        return cap, a._base, a._layers, b._layers
 
     @property
     def is_zero(self) -> bool:
@@ -734,8 +721,7 @@ class TruncSeries:
 
     def _weight(self, index: int) -> int:
         """Packing weight of variable ``index`` (1-based) in the series' base."""
-        self._check_var(index)
-        return self._base ** (self.nvars - index)
+        return self._base ** (self.nvars - _var_index(index, self.nvars))
 
     def deriv(self, index: int) -> "TruncSeries":
         """Formal partial derivative; the cap drops by one."""
@@ -751,14 +737,11 @@ class TruncSeries:
 
     def integrate(self, index: int) -> "TruncSeries":
         """Formal antiderivative with zero constant of integration; cap rises by one."""
-        self._check_var(index)
-        cap = self.cap + 1
-        base = max(self._base, cap + 1)
-        w = base ** (self.nvars - index)
-        layers = [{}]
-        for layer in self._layers_in(base, self.cap):
-            layers.append(_kept((k + w, Fraction(c) / (k // w % base + 1)) for k, c in layer.items()))
-        return _series(self.nvars, cap, base, layers)
+        i = _var_index(index, self.nvars) - 1
+        return TruncSeries(self.nvars, self.cap + 1, {
+            e[:i] + (e[i] + 1,) + e[i + 1:]: Fraction(c) / (e[i] + 1)
+            for e, c in self.coeffs.items()
+        })
 
     def divdiff(self, index: int) -> "TruncSeries":
         """Divided difference in one variable: (f - f at var=0) / var.
@@ -784,9 +767,8 @@ class TruncSeries:
 
     def agrees_with(self, other: "TruncSeries") -> bool:
         """Coefficientwise equality on all degrees both series know about."""
-        self._check_compatible(other)
-        cap = min(self.cap, other.cap)
-        return self._layers[:cap + 1] == other._layers_in(self._base, cap)
+        _, _, mine, theirs = self._common(other)
+        return mine == theirs
 
     def terms_sorted(self) -> list[tuple[tuple[int, ...], object]]:
         """Terms in graded lexicographic order (total degree, then exponents)."""
@@ -800,7 +782,7 @@ class TruncSeries:
             isinstance(other, TruncSeries)
             and self.nvars == other.nvars
             and self.cap == other.cap
-            and self._layers == other._layers_in(self._base, self.cap)
+            and self.agrees_with(other)
         )
 
     def __hash__(self):

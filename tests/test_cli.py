@@ -275,6 +275,10 @@ SERIES_STDOUT_SHA256 = {
         "27af4b3c535b8fdaf30bf56eba2a92457c4c42a3fd21a467d22141a1f2fcc647",
     "series H --cap 30": "49bce588f17e765b299f527581a8799f09a481a53afa2dd83a43aab41b6c3e74",
     "verify h --cap 18": "7de7adb45aeab08ab3f49ff8e5889dfa6e122f399c26b398d7b27610a8330ceb",
+    # Recorded with exp(z1 + z2) summed from powers of z1 + z2.
+    "series E2closed --cap 30": "b492318064f4c1f377c72d4e69bd202456c128fcd013f607f887bf0be617153a",
+    "verify e2 --cap 24 --format json":
+        "787970ce840a044836247965efe081679a9056b3c537c1117f0ba4f843af51ec",
 }
 
 
@@ -372,6 +376,35 @@ def test_cache_lifecycle(tmp_path, capsys):
     assert code == EXIT_OK
     assert out.startswith("entries ")
     assert out != "entries 0\nmax-total-degree 0\n"
+
+
+@pytest.fixture
+def default_int_digit_limit():
+    """Python's default limit on int/str conversion (4,300 digits), restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no limit on int/str conversion")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+def test_count_above_the_int_digit_limit_prints(capsys, default_int_digit_limit):
+    # C(14400, 7200) has 4,333 digits.
+    code, out, _ = run_cli(capsys, "count", "1^7200 2^7200", "--method", "recurrence")
+    assert code == EXIT_OK
+    assert len(out) == 4334 and out.rstrip("\n").isdigit()
+
+
+def test_cache_value_above_the_int_digit_limit_round_trips(tmp_path, capsys, default_int_digit_limit):
+    path = tmp_path / "big.json"
+    text = '{\n  "version": 1,\n  "counts": {\n    "2,3": "' + "7" * 5000 + '"\n  }\n}\n'
+    path.write_text(text)
+    code, out, _ = run_cli(capsys, "cache", "stats", "--path", str(path))
+    assert (code, out) == (EXIT_OK, "entries 1\nmax-total-degree 5\n")
+    code, out, _ = run_cli(capsys, "cache", "save", "--path", str(path))
+    assert (code, out) == (EXIT_OK, f"saved 1 entries to {path}\n")
+    assert path.read_text() == text
 
 
 def test_cache_requires_path(capsys, monkeypatch):

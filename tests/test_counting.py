@@ -1,6 +1,7 @@
 """Tests for the counting engine: operator, recursions, formulas, tables."""
 
 import copy
+import functools
 import json
 import os
 import pickle
@@ -33,7 +34,7 @@ from gzcount.counting import (
     tri_table,
     vertex_count,
 )
-from gzcount.polyseries import Monomial, SparsePoly
+from gzcount.polyseries import Monomial, SparsePoly, TruncSeries
 
 ONE = SparsePoly.one()
 X1 = SparsePoly.variable(1)
@@ -345,6 +346,20 @@ def test_coeff_theorem_matches_binomial_formula():
                 if l < 1:
                     continue
                 assert coeff_theorem_V(k, l, m) == binomial_formula_V(k, l, m)
+
+
+@functools.cache
+def series_quotient(s, cap):
+    """(1-xz)/(1+xz) * ((1+x)^s (1+z)^s - (x+z)^s) truncated at ``cap``: the
+    series inverse of 1 + xz times the numerator, the route coeff_theorem_V
+    took before it read the numerator's coefficients."""
+    numerator = TruncSeries.from_poly(counting._h_numerator(s), 2, cap)
+    return numerator * TruncSeries.from_poly(ONE + X1 * X2, 2, cap).inv()
+
+
+def test_coeff_theorem_matches_series_inverse_reference():
+    for k, l, m in product(range(1, 13), repeat=3):
+        assert coeff_theorem_V(k, l, m) == series_quotient(k + l + m, k + m).coeff((k, m))
 
 
 def test_coeff_theorem_domain():

@@ -278,6 +278,29 @@ def test_closed_form_E2_values():
             assert got == comb(i + j, i)
 
 
+def power_loop_E2(cap):
+    """exp(z1 + z2) summed from the powers of z1 + z2, one series product
+    each, times the Bessel sum added term by term: the route closed_form_E2
+    took before it built both factors from their coefficients."""
+    u = poly_series(SparsePoly.variable(1) + SparsePoly.variable(2), 2, cap)
+    expo = TruncSeries.one(2, cap)
+    power = TruncSeries.one(2, cap)
+    for t in range(1, cap + 1):
+        power = power * u
+        expo = expo + power.scale(Fraction(1, factorial(t)))
+    bessel = TruncSeries.one(2, cap)
+    for n in range(1, cap // 2 + 1):
+        bessel = bessel + TruncSeries(2, cap, {(n, n): Fraction(1, factorial(n) ** 2)})
+    return expo * bessel
+
+
+def test_closed_form_E2_matches_power_loop_reference():
+    for cap in range(31):
+        got, want = closed_form_E2(cap), power_loop_E2(cap)
+        assert got == want
+        assert {e: type(c) for e, c in got.coeffs.items()} == {e: type(c) for e, c in want.coeffs.items()}
+
+
 def test_closed_form_E2_matches_counts():
     assert closed_form_E2(10) == build_E(2, 10)
     assert verify_e2(8).ok

@@ -159,24 +159,20 @@ def test_hrep_edges_match_reference_rows():
         assert len(set(rows)) == len(rows)
 
 
-# Each case changes one field of the H-rep of (0, 1, 1, 3), whose dimension
-# and ground index are 6, or appends one edge to it.
+# Each case appends one edge to the H-rep of (0, 1, 1, 3), whose dimension
+# and ground index are 6.
 NOT_AN_INDEX = r"has an end that is not an index in 0\.\.6"
 SELF_LOOP = r"joins an index to itself"
 NOT_AN_INT = r"has a bound that is not an int"
 MALFORMED_HREPS = {
-    "dim-below-ambient": ({"dim": 5}, r"dimension 5 is not the ambient dimension 6"),
-    "dim-above-ambient": ({"dim": 7}, r"dimension 7 is not the ambient dimension 6"),
-    "var-pairs-reordered": ({"var_pairs": oracle._var_pairs(4)[::-1]}, r"coordinate labels"),
-    "var-pairs-of-other-n": ({"var_pairs": oracle._var_pairs(3)}, r"coordinate labels"),
-    "end-above-ground": ({"extra": (7, 0, 5)}, r"edge \(7, 0, 5\) " + NOT_AN_INDEX),
-    "end-negative": ({"extra": (0, -1, 5)}, r"edge \(0, -1, 5\) " + NOT_AN_INDEX),
-    "end-not-int": ({"extra": (1.0, 0, 5)}, r"edge \(1\.0, 0, 5\) " + NOT_AN_INDEX),
-    "self-loop": ({"extra": (2, 2, 5)}, r"edge \(2, 2, 5\) " + SELF_LOOP),
-    "ground-to-ground": ({"extra": (6, 6, 5)}, r"edge \(6, 6, 5\) " + SELF_LOOP),
-    "bound-float": ({"extra": (0, 6, 5.0)}, r"edge \(0, 6, 5\.0\) " + NOT_AN_INT),
-    "bound-bool": ({"extra": (0, 6, True)}, r"edge \(0, 6, True\) " + NOT_AN_INT),
-    "bound-fraction": ({"extra": (0, 6, Fraction(5))}, NOT_AN_INT),
+    "end-above-ground": ((7, 0, 5), r"edge \(7, 0, 5\) " + NOT_AN_INDEX),
+    "end-negative": ((0, -1, 5), r"edge \(0, -1, 5\) " + NOT_AN_INDEX),
+    "end-not-int": ((1.0, 0, 5), r"edge \(1\.0, 0, 5\) " + NOT_AN_INDEX),
+    "self-loop": ((2, 2, 5), r"edge \(2, 2, 5\) " + SELF_LOOP),
+    "ground-to-ground": ((6, 6, 5), r"edge \(6, 6, 5\) " + SELF_LOOP),
+    "bound-float": ((0, 6, 5.0), r"edge \(0, 6, 5\.0\) " + NOT_AN_INT),
+    "bound-bool": ((0, 6, True), r"edge \(0, 6, True\) " + NOT_AN_INT),
+    "bound-fraction": ((0, 6, Fraction(5)), NOT_AN_INT),
 }
 
 
@@ -185,14 +181,9 @@ def test_malformed_hrep_is_refused_when_built(case):
     # A bad item is refused when the H-rep is built, naming the item,
     # instead of being read by the walk as some other inequality.
     h = build_hrep(GZShape((0, 1, 1, 3)))
-    fields = {"dim": h.dim, "edges": h.edges, "shape": h.shape, "var_pairs": h.var_pairs}
-    change, message = MALFORMED_HREPS[case]
-    change = dict(change)
-    if "extra" in change:
-        fields["edges"] = (*h.edges, change.pop("extra"))
-    fields.update(change)
+    extra, message = MALFORMED_HREPS[case]
     with pytest.raises(OracleError, match=message):
-        HRep(**fields)
+        HRep(edges=(*h.edges, extra), shape=h.shape)
 
 
 # ------------------------------------------------------------- enumeration
@@ -416,7 +407,7 @@ def test_certificate_rejects_bad_candidates(monkeypatch):
 
 
 def replace_edges(h, edges):
-    return HRep(dim=h.dim, edges=tuple(edges), shape=h.shape, var_pairs=h.var_pairs)
+    return HRep(edges=tuple(edges), shape=h.shape)
 
 
 def is_tight(edge, point):

@@ -729,6 +729,31 @@ def test_series_operands_in_different_bases():
     assert_same_series(root.sqrt(), ref_series_sqrt(root))
 
 
+def test_series_operands_both_off_their_cap_base():
+    # A derivative and a truncation keep their operand's base, so neither
+    # is keyed in base cap + 1, and the two bases differ.
+    a = TruncSeries(2, 8, {(2, 1): Fraction(1, 2), (0, 3): 3, (5, 1): 1, (1, 6): -2, (3, 0): 4})
+    b = TruncSeries(2, 9, {(0, 0): 1, (1, 0): Fraction(3, 2), (0, 2): -1, (2, 2): 5, (4, 5): 7})
+    d, t = a.deriv(1), b.truncate(5)
+    assert (d._base, t._base) == (9, 10)
+    assert d._base != d.cap + 1 and t._base != t.cap + 1
+    assert_same_series(d + t, ref_series_add(d, t))
+    assert_same_series(t - d, ref_series_add(t, d, -1))
+    assert_same_series(d * t, ref_series_mul(d, t))
+    assert_same_series(t * d, ref_series_mul(t, d))
+    # The same coefficients as d with a cap of 7 in base 10.
+    same = ref_series(2, 9, d.coeffs).truncate(7)
+    assert same._base == 10
+    assert d == same and same == d
+    assert d != same + TruncSeries(2, 7, {(1, 1): 1})
+    for u, v in ((d, t), (t, d), (d, same), (d, b.truncate(7))):
+        assert u.agrees_with(v) == all(
+            u.coeffs.get(e, 0) == v.coeffs.get(e, 0)
+            for e in set(u.coeffs) | set(v.coeffs) if sum(e) <= min(u.cap, v.cap)
+        )
+    assert d.agrees_with(same) and not d.agrees_with(t)
+
+
 def test_fractions_that_cancel_to_integers_are_ints():
     half = TruncSeries(2, 3, {(1, 0): Fraction(1, 2), (0, 1): Fraction(3, 2), (2, 1): Fraction(1, 4)})
     results = [
@@ -850,6 +875,16 @@ def test_index_out_of_range_errors():
             op(0)
         with pytest.raises(ValueError):
             op(3)
+
+
+def test_float_variable_index_is_refused():
+    # Variable indices are read through operator.index, as Monomial reads them.
+    s = TruncSeries.one(2, 3)
+    for op in (s.deriv, s.integrate, s.divdiff, s.substitute_zero,
+               lambda i: TruncSeries.variable(2, 3, i)):
+        with pytest.raises(TypeError):
+            op(1.0)
+        op(True)
 
 
 def test_series_ring_axioms_randomized():

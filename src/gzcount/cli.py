@@ -152,7 +152,12 @@ def _cmd_count(args, cache: CountCache | None) -> int:
     skipped_oracle = ambient > limit
     if not skipped_oracle:
         chosen.append("oracle")
-    results = {method: run(method) for method in chosen}
+    results = {}
+    for method in chosen:
+        try:
+            results[method] = run(method)
+        except (ResourceLimitError, RecursionError, MemoryError) as exc:
+            raise ResourceLimitError(f"{method}: {str(exc) or type(exc).__name__}") from exc
     agree = len(set(results.values())) == 1
 
     if args.format == "json":

@@ -154,14 +154,6 @@ class MultiplicityVector(_Frozen):
                 prev = v
         return cls(tuple(mults))
 
-    @property
-    def total(self) -> int:
-        return sum(self.mults)
-
-    @property
-    def compressed(self) -> Mults:
-        return tuple(v for v in self.mults if v)
-
 
 class CacheFormatError(ValueError):
     """A persisted count cache file failed validation."""
@@ -391,15 +383,13 @@ def _a_children(key: Mults) -> dict[Mults, int]:
     return children
 
 
-def a_infinity(mults: Sequence[int] | MultiplicityVector, cache: CountCache | None = None) -> int:
+def a_infinity(mults: Sequence[int], cache: CountCache | None = None) -> int:
     """Constant reached by iterating the operator A on x1^i1 ... xk^ik.
 
     This equals the vertex count of the GZ polytope of any partition
     whose multiplicity vector is ``mults``.  Memoised on zero-stripped
     vectors in ``cache`` (the shared table by default).
     """
-    if isinstance(mults, MultiplicityVector):
-        mults = mults.mults
     if cache is None:
         cache = SHARED_CACHE
     return _memo_walk(compress(mults), _a_children, cache._counts, 0)
@@ -465,8 +455,7 @@ def g4_explore(cap: int, cache: CountCache | None = None) -> list[tuple[tuple[in
 
 def vertex_count(partition: Sequence[int], cache: CountCache | None = None) -> int:
     """Number of vertices of GZ(lambda) for a weakly increasing lambda."""
-    mv = MultiplicityVector.from_partition(partition)
-    return a_infinity(mv, cache)
+    return a_infinity(MultiplicityVector.from_partition(partition).mults, cache)
 
 
 _FIBER_MEMO: dict[Mults, int] = {}
@@ -679,9 +668,6 @@ class TriTable(_Frozen):
             return self.entries[(k, m)]
         except KeyError:
             raise ValueError(f"cell ({k}, {m}) outside table domain") from None
-
-    def cells(self) -> list[tuple[int, int]]:
-        return sorted(self.entries)
 
 
 def tri_table(s: int, variant: str = "plain") -> TriTable:

@@ -192,16 +192,14 @@ def closed_form_G3(cap: int) -> TruncSeries:
 
     Evaluated structurally: with lam, mu the roots of y = (x+y)(y+z),
     the series equals lam / ((1 - x - z)(lam - y)), that is
-    1 / ((1 - x - z)(1 - y / lam)).  Neither 1 - x - z nor 1 / lam has a
-    y term, so the one three-variable solve is the final inverse of
-    (1 - x - z) - y (1 - x - z) / lam.  Every coefficient is checked to be
-    a nonnegative integer before returning.
+    1 / ((1 - x - z)(1 - y / lam)), where 1 - x - z = lam + mu.
+    Neither 1 - x - z nor 1 / lam has a y term, so the one three-variable
+    solve is the final inverse of (1 - x - z) - y (1 - x - z) / lam.
+    Every coefficient is checked to be a nonnegative integer before
+    returning.
     """
-    lam, _ = g3_roots(cap)
-    one = SparsePoly.one()
-    x = SparsePoly.variable(1)
-    z = SparsePoly.variable(3)
-    base = TruncSeries.from_poly(one - x - z, 3, cap)
+    lam, mu = g3_roots(cap)
+    base = lam + mu
     y = TruncSeries.from_poly(SparsePoly.variable(2), 3, cap)
     result = (base - y * (base * lam.inv())).inv()
     for exps, coeff in result.coeffs.items():

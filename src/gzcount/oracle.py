@@ -68,17 +68,6 @@ class GZShape:
     def ambient_dim(self) -> int:
         return self.n * (self.n - 1) // 2
 
-    def multiplicities(self) -> tuple[int, ...]:
-        mults: list[int] = []
-        prev = None
-        for v in self.values:
-            if v == prev:
-                mults[-1] += 1
-            else:
-                mults.append(1)
-                prev = v
-        return tuple(mults)
-
     def translate(self, offset: int) -> "GZShape":
         return GZShape(tuple(v + offset for v in self.values))
 

@@ -38,7 +38,9 @@ no exponent of a result reaches B.
   the series' base.  The map from ``Monomial``, ``terms``, is built only
   when read.
 
-One loop, ``_add_products``, multiplies two term maps for both carriers.
+The two carriers differ only in how they pack keys and share every loop
+over term maps: ``_added`` sums two of them, ``_add_products`` adds their
+product into a third, and ``_kept`` drops zero coefficients.
 ``TruncSeries.inv`` and ``divide_exact`` are one triangular solve,
 ``_quotient``, of num = den * q degree by degree (Knuth, TAOCP vol. 2,
 section 4.7); ``TruncSeries.sqrt`` solves r * r = a the same way.
@@ -265,16 +267,7 @@ class SparsePoly:
         raise TypeError(f"cannot combine SparsePoly with {type(value).__name__}")
 
     def __add__(self, other) -> "SparsePoly":
-        other = self._coerce(other)
-        merged = dict(self._keys)
-        get = merged.get
-        for k, c in other._keys.items():
-            new = get(k, 0) + c
-            if new:
-                merged[k] = new
-            else:
-                del merged[k]
-        return _poly(merged)
+        return _poly(_added(self._keys, self._coerce(other)._keys))
 
     __radd__ = __add__
 
@@ -297,7 +290,7 @@ class SparsePoly:
         _check_degree(degree)
         acc: dict[int, int] = {}
         _add_products(acc, self._keys, other._keys)
-        return _poly({k: c for k, c in acc.items() if c}, degree)
+        return _poly(_kept(acc.items()), degree)
 
     __rmul__ = __mul__
 
@@ -450,6 +443,19 @@ def divide_exact(dividend: SparsePoly, divisor: SparsePoly) -> SparsePoly:
 def _kept(pairs: Iterable[tuple[int, object]]) -> dict[int, object]:
     """The nonzero (key, coefficient) pairs as a layer, integral Fractions as ints."""
     return {k: c if type(c) is int else _norm_coeff(c) for k, c in pairs if c}
+
+
+def _added(la: dict[int, object], lb: dict[int, object]) -> dict[int, object]:
+    """The sum of two term maps as a new map: no zeros, integral Fractions as ints."""
+    merged = dict(la)
+    get = merged.get
+    for k, c in lb.items():
+        new = get(k, 0) + c
+        if new:
+            merged[k] = new if type(new) is int else _norm_coeff(new)
+        else:
+            del merged[k]
+    return merged
 
 
 def _add_products(acc: dict[int, object], la: dict[int, object], lb: dict[int, object]) -> None:
@@ -649,20 +655,7 @@ class TruncSeries:
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         cap, base, mine, theirs = self._common(other)
-        layers = []
-        for la, lb in zip(mine, theirs):
-            if not la or not lb:
-                layers.append(la or lb)
-                continue
-            merged = dict(la)
-            get = merged.get
-            for k, c in lb.items():
-                new = get(k, 0) + c
-                if new:
-                    merged[k] = new if type(new) is int else _norm_coeff(new)
-                else:
-                    del merged[k]
-            layers.append(merged)
+        layers = [_added(la, lb) if la and lb else la or lb for la, lb in zip(mine, theirs)]
         return _series(self.nvars, cap, base, layers)
 
     def __neg__(self) -> "TruncSeries":

@@ -123,6 +123,26 @@ def test_count_refuses_on_memory_error(capsys, monkeypatch):
     assert run_cli(capsys, "count", "1 2 3") == (EXIT_LIMIT, "", "gzcount: refused: MemoryError\n")
 
 
+def test_count_all_refusal_names_the_route(capsys, monkeypatch):
+    from gzcount import counting
+
+    # An empty recurrence memo, so the recursion depth does not depend on
+    # which tests ran before.
+    monkeypatch.setattr(counting, "_REC3_MEMO", {})
+    code, out, err = run_cli(capsys, "count", "1^1200 2 3", "--method", "all")
+    assert (code, out) == (EXIT_LIMIT, "")
+    assert err.startswith("gzcount: refused: recurrence: maximum recursion depth exceeded")
+    assert run_cli(capsys, "count", "1^1200 2 3") == (EXIT_OK, "290164002\n", "")
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("gzcount.cli.count_by_fiber_recursion", exhausted)
+    assert run_cli(capsys, "count", "1 2 3", "--method", "all") == (
+        EXIT_LIMIT, "", "gzcount: refused: fiber: MemoryError\n",
+    )
+
+
 def test_polynomial_degree_limit_is_a_refusal(capsys, monkeypatch):
     from gzcount.polyseries import _MAX_DEGREE, Monomial, SparsePoly
 

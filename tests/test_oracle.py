@@ -2,7 +2,7 @@
 
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import gcd
 
 import pytest
@@ -59,7 +59,6 @@ def test_shape_validation():
     shape = GZShape((1, 1, 3))
     assert shape.n == 3
     assert shape.ambient_dim == 3
-    assert shape.multiplicities() == (2, 1)
 
 
 def test_shape_transforms():
@@ -184,6 +183,82 @@ def test_malformed_hrep_is_refused_when_built(case):
     extra, message = MALFORMED_HREPS[case]
     with pytest.raises(OracleError, match=message):
         HRep(edges=(*h.edges, extra), shape=h.shape)
+
+
+def lattice_point_count(hrep):
+    """Integer points of an H-rep of GZ(shape), counted row by row.
+
+    Reads only ``hrep.edges`` and ``hrep.shape``.  Coordinates are laid
+    out row by row below lambda, the ground node (index dim) at level 0
+    and row r at level r + 1.  Every edge must join two adjacent levels;
+    it bounds its deeper end by the other one, so the patterns below a
+    row are counted once per (level, row).
+    """
+    n = hrep.shape.n
+    ground = n * (n - 1) // 2
+    rows, start = [range(ground, ground + 1)], 0
+    for width in range(n - 1, 0, -1):
+        rows.append(range(start, start + width))
+        start += width
+    level = {c: depth for depth, row in enumerate(rows) for c in row}
+    lower = {c: [] for c in range(ground)}  # u[c] >= u[other] + offset
+    upper = {c: [] for c in range(ground)}  # u[c] <= u[other] + offset
+    for a, b, bound in hrep.edges:  # u[a] - u[b] <= bound
+        assert abs(level[a] - level[b]) == 1
+        if level[a] > level[b]:
+            upper[a].append((b, bound))
+        else:
+            lower[b].append((a, -bound))
+    memo = {}
+
+    def below(depth, values):
+        # ``values`` are the entries of level ``depth``; the ground is 0.
+        if depth == len(rows) - 1:
+            return 1
+        key = (depth, values)
+        if key not in memo:
+            first = rows[depth].start
+            spans = [
+                range(max(values[o - first] + off for o, off in lower[c]),
+                      min(values[o - first] + off for o, off in upper[c]) + 1)
+                for c in rows[depth + 1]
+            ]
+            memo[key] = sum(below(depth + 1, row) for row in product(*spans))
+        return memo[key]
+
+    return below(0, (0,))
+
+
+def weyl_dimension(lam):
+    """Dimension of the GL_n irreducible of highest weight lam (increasing order)."""
+    out = Fraction(1)
+    for i in range(len(lam)):
+        for j in range(i + 1, len(lam)):
+            out *= Fraction(lam[j] - lam[i] + j - i, j - i)
+    assert out.denominator == 1
+    return out.numerator
+
+
+def test_hrep_lattice_points_match_weyl_dimension():
+    # The integer points of GZ(lambda) are the Gelfand-Tsetlin patterns,
+    # as many as the dimension of the GL_n irreducible of highest weight
+    # lambda (Gelfand & Tsetlin, Dokl. Akad. Nauk SSSR 71, 1950).
+    shapes = [lam for n in range(1, 6) for lam in combinations_with_replacement(range(5), n)]
+    assert len(shapes) == 251
+    for lam in shapes:
+        assert lattice_point_count(build_hrep(GZShape(lam))) == weyl_dimension(lam), lam
+    assert lattice_point_count(build_hrep(GZShape((0, 1, 2, 3, 4, 5)))) == 32768
+    assert lattice_point_count(build_hrep(GZShape((0, 0, 1, 1, 2, 2)))) == 189
+
+
+def test_lowering_any_edge_bound_breaks_weyl_match():
+    hrep = build_hrep(GZShape((0, 1, 3, 6)))
+    expected = weyl_dimension((0, 1, 3, 6))
+    assert lattice_point_count(hrep) == expected
+    assert len(hrep.edges) == 12
+    for i, (a, b, bound) in enumerate(hrep.edges):
+        edges = (*hrep.edges[:i], (a, b, bound - 1), *hrep.edges[i + 1:])
+        assert lattice_point_count(HRep(edges=edges, shape=hrep.shape)) != expected, (a, b)
 
 
 # ------------------------------------------------------------- enumeration

@@ -24,6 +24,7 @@ from __future__ import annotations
 # are resident lowers a count or table process's peak RSS by about
 # 0.1-0.3 MB.
 from .counting import (
+    TABLE_VARIANTS,
     CacheFormatError,
     CountCache,
     MultiplicityVector,
@@ -223,7 +224,6 @@ _SERIES = {
 
 def _cmd_series(args, cache: CountCache | None) -> int:
     from . import genfun
-    from .polyseries import format_rational
 
     which = args.which
     fixed_k, build, variables = _SERIES[which]
@@ -246,14 +246,14 @@ def _cmd_series(args, cache: CountCache | None) -> int:
             "cap": args.cap,
             "variables": names,
             "terms": [
-                {"exponents": list(e), "coefficient": format_rational(c)}
+                {"exponents": list(e), "coefficient": str(c)}
                 for e, c in rows
             ],
         }))
     else:
         print(",".join(names + ["coefficient"]))
         for e, c in rows:
-            print(",".join([str(v) for v in e] + [format_rational(c)]))
+            print(",".join([str(v) for v in e] + [str(c)]))
     return EXIT_OK
 
 
@@ -365,11 +365,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="triangular count tables")
     p_table.add_argument("s", type=int)
-    p_table.add_argument("--variant", choices=("plain", "skew"), default="plain")
+    p_table.add_argument("--variant", choices=TABLE_VARIANTS, default="plain")
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p_series = sub.add_parser("series", help="dump a count series")
-    p_series.add_argument("which", choices=("E", "G", "G3closed", "E2closed", "H"))
+    p_series.add_argument("which", choices=tuple(_SERIES))
     p_series.add_argument("--k", type=int, default=None)
     p_series.add_argument("--cap", type=int, default=6)
     p_series.add_argument("--cache", help="persistent count cache file")

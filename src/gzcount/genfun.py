@@ -30,7 +30,7 @@ from math import factorial, prod
 # g4_explore lives beside the counters it calls; it is imported here too,
 # so ``genfun.g4_explore`` and ``counting.g4_explore`` are one object.
 from .counting import CountCache, _bounded_exponents, a_infinity, g4_explore, h_polynomial
-from .polyseries import SparsePoly, TruncSeries, _norm_coeff, format_rational
+from .polyseries import SparsePoly, TruncSeries, _norm_coeff
 
 
 def build_G(k: int, cap: int, cache: CountCache | None = None) -> TruncSeries:
@@ -68,7 +68,7 @@ class ResidualReport:
         verdict = "PASS" if self.ok else "FAIL"
         text = (
             f"{label} cap={self.cap}: {verdict} "
-            f"(max |residual| = {format_rational(self.max_abs)}, "
+            f"(max |residual| = {self.max_abs}, "
             f"nonzero terms = {self.nonzero_terms})"
         )
         if self.detail:
@@ -80,7 +80,7 @@ class ResidualReport:
             "identity": self.identity,
             "k": self.k,
             "cap": self.cap,
-            "max_abs": format_rational(self.max_abs),
+            "max_abs": str(self.max_abs),
             "nonzero_terms": self.nonzero_terms,
             "ok": self.ok,
             "detail": self.detail,
@@ -91,7 +91,7 @@ class ResidualReport:
     def to_csv_row(self) -> str:
         k = "" if self.k is None else str(self.k)
         return (
-            f"{self.identity},{k},{self.cap},{format_rational(self.max_abs)},"
+            f"{self.identity},{k},{self.cap},{self.max_abs},"
             f"{self.nonzero_terms},{'true' if self.ok else 'false'}"
         )
 

@@ -7,10 +7,10 @@ proves that these are exactly the vertices.  Every candidate is then
 certified against the facet system itself, in exact integer arithmetic:
 it satisfies all inequalities and its tight normals have full rank.  So
 each reported point is a vertex of the H-representation, not merely a
-pattern of a known shape.  Nothing here touches the operator/recursion
-machinery, so agreement between this module and the counters is a real
-cross-check.  The certificate runs down the tree of pattern rows, so rows
-that candidates share are checked once.
+pattern of a known shape.  Of the package only ``limits`` is imported,
+so agreement between this module and the counters is a real cross-check.
+The certificate runs down the tree of pattern rows, so rows that
+candidates share are checked once.
 
 Every facet is ``u[a] - u[b] <= bound`` for two coordinates, or for one
 coordinate and a ground node fixed at 0, so ``HRep`` stores it as the
@@ -21,10 +21,11 @@ be written down, and a malformed edge is refused with ``OracleError``
 when the ``HRep`` is built.
 
 The enumeration is limited to small ambient dimension (the default
-guardrail is 15, i.e. partitions of length up to 6: about 0.016 s for
-the 4,884 vertices of (1, ..., 6), and about 0.35 s for the 99,665 of
+guardrail is 15, i.e. partitions of length up to 6: about 0.015 s for
+the 4,884 vertices of (1, ..., 6), and about 0.37 s for the 99,665 of
 (1, ..., 7) at dimension 21, timed on a 2-vCPU x86-64 VM); the point of
-this module is correctness at desk scale, not generality.
+this module is correctness at desk scale, not generality, and
+``oracle_count`` refuses a longer shape before building its facet system.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from operator import index
 from typing import Iterator
 
 from .limits import DEFAULT_LIMIT_DIM, ResourceLimitError
-from .polyseries import format_rational
 
 
 class OracleError(RuntimeError):
@@ -154,13 +154,17 @@ class VertexSet:
         return sorted(self.points)
 
     def to_csv(self) -> str:
-        lines = [
-            ",".join(format_rational(c) for c in point) for point in self.sorted_points()
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(",".join(map(str, point)) + "\n" for point in self.sorted_points())
 
     def to_json_obj(self) -> list[list[str]]:
-        return [[format_rational(c) for c in point] for point in self.sorted_points()]
+        return [list(map(str, point)) for point in self.sorted_points()]
+
+
+def _check_dim(dim: int, limit_dim: int | None) -> None:
+    """Refuse to enumerate in an ambient dimension above the limit."""
+    limit = DEFAULT_LIMIT_DIM if limit_dim is None else limit_dim
+    if dim > limit:
+        raise DimensionLimitError(f"ambient dimension {dim} exceeds the enumeration limit {limit}")
 
 
 def _child_rows(row: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -210,11 +214,7 @@ def enumerate_vertices(hrep: HRep, limit_dim: int | None = None) -> VertexSet:
     ``hrep.dim``.  A violated edge or a rank below ``dim`` raises
     ``OracleError``.
     """
-    limit = DEFAULT_LIMIT_DIM if limit_dim is None else limit_dim
-    if hrep.dim > limit:
-        raise DimensionLimitError(
-            f"ambient dimension {hrep.dim} exceeds the enumeration limit {limit}"
-        )
+    _check_dim(hrep.dim, limit_dim)
     dim = hrep.dim
     n = hrep.shape.n
     # Rows are keyed by width: row i of the triangle has n - i entries,
@@ -260,4 +260,5 @@ def enumerate_vertices(hrep: HRep, limit_dim: int | None = None) -> VertexSet:
 
 def oracle_count(shape: GZShape, limit_dim: int | None = None) -> int:
     """Vertex count of GZ(shape) by direct enumeration."""
+    _check_dim(shape.ambient_dim, limit_dim)  # before building n(n-1) facet edges
     return len(enumerate_vertices(build_hrep(shape), limit_dim=limit_dim))

@@ -49,7 +49,8 @@ Coefficients are Python ints wherever possible and ``fractions.Fraction``
 only where denominators genuinely appear; every stored Fraction has a
 denominator above 1, because each result that is not already an int and
 reduces to an integer (for example Fraction(1, 2) * 2) becomes an int.
-Nothing here ever rounds.
+Nothing here ever rounds.  Exact numbers print as ``str`` prints them,
+``p`` or ``p/q``: ``format_rational`` is ``str`` under another name.
 
 All values are immutable after construction and all operations are pure
 functions, so they can be shared freely between concurrent callers.
@@ -64,13 +65,7 @@ from typing import Iterable, Mapping
 from .limits import DegreeLimitError
 
 
-def format_rational(value) -> str:
-    """Render an exact number as ``p/q`` (q > 0, reduced), or ``p`` if integral."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
+format_rational = str
 
 
 def _norm_coeff(c):

@@ -1,12 +1,17 @@
 """Tests for the exact polyhedral oracle."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import gcd
+from pathlib import Path
 
 import pytest
 
+import gzcount
 from gzcount import oracle
 from gzcount.counting import a_infinity, count_by_fiber_recursion
 from gzcount.oracle import (
@@ -554,6 +559,34 @@ def test_dimension_limit_refusal():
         enumerate_vertices(build_hrep(shape))
     with pytest.raises(DimensionLimitError):
         oracle_count(shape)
+
+
+def test_oracle_count_refuses_from_the_shape(monkeypatch):
+    # Above the limit the facet system is never built: for 3001 values it
+    # would hold 3001 * 3000 edges.
+    def fail(shape):
+        raise AssertionError("build_hrep called above the limit")
+
+    monkeypatch.setattr(oracle, "build_hrep", fail)
+    shape = GZShape((1,) * 3000 + (2,))
+    with pytest.raises(DimensionLimitError,
+                       match="^ambient dimension 4501500 exceeds the enumeration limit 15$"):
+        oracle_count(shape)
+
+
+def test_oracle_imports_only_limits():
+    # The ground truth shares no code with the counters: a fresh import of
+    # the oracle loads no other module of the package, and no rationals.
+    code = (
+        "import sys, gzcount.oracle\n"
+        "print(sorted(m for m in sys.modules if m.startswith('gzcount')),"
+        " [m for m in ('fractions', 'decimal') if m in sys.modules])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(gzcount.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "['gzcount', 'gzcount.limits', 'gzcount.oracle'] []"
 
 
 def test_dimension_limit_is_configurable():

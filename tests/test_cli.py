@@ -107,12 +107,59 @@ def test_count_negative_limit_dim_is_usage_error(capsys, method):
     assert "exceeds limit" not in err
 
 
-def test_count_refuses_on_recursion_limit(capsys):
-    code, out, err = run_cli(capsys, "count", "1^3000 2 3", "--method", "recurrence")
-    assert code == EXIT_LIMIT
-    assert out == ""
-    assert err.startswith("gzcount: refused: ")
-    assert "Traceback" not in err
+def test_count_recurrence_answers_beyond_the_recursion_limit(capsys):
+    assert run_cli(capsys, "count", "1^3000 2 3", "--method", "recurrence") == (
+        EXIT_OK, "4513510002\n", "",
+    )
+    assert run_cli(capsys, "count", "1^3000 2 3", "--method", "formula") == (
+        EXIT_OK, "4513510002\n", "",
+    )
+
+
+@pytest.mark.parametrize("partition, value, ambient", [
+    ("1^1200 2 3", "290164002", 721801),
+    ("1^3000 2 3", "4513510002", 4504501),
+])
+def test_count_all_answers_on_deep_three_value_vectors(capsys, partition, value, ambient):
+    code, out, err = run_cli(capsys, "count", partition, "--method", "all")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == "".join(
+        f"{method} {value}\n" for method in ["a-infinity", "fiber", "formula", "recurrence"]
+    ) + f"oracle skipped (ambient dimension {ambient} exceeds limit 15)\nagreement: ok\n"
+
+
+def test_count_recurrence_on_a_large_cube_matches_the_formula(capsys, monkeypatch):
+    from gzcount import counting
+
+    # A fresh memo, so the 286,210 cells are freed when the test ends.
+    monkeypatch.setattr(counting, "_REC3_MEMO", {})
+    code, out, _ = run_cli(capsys, "count", "1^60 2^60 3^60", "--method", "recurrence")
+    assert code == EXIT_OK
+    assert len(counting._REC3_MEMO) == 286_210
+    assert (code, out, "") == run_cli(capsys, "count", "1^60 2^60 3^60", "--method", "formula")
+
+
+def test_count_recurrence_refuses_a_cone_above_the_limit():
+    env = dict(os.environ, PYTHONPATH=str(Path(gzcount.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gzcount.cli", "count", "1^300 2^300 3^300", "--method", "recurrence"],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_LIMIT, "")
+    assert proc.stderr == (
+        "gzcount: refused: three-value recurrence cone of 35955050 cells exceeds the limit 4000000\n"
+    )
+
+
+def test_count_all_names_the_recurrence_cone_refusal(capsys, monkeypatch):
+    from gzcount import counting
+
+    monkeypatch.setattr(counting, "_REC3_MEMO", {})
+    monkeypatch.setattr(counting, "REC3_MAX_CELLS", 13)
+    assert run_cli(capsys, "count", "1^2 2^2 3^3", "--method", "all") == (
+        EXIT_LIMIT, "",
+        "gzcount: refused: recurrence: three-value recurrence cone of 14 cells exceeds the limit 13\n",
+    )
 
 
 def test_count_refuses_on_memory_error(capsys, monkeypatch):
@@ -124,15 +171,13 @@ def test_count_refuses_on_memory_error(capsys, monkeypatch):
 
 
 def test_count_all_refusal_names_the_route(capsys, monkeypatch):
-    from gzcount import counting
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
 
-    # An empty recurrence memo, so the recursion depth does not depend on
-    # which tests ran before.
-    monkeypatch.setattr(counting, "_REC3_MEMO", {})
-    code, out, err = run_cli(capsys, "count", "1^1200 2 3", "--method", "all")
-    assert (code, out) == (EXIT_LIMIT, "")
-    assert err.startswith("gzcount: refused: recurrence: maximum recursion depth exceeded")
-    assert run_cli(capsys, "count", "1^1200 2 3") == (EXIT_OK, "290164002\n", "")
+    monkeypatch.setattr("gzcount.cli.recurrence_V3", too_deep)
+    assert run_cli(capsys, "count", "1 2 3", "--method", "all") == (
+        EXIT_LIMIT, "", "gzcount: refused: recurrence: maximum recursion depth exceeded\n",
+    )
 
     def exhausted(*args):
         raise MemoryError

@@ -34,6 +34,7 @@ from gzcount.counting import (
     tri_table,
     vertex_count,
 )
+from gzcount.limits import ResourceLimitError
 from gzcount.polyseries import Monomial, SparsePoly, TruncSeries
 
 ONE = SparsePoly.one()
@@ -393,6 +394,102 @@ def test_recurrence_examples():
     assert recurrence_V3(2, 1, 1) == 16
     with pytest.raises(ValueError):
         recurrence_V3(-1, 1, 1)
+
+
+def recursive_recurrence_V3(k, l, m, memo):
+    """The recurrence as it was before the bottom-up sweep: recursive, on ``memo``."""
+    if min(k, l, m) < 0:
+        raise ValueError("recurrence_V3 requires nonnegative arguments")
+    if k == 0:
+        return comb(l + m, l)
+    if l == 0:
+        return comb(k + m, k)
+    if m == 0:
+        return comb(k + l, k)
+    key = (k, l, m)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    value = (
+        recursive_recurrence_V3(k - 1, l, m, memo)
+        + recursive_recurrence_V3(k, l - 1, m, memo)
+        + recursive_recurrence_V3(k, l, m - 1, memo)
+        + recursive_recurrence_V3(k - 1, l + 1, m - 1, memo)
+    )
+    memo[key] = value
+    return value
+
+
+def test_recurrence_sweep_matches_the_recursive_reference(monkeypatch):
+    # Same values and the same stored cells, each case from an empty memo.
+    for k, l, m in product(range(13), repeat=3):
+        memo = {}
+        monkeypatch.setattr(counting, "_REC3_MEMO", {})
+        assert recurrence_V3(k, l, m) == recursive_recurrence_V3(k, l, m, memo), (k, l, m)
+        assert counting._REC3_MEMO.keys() == memo.keys(), (k, l, m)
+
+
+def test_recurrence_sweep_keeps_the_cells_it_finds(monkeypatch):
+    # A warm memo is extended, not refilled: the key set is the union of
+    # the cones asked for, as with the recursion.
+    memo = {}
+    monkeypatch.setattr(counting, "_REC3_MEMO", {})
+    for k, l, m in [(4, 2, 6), (7, 1, 3), (2, 5, 2), (7, 3, 6)]:
+        assert recurrence_V3(k, l, m) == recursive_recurrence_V3(k, l, m, memo)
+    assert counting._REC3_MEMO.keys() == memo.keys()
+
+
+def test_recurrence_needs_no_recursion_depth():
+    out = _first_call(
+        "import sys\n"
+        "from gzcount.counting import binomial_formula_V, recurrence_V3\n"
+        "sys.setrecursionlimit(100)\n"
+        "print(recurrence_V3(3000, 1, 1) == binomial_formula_V(3000, 1, 1) == 4513510002)"
+    )
+    assert out == "True"
+
+
+def test_recurrence_cone_cells_closed_form():
+    for k, l, m in product(range(1, 9), repeat=3):
+        brute = sum(l + min(k - a, m - c) for a in range(1, k + 1) for c in range(1, m + 1))
+        assert counting._rec3_cone_cells(k, l, m) == brute, (k, l, m)
+    assert counting._rec3_cone_cells(100, 100, 100) == 1_328_350
+    assert counting._rec3_cone_cells(300, 300, 300) == 35_955_050
+
+
+def test_recurrence_refuses_a_cone_above_the_limit(monkeypatch):
+    monkeypatch.setattr(counting, "_REC3_MEMO", {})
+    monkeypatch.setattr(counting, "REC3_MAX_CELLS", counting._rec3_cone_cells(5, 4, 6))
+    assert recurrence_V3(5, 4, 6) == binomial_formula_V(5, 4, 6)
+    stored = dict(counting._REC3_MEMO)
+    with pytest.raises(ResourceLimitError) as info:
+        recurrence_V3(5, 5, 6)
+    cells = counting._rec3_cone_cells(5, 5, 6)
+    assert str(info.value) == (
+        f"three-value recurrence cone of {cells} cells exceeds the limit {counting.REC3_MAX_CELLS}"
+    )
+    assert type(info.value) is ResourceLimitError
+    assert counting._REC3_MEMO == stored
+    # A stored target is answered whatever its cone.
+    monkeypatch.setattr(counting, "REC3_MAX_CELLS", 0)
+    assert recurrence_V3(5, 4, 6) == stored[5, 4, 6]
+    assert recurrence_V3(0, 900, 900) == comb(1800, 900)
+
+
+def test_recurrence_refuses_a_huge_cone_at_once(monkeypatch):
+    monkeypatch.setattr(counting, "_REC3_MEMO", {})
+    with pytest.raises(ResourceLimitError, match="exceeds the limit 4000000"):
+        recurrence_V3(10**6, 1, 10**6)
+    assert counting._REC3_MEMO == {}
+
+
+@pytest.mark.parametrize("route", [recurrence_V3, coeff_theorem_V])
+@pytest.mark.parametrize("args", [(1.5, 1, 1), (2.0, 1, 1), (1, 1, 2.0), (1, 0.5, 1)])
+def test_three_value_routes_refuse_non_integer_arguments(monkeypatch, route, args):
+    monkeypatch.setattr(counting, "_REC3_MEMO", {})
+    with pytest.raises(TypeError):
+        route(*args)
+    assert counting._REC3_MEMO == {}
 
 
 # ------------------------------------------------------- slice polynomials

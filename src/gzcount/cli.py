@@ -106,7 +106,6 @@ def _cmd_count(args, cache: CountCache | None) -> int:
     mults = mv.mults
     distinct = len(mults)
     ambient = len(values) * (len(values) - 1) // 2
-    limit = args.limit_dim if args.limit_dim is not None else DEFAULT_LIMIT_DIM
 
     def run(method: str) -> int:
         if method == "a-infinity":
@@ -126,11 +125,10 @@ def _cmd_count(args, cache: CountCache | None) -> int:
                 )
             padded = mults + (0,) * (3 - distinct)
             return recurrence_V3(*padded)
-        if method == "oracle":
-            from .oracle import GZShape, oracle_count
+        # argparse admits no other method than "oracle" here.
+        from .oracle import GZShape, oracle_count
 
-            return oracle_count(GZShape(tuple(values)), limit_dim=limit)
-        raise ValueError(f"unknown method {method!r}")
+        return oracle_count(GZShape(tuple(values)), limit_dim=args.limit_dim)
 
     if args.method != "all":
         value = run(args.method)
@@ -150,36 +148,45 @@ def _cmd_count(args, cache: CountCache | None) -> int:
         chosen.append("formula")
     if distinct <= 3:
         chosen.append("recurrence")
-    skipped_oracle = ambient > limit
+    skipped_oracle = ambient > args.limit_dim
     if not skipped_oracle:
         chosen.append("oracle")
-    results = {}
+    # A refused route leaves the others' answers standing: it is reported
+    # in its place, and agreement is judged on the routes that answered.
+    results, refused = {}, {}
     for method in chosen:
         try:
             results[method] = run(method)
         except (ResourceLimitError, RecursionError, MemoryError) as exc:
-            raise ResourceLimitError(f"{method}: {str(exc) or type(exc).__name__}") from exc
-    agree = len(set(results.values())) == 1
+            refused[method] = str(exc) or type(exc).__name__
+    agree = len(set(results.values())) <= 1
 
-    if args.format == "json":
-        print(_json_dump({
+    if results and args.format == "json":
+        report = {
             "partition": values,
             "multiplicities": list(mults),
             "counts": {m: str(v) for m, v in results.items()},
             "oracle_skipped": skipped_oracle,
             "agreement": agree,
-        }))
-    else:
-        for method in COUNT_METHODS:
+        }
+        if refused:
+            report["refused"] = refused
+        print(_json_dump(report))
+    elif results:
+        for method in chosen:
             if method in results:
                 print(f"{method} {results[method]}")
+            else:
+                print(f"{method} refused ({refused[method]})")
         if skipped_oracle:
-            print(f"oracle skipped (ambient dimension {ambient} exceeds limit {limit})")
+            print(f"oracle skipped (ambient dimension {ambient} exceeds limit {args.limit_dim})")
         print(f"agreement: {'ok' if agree else 'MISMATCH'}")
     if not agree:
         print("count mismatch between methods", file=sys.stderr)
         return EXIT_VERIFY
-    return EXIT_OK
+    for method, reason in refused.items():
+        print(f"gzcount: refused: {method}: {reason}", file=sys.stderr)
+    return EXIT_LIMIT if refused else EXIT_OK
 
 
 # ---------------------------------------------------------------- table
@@ -233,8 +240,6 @@ def _cmd_series(args, cache: CountCache | None) -> int:
         k = fixed_k
     else:
         k = args.k if args.k is not None else 1
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
 
     series = build(genfun, k, args.cap, cache)
     names = variables(k)
@@ -359,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("partition", help="partition, e.g. '1 2 3', '1,1,2' or '1^2 2 3'")
     p_count.add_argument("--method", choices=COUNT_METHODS + ("all",), default="a-infinity")
     p_count.add_argument("--cache", help="persistent count cache file")
-    p_count.add_argument("--limit-dim", type=_non_negative_int, default=None,
+    p_count.add_argument("--limit-dim", type=_non_negative_int, default=DEFAULT_LIMIT_DIM,
                          help=f"oracle ambient-dimension guardrail (default {DEFAULT_LIMIT_DIM})")
     p_count.add_argument("--format", choices=("text", "json"), default="text")
 

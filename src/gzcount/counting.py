@@ -62,7 +62,7 @@ from itertools import chain
 from math import comb
 from operator import add, index, mul
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .limits import ResourceLimitError
 
@@ -175,35 +175,18 @@ _VALUE_TEXT = re.compile(r"0|[1-9][0-9]*")
 class CountCache:
     """Shared memo table: zero-stripped multiplicity vector -> vertex count.
 
-    Insertion uses dict.setdefault, which is atomic in CPython, and any
-    value computed for a key is always the same, so concurrent readers
-    and writers see a deterministic table.  ``a_infinity`` walks the
-    table itself, inserting the same way.
+    A table starts empty.  ``a_infinity`` fills it as it walks, and
+    ``load`` fills it from a cache file, where every key and value is
+    checked against the canonical form ``save`` writes.  Insertion uses
+    dict.setdefault, which is atomic in CPython, and any value computed
+    for a key is always the same, so concurrent readers and writers see a
+    deterministic table.
     """
 
     VERSION = 1
 
-    def __init__(self, entries: Mapping[Mults, int] | None = None):
+    def __init__(self):
         self._counts: dict[Mults, int] = {}
-        if entries:
-            for key, value in entries.items():
-                self._counts[self._check_key(key)] = self._check_value(value)
-
-    @staticmethod
-    def _check_key(key) -> Mults:
-        key = tuple(key)
-        if not key or any(type(v) is not int or v <= 0 for v in key):
-            raise CacheFormatError(
-                f"cache key must be a nonempty tuple of positive integers, got {key}"
-            )
-        return key
-
-    @staticmethod
-    def _check_value(value) -> int:
-        # ``True`` is an int too, but ``save`` would write it as "True".
-        if type(value) is not int or value < 0:
-            raise CacheFormatError(f"cache value must be a nonnegative integer, got {value}")
-        return value
 
     def get(self, key: Mults) -> int | None:
         return self._counts.get(key)

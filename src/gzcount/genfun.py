@@ -322,8 +322,5 @@ def verify_h(s_max: int) -> ResidualReport:
         cap=s_max,
         max_abs=max(map(abs, residuals), default=0),
         nonzero_terms=len(residuals),
-        # The slices are those of H at total degree 3*s_max, though no series
-        # is built at that cap.  The text stays as it is: the ``verify all
-        # --cap 12 --format json`` digest pins the report bytes.
-        detail="slices compared through s_max at series cap 3*s_max",
+        detail="slices compared through s_max, from H expanded in y",
     )

@@ -34,8 +34,7 @@ no exponent of a result reaches B.
   of ``divide_exact`` read no exponents.  No field carries while every
   total degree stays below 2^30 - 1: a term, product or division that
   would reach it raises ``DegreeLimitError``, a ``ResourceLimitError``
-  (CLI exit 3).  ``TruncSeries.from_poly`` repacks each term once into
-  the series' base.  The map from ``Monomial``, ``terms``, is built only
+  (CLI exit 3).  The map from ``Monomial``, ``terms``, is built only
   when read.
 
 The two carriers differ only in how they pack keys and share every loop
@@ -574,19 +573,15 @@ class TruncSeries:
     @classmethod
     def from_poly(cls, poly: SparsePoly, nvars: int, cap: int) -> "TruncSeries":
         """View a polynomial as a series, dropping terms beyond the cap."""
-        out = cls(nvars, cap)
-        end = _WIDTH * nvars
-        for k in poly._keys:
-            if k >> end:
-                raise ValueError(f"monomial {_monomial_of(k)!r} uses a variable beyond x{nvars}")
-        base = out._base
-        for k, c in poly._keys.items():
-            degree = k % _MASK
-            if degree <= cap:
-                packed = 0
-                for shift in range(0, end, _WIDTH):
-                    packed = packed * base + (k >> shift & _MASK)
-                out._layers[degree][packed] = c
+        coeffs, beyond = {}, []
+        for mono, c in poly.items():
+            if max(mono.support(), default=0) > nvars:
+                beyond.append(mono)
+            elif mono.degree() <= cap:
+                coeffs[tuple(map(mono.exponent, range(1, nvars + 1)))] = c
+        out = cls(nvars, cap, coeffs)  # reports a bad nvars or cap first
+        if beyond:
+            raise ValueError(f"monomial {beyond[0]!r} uses a variable beyond x{nvars}")
         return out
 
     @property

@@ -156,9 +156,13 @@ def test_count_all_names_the_recurrence_cone_refusal(capsys, monkeypatch):
 
     monkeypatch.setattr(counting, "_REC3_MEMO", {})
     monkeypatch.setattr(counting, "REC3_MAX_CELLS", 13)
+    reason = "three-value recurrence cone of 14 cells exceeds the limit 13"
     assert run_cli(capsys, "count", "1^2 2^2 3^3", "--method", "all") == (
-        EXIT_LIMIT, "",
-        "gzcount: refused: recurrence: three-value recurrence cone of 14 cells exceeds the limit 13\n",
+        EXIT_LIMIT,
+        "a-infinity 455\nfiber 455\nformula 455\n"
+        f"recurrence refused ({reason})\n"
+        "oracle skipped (ambient dimension 21 exceeds limit 15)\nagreement: ok\n",
+        f"gzcount: refused: recurrence: {reason}\n",
     )
 
 
@@ -176,7 +180,11 @@ def test_count_all_refusal_names_the_route(capsys, monkeypatch):
 
     monkeypatch.setattr("gzcount.cli.recurrence_V3", too_deep)
     assert run_cli(capsys, "count", "1 2 3", "--method", "all") == (
-        EXIT_LIMIT, "", "gzcount: refused: recurrence: maximum recursion depth exceeded\n",
+        EXIT_LIMIT,
+        "a-infinity 7\nfiber 7\nformula 7\n"
+        "recurrence refused (maximum recursion depth exceeded)\n"
+        "oracle 7\nagreement: ok\n",
+        "gzcount: refused: recurrence: maximum recursion depth exceeded\n",
     )
 
     def exhausted(*args):
@@ -184,7 +192,66 @@ def test_count_all_refusal_names_the_route(capsys, monkeypatch):
 
     monkeypatch.setattr("gzcount.cli.count_by_fiber_recursion", exhausted)
     assert run_cli(capsys, "count", "1 2 3", "--method", "all") == (
-        EXIT_LIMIT, "", "gzcount: refused: fiber: MemoryError\n",
+        EXIT_LIMIT,
+        "a-infinity 7\nfiber refused (MemoryError)\nformula 7\n"
+        "recurrence refused (maximum recursion depth exceeded)\n"
+        "oracle 7\nagreement: ok\n",
+        "gzcount: refused: fiber: MemoryError\n"
+        "gzcount: refused: recurrence: maximum recursion depth exceeded\n",
+    )
+
+
+def _refuse(monkeypatch, *names):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    for name in names:
+        monkeypatch.setattr(name, exhausted)
+
+
+@pytest.mark.parametrize("patched, names", [
+    (("gzcount.cli.recurrence_V3",), ["recurrence"]),
+    (("gzcount.cli.count_by_fiber_recursion", "gzcount.oracle.oracle_count"), ["fiber", "oracle"]),
+])
+def test_count_all_json_lists_refused_routes_beside_the_answers(capsys, monkeypatch, patched, names):
+    _refuse(monkeypatch, *patched)
+    code, out, err = run_cli(capsys, "count", "1 2 3", "--method", "all", "--format", "json")
+    answered = [m for m in ("a-infinity", "fiber", "formula", "recurrence", "oracle") if m not in names]
+    assert code == EXIT_LIMIT
+    assert json.loads(out) == {
+        "partition": [1, 2, 3],
+        "multiplicities": [1, 1, 1],
+        "counts": {m: "7" for m in answered},
+        "oracle_skipped": False,
+        "agreement": True,
+        "refused": {m: "MemoryError" for m in names},
+    }
+    assert err == "".join(f"gzcount: refused: {m}: MemoryError\n" for m in names)
+
+
+def test_count_all_judges_agreement_on_the_routes_that_answered(capsys, monkeypatch):
+    # A mismatch among the answers wins over a refusal: exit 2.
+    _refuse(monkeypatch, "gzcount.cli.recurrence_V3")
+    monkeypatch.setattr("gzcount.cli.binomial_formula_V", lambda *mults: 8)
+    code, out, err = run_cli(capsys, "count", "1 2 3", "--method", "all")
+    assert code == EXIT_VERIFY
+    assert out == (
+        "a-infinity 7\nfiber 7\nformula 8\nrecurrence refused (MemoryError)\n"
+        "oracle 7\nagreement: MISMATCH\n"
+    )
+    assert err == "count mismatch between methods\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_count_all_with_every_route_refused_prints_nothing(capsys, monkeypatch, fmt):
+    _refuse(monkeypatch, "gzcount.cli.a_infinity", "gzcount.cli.count_by_fiber_recursion",
+            "gzcount.cli.binomial_formula_V", "gzcount.cli.recurrence_V3",
+            "gzcount.oracle.oracle_count")
+    assert run_cli(capsys, "count", "1 2 3", "--method", "all", "--format", fmt) == (
+        EXIT_LIMIT, "", "".join(
+            f"gzcount: refused: {m}: MemoryError\n"
+            for m in ("a-infinity", "fiber", "formula", "recurrence", "oracle")
+        ),
     )
 
 
@@ -331,15 +398,17 @@ SERIES_STDOUT_SHA256 = {
     "series G3closed --cap 20": "dd2340e353a585ccc0ea403bf9ae347ce597db2dbee97d9df6ddb5a5ac959927",
     "series E2closed --cap 16": "5ea35175e63b58dc148eb55f6dffeaa5ad7338e4164f7ca4ec9ab7be59b2f5a7",
     "series H --cap 12": "dd2d493ad2f32b18eb28b45dcceb34e31eb2e66d405f64f1d26e87d0fb9b1b2c",
+    # Re-pinned when the h report's detail text came to name the expansion
+    # of H in y (see test_verify_digests_change_only_in_the_h_detail).
     "verify all --cap 12 --format json":
-        "ec9466c6f736a6bb6d52dacea40757e614039717d2e19a82aaeb5127adc62e42",
+        "f7edb340ccd4e4330a3d7278d3d6784a3cf3d90dd8ca47aa6d0869723c7ccd99",
     # Recorded with the dict-grown tables and verify_h on the series H
     # inverted in three variables.
     "table 40": "6818517b0431e84cbc2c4f57fa1b533090dc565e14a496bcbd1e1757b80b45b9",
     "table 40 --variant skew --format json":
         "27af4b3c535b8fdaf30bf56eba2a92457c4c42a3fd21a467d22141a1f2fcc647",
     "series H --cap 30": "49bce588f17e765b299f527581a8799f09a481a53afa2dd83a43aab41b6c3e74",
-    "verify h --cap 18": "7de7adb45aeab08ab3f49ff8e5889dfa6e122f399c26b398d7b27610a8330ceb",
+    "verify h --cap 18": "1e189ea61165b28c318acd163530a15549f000a91b58128d0f15544d983d5445",
     # Recorded with exp(z1 + z2) summed from powers of z1 + z2.
     "series E2closed --cap 30": "b492318064f4c1f377c72d4e69bd202456c128fcd013f607f887bf0be617153a",
     "verify e2 --cap 24 --format json":
@@ -352,6 +421,22 @@ def test_series_and_verify_stdout_digests(capsys, command):
     code, out, _ = run_cli(capsys, *command.split())
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == SERIES_STDOUT_SHA256[command]
+
+
+@pytest.mark.parametrize("command, digest", [
+    ("verify all --cap 12 --format json",
+     "ec9466c6f736a6bb6d52dacea40757e614039717d2e19a82aaeb5127adc62e42"),
+    ("verify h --cap 18", "7de7adb45aeab08ab3f49ff8e5889dfa6e122f399c26b398d7b27610a8330ceb"),
+])
+def test_verify_digests_change_only_in_the_h_detail(capsys, command, digest):
+    # The digests these reports had before the h detail text was reworded:
+    # with the old text put back, the bytes are the old bytes.
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == EXIT_OK
+    new, old = "from H expanded in y", "at series cap 3*s_max"
+    assert out.count(new) == 1
+    restored = out.replace(", " + new, " " + old)
+    assert hashlib.sha256(restored.encode()).hexdigest() == digest
 
 
 # ------------------------------------------------------------------ verify
@@ -801,7 +886,8 @@ LEAN_RUNS = (
 
 def test_count_table_and_cache_stats_import_no_series_or_oracle_code(tmp_path):
     # An existing cache file, so the runs that name it load it.
-    CountCache({(1, 1): 2, (2, 1, 1): 16}).save(tmp_path / "c.json")
+    counts = {"1,1": "2", "2,1,1": "16"}
+    (tmp_path / "c.json").write_text(json.dumps({"version": 1, "counts": counts}))
     # What a bare interpreter loads depends on the environment (``site``
     # may import packages of its own), so it is measured, not assumed.
     bare = _loaded_modules(tmp_path, "import sys; print(*sys.modules)")

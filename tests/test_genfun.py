@@ -390,7 +390,7 @@ def verify_h_reference(s_max):
         cap=s_max,
         max_abs=max(map(abs, residuals), default=0),
         nonzero_terms=len(residuals),
-        detail="slices compared through s_max at series cap 3*s_max",
+        detail="slices compared through s_max, from H expanded in y",
     )
 
 

@@ -488,15 +488,27 @@ def test_from_poly_matches_reference_and_refuses_extra_variables():
     rng = random.Random(31)
     for _ in range(60):
         nvars = rng.randint(1, 3)
-        cap = rng.randint(0, 6)
         exps = {tuple(rng.randint(0, 3) for _ in range(nvars)): rng.randint(-5, 5) for _ in range(6)}
         p = SparsePoly({Monomial(enumerate(e, 1)): c for e, c in exps.items()})
-        want = {e: c for e, c in exps.items() if sum(e) <= cap}
-        assert_same_series(TruncSeries.from_poly(p, nvars, cap), TruncSeries(nvars, cap, want))
+        # Cap 0 keeps the constant term alone.
+        for cap in (0, rng.randint(1, 6)):
+            want = {e: c for e, c in exps.items() if sum(e) <= cap}
+            assert_same_series(TruncSeries.from_poly(p, nvars, cap), TruncSeries(nvars, cap, want))
     with pytest.raises(ValueError, match=r"^monomial x1\*x3\^2 uses a variable beyond x2$"):
         TruncSeries.from_poly(ONE + X1 * X3 * X3, 2, 1)
     with pytest.raises(ValueError, match=r"^monomial x9 uses a variable beyond x3$"):
         TruncSeries.from_poly(X1 + SparsePoly.variable(9), 3, 4)
+
+
+def test_from_poly_reports_a_bad_nvars_or_cap_before_an_extra_variable():
+    with pytest.raises(ValueError, match=r"^nvars must be >= 1, got 0$"):
+        TruncSeries.from_poly(X2, 0, 3)
+    with pytest.raises(ValueError, match=r"^nvars must be >= 1, got 0$"):
+        TruncSeries.from_poly(X2, 0, -1)
+    with pytest.raises(ValueError, match=r"^cap must be >= 0, got -1$"):
+        TruncSeries.from_poly(X2, 1, -1)
+    with pytest.raises(ValueError, match=r"^monomial x2 uses a variable beyond x1$"):
+        TruncSeries.from_poly(X2, 1, 0)
 
 
 def test_poly_degree_limit():

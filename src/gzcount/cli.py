@@ -281,13 +281,12 @@ def _cmd_verify(args, cache: CountCache | None) -> int:
     from .genfun import verify_dde_G, verify_e2, verify_g3, verify_h, verify_pde_E
 
     lo, hi = _parse_k_range(args.k)
-    reports = []
-    for suite, verify in (("pde", verify_pde_E), ("dde", verify_dde_G)):
-        if args.suite in (suite, "all"):
-            for k in range(lo, hi + 1):
-                if args.cap < k:
-                    raise ValueError(f"cap {args.cap} too small for {suite} at k = {k}")
-                reports.append(verify(k, args.cap, cache))
+    by_k = [(suite, verify) for suite, verify in (("pde", verify_pde_E), ("dde", verify_dde_G))
+            if args.suite in (suite, "all")]
+    # Checked against the whole k range before any suite runs.
+    if by_k and args.cap < hi:
+        raise ValueError(f"cap {args.cap} too small for {by_k[0][0]} at k = {max(lo, args.cap + 1)}")
+    reports = [verify(k, args.cap, cache) for _, verify in by_k for k in range(lo, hi + 1)]
     if args.suite in ("g3", "all"):
         reports.append(verify_g3(args.cap, cache))
     if args.suite in ("e2", "all"):

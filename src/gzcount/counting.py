@@ -14,8 +14,9 @@ routes are provided and cross-checked by the test suite:
                        -- closed formulas and a recurrence for three
                           distinct values, the recurrence filled
                           bottom-up over the cone below its target;
-* triangular tables ``T^s`` / skew tables and the generating polynomials
-  ``g_s`` / ``h_s`` they tabulate.
+* triangular tables ``T^s``, grown by one neighbour-sum rule, and the
+  skew tables, each the plain table minus its reflection; they tabulate
+  the generating polynomials ``g_s`` / ``h_s``.
 
 ``g4_explore`` lists the ``a_infinity`` counts of every four-value
 vector up to a total, so ``gzcount g4-explore`` needs no series code.
@@ -60,7 +61,7 @@ import os
 import re
 from itertools import chain
 from math import comb
-from operator import add, index, mul
+from operator import add, index, mul, sub
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -677,14 +678,24 @@ def h_polynomial(s: int, method: str = "recurrence") -> SparsePoly:
 
 TABLE_VARIANTS = ("plain", "skew")
 
+#: Largest table ``tri_table`` builds.  Through the CLI (Python 3.11, one
+#: core of a 2-vCPU VM), ``table 500 --variant skew`` prints in 4.4-4.7 s
+#: at 246 MB peak RSS (5.5 s at 424 MB with ``--format json``); ``table
+#: 550`` takes 7.4-9.7 s at up to 517 MB and ``table 600 --variant skew``
+#: 10.4 s at 408 MB (10.9 s at 645 MB as JSON).
+TABLE_MAX_S = 500
+
 
 class TriTable(_Frozen):
     """Triangular table of three-value counts (plain) or its skew variant.
 
     Plain tables live on cells k + m <= s and tabulate the coefficients
-    of g_s; skew tables live on the square 0 <= k, m <= s, tabulate the
-    coefficients of h_s, and satisfy entry(k, m) = -entry(s-m, s-k)
-    (skew symmetry across the k + m = s diagonal of the drawn table).
+    of g_s; skew tables live on the square 0 <= k, m <= s and are the
+    plain table minus its reflection, entry(k, m) = plain(k, m) -
+    plain(s-m, s-k) with plain cells outside the triangle read as 0.
+    They tabulate the coefficients of h_s = g_s(x, z) - (xz)^s g_s(1/z,
+    1/x) and satisfy entry(k, m) = -entry(s-m, s-k) (skew symmetry
+    across the k + m = s diagonal of the drawn table).
     """
 
     __slots__ = ("s", "variant", "entries")
@@ -705,46 +716,44 @@ class TriTable(_Frozen):
 
 
 def tri_table(s: int, variant: str = "plain") -> TriTable:
-    """Build the size-s table by the neighbor-sum growth rules."""
+    """Build the size-s table.
+
+    The plain table grows by the neighbour-sum rule; the skew table is
+    then the plain table minus its reflection, plain(k, m) - plain(s-m,
+    s-k), the definition of h_s on the cells.  A size above
+    ``TABLE_MAX_S`` is refused with ``ResourceLimitError`` before
+    anything is built.
+    """
     if s < 1:
         raise ValueError("tri_table requires s >= 1")
     if variant not in TABLE_VARIANTS:
         raise ValueError(f"unknown table variant {variant!r}; expected one of {TABLE_VARIANTS}")
+    if s > TABLE_MAX_S:
+        raise ResourceLimitError(f"table size {s} exceeds the limit {TABLE_MAX_S}")
     # rows[k] holds the cells (k, 0), (k, 1), ... of the current table.
     # Each step pads the rows with zeros to the new width and forms
     # T(k, m) + T(k-1, m) once per cell, so a new cell is that column sum
     # plus the one at m - 1, the four neighbours of the growth rule.
-    if variant == "plain":
-        rows = [[1, 1], [1]]
-        for t in range(1, s):
-            width = t + 2
-            above = [0] * width  # row k - 1; none above row 0
-            grown = []
-            for k in range(width):
-                here = rows[k] + [0] * (k + 1) if k <= t else [0] * width
-                col = list(map(add, here, above))
-                row = [col[0]] + list(map(add, col[1:width - k], col))
-                # The new diagonal cell (k, t+1-k) has no (k-1, t-k) term.
-                if k <= t:
-                    row[-1] -= above[t - k]
-                grown.append(row)
-                above = here
-            rows = grown
-    else:
-        rows = [[1, 0], [0, -1]]
-        for t in range(1, s):
-            width = t + 2
-            above = [0] * width
-            grown = []
-            for k in range(width):
-                here = rows[k] + [0] if k <= t else [0] * width
-                col = list(map(add, here, above))
-                grown.append([col[0]] + list(map(add, col[1:], col)))
-                above = here
-            for k in range(t + 1):
-                b = comb(t, t - k)
-                grown[k][t - k] += b
-                grown[k + 1][t - k + 1] -= b
-            rows = grown
+    rows = [[1, 1], [1]]
+    for t in range(1, s):
+        width = t + 2
+        above = [0] * width  # row k - 1; none above row 0
+        grown = []
+        for k in range(width):
+            here = rows[k] + [0] * (k + 1) if k <= t else [0] * width
+            col = list(map(add, here, above))
+            row = [col[0]] + list(map(add, col[1:width - k], col))
+            # The new diagonal cell (k, t+1-k) has no (k-1, t-k) term.
+            if k <= t:
+                row[-1] -= above[t - k]
+            grown.append(row)
+            above = here
+        rows = grown
+    if variant == "skew":
+        # Cell (k, m) less the plain cell (s-m, s-k), which lies in the
+        # triangle when m >= s-k: column s-k of rows k, k-1, ..., 0.
+        rows = [list(map(sub, rows[k] + [0] * k,
+                         [0] * (s - k) + [rows[j][s - k] for j in range(k, -1, -1)]))
+                for k in range(s + 1)]
     cells = {(k, m): v for k, row in enumerate(rows) for m, v in enumerate(row)}
     return TriTable(s=s, variant=variant, entries=cells)

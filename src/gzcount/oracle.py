@@ -160,11 +160,12 @@ class VertexSet:
         return [list(map(str, point)) for point in self.sorted_points()]
 
 
-def _check_dim(dim: int, limit_dim: int | None) -> None:
+def _check_dim(dim: int, limit_dim: int) -> None:
     """Refuse to enumerate in an ambient dimension above the limit."""
-    limit = DEFAULT_LIMIT_DIM if limit_dim is None else limit_dim
-    if dim > limit:
-        raise DimensionLimitError(f"ambient dimension {dim} exceeds the enumeration limit {limit}")
+    if dim > limit_dim:
+        raise DimensionLimitError(
+            f"ambient dimension {dim} exceeds the enumeration limit {limit_dim}"
+        )
 
 
 def _child_rows(row: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -174,7 +175,7 @@ def _child_rows(row: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     return product(*[(a, b) if a != b else (a,) for a, b in zip(row, row[1:])])
 
 
-def enumerate_vertices(hrep: HRep, limit_dim: int | None = None) -> VertexSet:
+def enumerate_vertices(hrep: HRep, limit_dim: int = DEFAULT_LIMIT_DIM) -> VertexSet:
     """Exact vertex set of GZ(shape), certified against ``hrep``.
 
     Every facet of the H-rep is an edge ``(a, b, bound)`` meaning
@@ -258,7 +259,7 @@ def enumerate_vertices(hrep: HRep, limit_dim: int | None = None) -> VertexSet:
     return VertexSet(frozenset(points))
 
 
-def oracle_count(shape: GZShape, limit_dim: int | None = None) -> int:
+def oracle_count(shape: GZShape, limit_dim: int = DEFAULT_LIMIT_DIM) -> int:
     """Vertex count of GZ(shape) by direct enumeration."""
     _check_dim(shape.ambient_dim, limit_dim)  # before building n(n-1) facet edges
     return len(enumerate_vertices(build_hrep(shape), limit_dim=limit_dim))

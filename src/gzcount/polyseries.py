@@ -603,6 +603,8 @@ class TruncSeries:
         Operands in one base share their layers, not copied.  Otherwise
         both are rebuilt from their coefficients in base cap + 1.
         """
+        if not isinstance(other, TruncSeries):
+            raise TypeError(f"cannot combine TruncSeries with {type(other).__name__}")
         if self.nvars != other.nvars:
             raise ValueError(
                 f"variable count mismatch: {self.nvars} vs {other.nvars}"

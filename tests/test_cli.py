@@ -316,6 +316,18 @@ def test_table_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+def test_table_size_limit(capsys, monkeypatch):
+    from gzcount import counting
+
+    for size in ("501", "3000"):
+        assert run_cli(capsys, "table", size, "--variant", "skew") == (
+            EXIT_LIMIT, "", f"gzcount: refused: table size {size} exceeds the limit 500\n")
+    monkeypatch.setattr(counting, "TABLE_MAX_S", 3)
+    assert run_cli(capsys, "table", "3") == (EXIT_OK, "1,,,\n3,3,,\n3,7,3,\n1,3,3,1\n", "")
+    assert run_cli(capsys, "table", "4", "--format", "json") == (
+        EXIT_LIMIT, "", "gzcount: refused: table size 4 exceeds the limit 3\n")
+
+
 # ------------------------------------------------------------------ series
 
 
@@ -407,6 +419,12 @@ SERIES_STDOUT_SHA256 = {
     "table 40": "6818517b0431e84cbc2c4f57fa1b533090dc565e14a496bcbd1e1757b80b45b9",
     "table 40 --variant skew --format json":
         "27af4b3c535b8fdaf30bf56eba2a92457c4c42a3fd21a467d22141a1f2fcc647",
+    # Recorded with the skew table grown by its own rule, at a size
+    # beyond the dict reference's s = 60.
+    "table 120 --variant skew":
+        "dd52d22118d0d9300269b0342666238511436341c6a68b9f71cb14d2390055c9",
+    "table 120 --variant skew --format json":
+        "a3047218e656b17344a79d82cd9cf2aa912a317314a6d931084d8cd9cb2e04b5",
     "series H --cap 30": "49bce588f17e765b299f527581a8799f09a481a53afa2dd83a43aab41b6c3e74",
     "verify h --cap 18": "1e189ea61165b28c318acd163530a15549f000a91b58128d0f15544d983d5445",
     # Recorded with exp(z1 + z2) summed from powers of z1 + z2.
@@ -491,6 +509,21 @@ def test_verify_fails_on_corrupted_cache(tmp_path, capsys):
     after = json.loads(path.read_text())["counts"]
     assert set(data["counts"]) < set(after)
     assert after["1,1,1"] == "8"
+
+
+@pytest.mark.parametrize("suite", ["pde", "dde", "all"])
+@pytest.mark.parametrize("k, cap, first", [("1:13", "12", 13), ("5:8", "3", 5), ("2:4", "3", 4)])
+def test_verify_checks_the_cap_before_any_suite_runs(capsys, monkeypatch, suite, k, cap, first):
+    from gzcount import genfun
+
+    def ran(*args):
+        raise AssertionError("a suite ran before the cap was checked")
+
+    monkeypatch.setattr(genfun, "verify_pde_E", ran)
+    monkeypatch.setattr(genfun, "verify_dde_G", ran)
+    name = "pde" if suite == "all" else suite
+    assert run_cli(capsys, "verify", suite, "--k", k, "--cap", cap) == (
+        EXIT_USAGE, "", f"gzcount: error: cap {cap} too small for {name} at k = {first}\n")
 
 
 def test_verify_usage_errors(capsys):

@@ -674,6 +674,24 @@ def test_tables_grown_on_rows_match_the_dict_reference(variant):
         assert tri_table(s, variant).entries == cells, (variant, s)
 
 
+def test_table_size_limit_refuses_before_building(monkeypatch):
+    monkeypatch.setattr(counting, "TABLE_MAX_S", 4)
+    for variant in counting.TABLE_VARIANTS:
+        assert tri_table(4, variant).entries == reference_tables(4, variant)[-1]
+
+    # Every growth step sums with ``add``; above the limit none may run.
+    def grown(*args):
+        raise AssertionError("table grown above the limit")
+
+    monkeypatch.setattr(counting, "add", grown)
+    for variant in counting.TABLE_VARIANTS:
+        with pytest.raises(ResourceLimitError, match="^table size 5 exceeds the limit 4$"):
+            tri_table(5, variant)
+    # The argument checks come first, as below the limit.
+    with pytest.raises(ValueError, match="^unknown table variant 'diagonal'"):
+        tri_table(10**9, "diagonal")
+
+
 def test_table_validation():
     with pytest.raises(ValueError):
         tri_table(0, "plain")

@@ -573,6 +573,14 @@ def test_series_nvars_mismatch():
         TruncSeries.one(2, 3) * TruncSeries.one(3, 3)
 
 
+@pytest.mark.parametrize("other, name", [(2, "int"), (SparsePoly.one(), "SparsePoly")])
+def test_series_combines_only_with_series(other, name):
+    one = TruncSeries.one(2, 3)
+    for combine in (one.__add__, one.__sub__, one.__mul__, one.agrees_with):
+        with pytest.raises(TypeError, match=f"^cannot combine TruncSeries with {name}$"):
+            combine(other)
+
+
 def test_series_coeff_guarded_by_cap():
     s = TruncSeries.one(2, 3)
     assert s.coeff((0, 0)) == 1

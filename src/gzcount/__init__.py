@@ -60,7 +60,6 @@ _EXPORTS = {
         "GZShape",
         "HRep",
         "OracleError",
-        "VertexSet",
         "build_hrep",
         "enumerate_vertices",
         "oracle_count",

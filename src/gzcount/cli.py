@@ -100,12 +100,27 @@ def _json_dump(obj) -> str:
 # ---------------------------------------------------------------- count
 
 
+def routes_for(mults: tuple[int, ...], n: int, limit_dim: int) -> tuple[list[str], dict[str, str]]:
+    """The routes ``count --method all`` runs for a partition of n values
+    with multiplicity vector ``mults``, in print order, and the reason
+    for each route it leaves out."""
+    distinct = len(mults)
+    ambient = n * (n - 1) // 2
+    skipped = {}
+    if distinct != 3:
+        skipped["formula"] = f"method formula needs exactly 3 distinct values, got {distinct}"
+    if distinct > 3:
+        skipped["recurrence"] = f"method recurrence needs at most 3 distinct values, got {distinct}"
+    if ambient > limit_dim:
+        skipped["oracle"] = f"ambient dimension {ambient} exceeds limit {limit_dim}"
+    return [m for m in COUNT_METHODS if m not in skipped], skipped
+
+
 def _cmd_count(args, cache: CountCache | None) -> int:
     values = parse_partition(args.partition)
     mv = MultiplicityVector.from_partition(values)
     mults = mv.mults
-    distinct = len(mults)
-    ambient = len(values) * (len(values) - 1) // 2
+    chosen, skipped = routes_for(mults, len(values), args.limit_dim)
 
     def run(method: str) -> int:
         if method == "a-infinity":
@@ -113,17 +128,9 @@ def _cmd_count(args, cache: CountCache | None) -> int:
         if method == "fiber":
             return count_by_fiber_recursion(mults)
         if method == "formula":
-            if distinct != 3:
-                raise ValueError(
-                    f"method formula needs exactly 3 distinct values, got {distinct}"
-                )
             return binomial_formula_V(*mults)
         if method == "recurrence":
-            if distinct > 3:
-                raise ValueError(
-                    f"method recurrence needs at most 3 distinct values, got {distinct}"
-                )
-            padded = mults + (0,) * (3 - distinct)
+            padded = mults + (0,) * (3 - len(mults))
             return recurrence_V3(*padded)
         # argparse admits no other method than "oracle" here.
         from .oracle import GZShape, oracle_count
@@ -131,6 +138,9 @@ def _cmd_count(args, cache: CountCache | None) -> int:
         return oracle_count(GZShape(tuple(values)), limit_dim=args.limit_dim)
 
     if args.method != "all":
+        # oracle_count refuses an oracle run above the limit by itself.
+        if args.method in skipped and args.method != "oracle":
+            raise ValueError(skipped[args.method])
         value = run(args.method)
         if args.format == "json":
             print(_json_dump({
@@ -143,14 +153,6 @@ def _cmd_count(args, cache: CountCache | None) -> int:
             print(value)
         return EXIT_OK
 
-    chosen = ["a-infinity", "fiber"]
-    if distinct == 3:
-        chosen.append("formula")
-    if distinct <= 3:
-        chosen.append("recurrence")
-    skipped_oracle = ambient > args.limit_dim
-    if not skipped_oracle:
-        chosen.append("oracle")
     # A refused route leaves the others' answers standing: it is reported
     # in its place, and agreement is judged on the routes that answered.
     results, refused = {}, {}
@@ -166,7 +168,7 @@ def _cmd_count(args, cache: CountCache | None) -> int:
             "partition": values,
             "multiplicities": list(mults),
             "counts": {m: str(v) for m, v in results.items()},
-            "oracle_skipped": skipped_oracle,
+            "oracle_skipped": "oracle" in skipped,
             "agreement": agree,
         }
         if refused:
@@ -178,8 +180,8 @@ def _cmd_count(args, cache: CountCache | None) -> int:
                 print(f"{method} {results[method]}")
             else:
                 print(f"{method} refused ({refused[method]})")
-        if skipped_oracle:
-            print(f"oracle skipped (ambient dimension {ambient} exceeds limit {args.limit_dim})")
+        if "oracle" in skipped:
+            print(f"oracle skipped ({skipped['oracle']})")
         print(f"agreement: {'ok' if agree else 'MISMATCH'}")
     if not agree:
         print("count mismatch between methods", file=sys.stderr)

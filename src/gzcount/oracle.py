@@ -68,12 +68,6 @@ class GZShape:
     def ambient_dim(self) -> int:
         return self.n * (self.n - 1) // 2
 
-    def translate(self, offset: int) -> "GZShape":
-        return GZShape(tuple(v + offset for v in self.values))
-
-    def negate_reverse(self) -> "GZShape":
-        return GZShape(tuple(-v for v in reversed(self.values)))
-
 
 def _var_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """Coordinate labels (i, j): row i = 1..n-1, position j = 1..n-i."""
@@ -136,30 +130,6 @@ def build_hrep(shape: GZShape) -> HRep:
     return HRep(edges=tuple(edges), shape=shape)
 
 
-@dataclass(frozen=True)
-class VertexSet:
-    """Deduplicated exact vertex coordinates, exportable as CSV or JSON.
-
-    ``enumerate_vertices`` stores integer tuples (every vertex of a GZ
-    polytope with integer lambda is integral); the exports render any
-    exact rational coordinate, ``int`` or ``Fraction``, the same way.
-    """
-
-    points: frozenset[tuple[int, ...]]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def sorted_points(self) -> list[tuple[int, ...]]:
-        return sorted(self.points)
-
-    def to_csv(self) -> str:
-        return "".join(",".join(map(str, point)) + "\n" for point in self.sorted_points())
-
-    def to_json_obj(self) -> list[list[str]]:
-        return [list(map(str, point)) for point in self.sorted_points()]
-
-
 def _check_dim(dim: int, limit_dim: int) -> None:
     """Refuse to enumerate in an ambient dimension above the limit."""
     if dim > limit_dim:
@@ -175,8 +145,9 @@ def _child_rows(row: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     return product(*[(a, b) if a != b else (a,) for a, b in zip(row, row[1:])])
 
 
-def enumerate_vertices(hrep: HRep, limit_dim: int = DEFAULT_LIMIT_DIM) -> VertexSet:
-    """Exact vertex set of GZ(shape), certified against ``hrep``.
+def enumerate_vertices(hrep: HRep, limit_dim: int = DEFAULT_LIMIT_DIM) -> frozenset[tuple[int, ...]]:
+    """Exact vertex set of GZ(shape), certified against ``hrep``: a
+    ``frozenset`` holding each vertex once, as a tuple of ``int``.
 
     Every facet of the H-rep is an edge ``(a, b, bound)`` meaning
     ``u[a] - u[b] <= bound``: to the ground node, which stands for the
@@ -256,7 +227,7 @@ def enumerate_vertices(hrep: HRep, limit_dim: int = DEFAULT_LIMIT_DIM) -> Vertex
             raise OracleError(f"candidate {tuple(u[:dim])} is not a vertex: tight rank too low")
         else:
             points.append(tuple(u[:dim]))
-    return VertexSet(frozenset(points))
+    return frozenset(points)
 
 
 def oracle_count(shape: GZShape, limit_dim: int = DEFAULT_LIMIT_DIM) -> int:

@@ -15,7 +15,15 @@ from pathlib import Path
 import pytest
 
 import gzcount
-from gzcount.cli import EXIT_LIMIT, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main, parse_partition
+from gzcount.cli import (
+    EXIT_LIMIT,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFY,
+    main,
+    parse_partition,
+    routes_for,
+)
 from gzcount.counting import CountCache
 
 
@@ -278,6 +286,45 @@ def test_count_usage_errors(capsys):
     assert code == EXIT_USAGE
     code, _, _ = run_cli(capsys, "count", "1 2 3", "--method", "sorcery")
     assert code == EXIT_USAGE
+
+
+FORMULA_NEEDS_4 = "method formula needs exactly 3 distinct values, got 4"
+RECURRENCE_NEEDS_4 = "method recurrence needs at most 3 distinct values, got 4"
+
+
+# One case per regime of the route choice: at most 3 distinct values;
+# 4 or more with n <= 6; 4 or more with n >= 7.
+@pytest.mark.parametrize("partition, chosen, skipped", [
+    ("1^3 2^2 3^2", ["a-infinity", "fiber", "formula", "recurrence"],
+     {"oracle": "ambient dimension 21 exceeds limit 15"}),
+    ("1^3 2 3 4", ["a-infinity", "fiber", "oracle"],
+     {"formula": FORMULA_NEEDS_4, "recurrence": RECURRENCE_NEEDS_4}),
+    ("1^4 2 3 4", ["a-infinity", "fiber"],
+     {"formula": FORMULA_NEEDS_4, "recurrence": RECURRENCE_NEEDS_4,
+      "oracle": "ambient dimension 21 exceeds limit 15"}),
+])
+def test_routes_for_each_regime(capsys, partition, chosen, skipped):
+    values = parse_partition(partition)
+    mults = tuple(values.count(v) for v in sorted(set(values)))
+    assert routes_for(mults, len(values), 15) == (chosen, skipped)
+    # --method all prints the chosen routes in order, then the oracle skip.
+    code, out, _ = run_cli(capsys, "count", partition, "--method", "all")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines[:len(chosen)]] == chosen
+    if "oracle" in skipped:
+        assert lines[len(chosen)] == f"oracle skipped ({skipped['oracle']})"
+    # A single skipped route asked for by name is a usage error with the
+    # same reason; the oracle refuses by itself, with exit 3.
+    for method in ("formula", "recurrence"):
+        if method in skipped:
+            code, out, err = run_cli(capsys, "count", partition, "--method", method)
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err == f"gzcount: error: {skipped[method]}\n"
+    if "oracle" in skipped:
+        code, _, err = run_cli(capsys, "count", partition, "--method", "oracle")
+        assert code == EXIT_LIMIT
+        assert "exceeds the enumeration limit 15" in err
 
 
 # ------------------------------------------------------------------- table
@@ -850,7 +897,7 @@ PACKAGE_EXPORTS = {
     ],
     "oracle": [
         "DEFAULT_LIMIT_DIM", "DimensionLimitError", "GZShape", "HRep", "OracleError",
-        "VertexSet", "build_hrep", "enumerate_vertices", "oracle_count",
+        "build_hrep", "enumerate_vertices", "oracle_count",
     ],
     "polyseries": ["Monomial", "SparsePoly", "TruncSeries", "divide_exact", "format_rational"],
 }
@@ -862,6 +909,11 @@ def test_package_names_resolve_to_their_modules(monkeypatch):
         for name in names:
             assert getattr(gzcount, name) is getattr(module, name), name
             assert name in dir(gzcount) and name in gzcount.__all__
+    # Every exported name resolves, so a deleted one cannot linger in the list.
+    for name in gzcount.__all__:
+        getattr(gzcount, name)
+    with pytest.raises(AttributeError):
+        gzcount.VertexSet
     assert gzcount.build_G is gzcount.genfun.build_G
     # Not cached: a name replaced in its module is seen through the package.
     monkeypatch.setattr("gzcount.genfun.build_G", "patched")

@@ -1,6 +1,5 @@
 """Tests for the exact polyhedral oracle."""
 
-import json
 import os
 import subprocess
 import sys
@@ -64,12 +63,6 @@ def test_shape_validation():
     shape = GZShape((1, 1, 3))
     assert shape.n == 3
     assert shape.ambient_dim == 3
-
-
-def test_shape_transforms():
-    shape = GZShape((0, 1, 3))
-    assert shape.translate(5).values == (5, 6, 8)
-    assert shape.negate_reverse().values == (-3, -1, 0)
 
 
 # ------------------------------------------------------------------ H-rep
@@ -271,7 +264,7 @@ def test_lowering_any_edge_bound_breaks_weyl_match():
 
 def test_segment_vertices():
     vs = enumerate_vertices(build_hrep(GZShape((0, 1))))
-    assert {p[0] for p in vs.points} == {0, 1}
+    assert {p[0] for p in vs} == {0, 1}
     assert len(vs) == 2
 
 
@@ -282,13 +275,13 @@ def test_triangle_vertices():
 
 def test_point_polytope():
     vs = enumerate_vertices(build_hrep(GZShape((5, 5, 5))))
-    assert vs.points == {(Fraction(5), Fraction(5), Fraction(5))}
+    assert vs == {(Fraction(5), Fraction(5), Fraction(5))}
 
 
 def test_vertices_satisfy_all_rows_exactly():
     for values in [(0, 1, 2), (0, 0, 1, 2), (1, 2, 3, 4)]:
         shape = GZShape(values)
-        for point in enumerate_vertices(build_hrep(shape)).points:
+        for point in enumerate_vertices(build_hrep(shape)):
             for normal, bound in reference_rows(shape):
                 assert sum(c * x for c, x in zip(normal, point)) <= bound
 
@@ -297,7 +290,7 @@ def test_vertices_have_full_rank_tight_sets():
     shape = GZShape((1, 2, 3))
     vs = enumerate_vertices(build_hrep(shape))
     assert len(vs) == 7
-    for point in vs.points:
+    for point in vs:
         tight = [normal for normal, bound in reference_rows(shape)
                  if sum(c * x for c, x in zip(normal, point)) == bound]
         assert rank(tight) == shape.ambient_dim
@@ -323,7 +316,7 @@ def test_vertices_are_all_full_rank_integer_points():
             tight = [normal for (normal, _), s in zip(rows, slack) if s == 0]
             if rank(tight) == shape.ambient_dim:
                 expected.add(point)
-        assert enumerate_vertices(build_hrep(shape)).points == expected
+        assert enumerate_vertices(build_hrep(shape)) == expected
 
 
 def compositions(total):
@@ -467,8 +460,10 @@ def test_graph_path_matches_rank_path_for_n_le_6(vertex_sets_n_le_6):
             tight = [normal for v, (normal, bound) in zip(values, rows) if v == bound]
             assert rank(tight) == shape.ambient_dim
             expected.add(candidate)
-        assert vs.points == expected
-        assert all(type(c) is int for point in vs.points for c in point)
+        assert vs == expected
+        assert type(vs) is frozenset
+        assert all(type(point) is tuple for point in vs)
+        assert all(type(c) is int for point in vs for c in point)
 
 
 def test_certificate_rejects_bad_candidates(monkeypatch):
@@ -501,7 +496,7 @@ def test_every_row_is_checked():
     # by one leaves that vertex violating it: whichever triangle row the
     # edge is filed under, the walk must check it.
     h = build_hrep(GZShape((0, 1, 3, 6)))
-    vertices = enumerate_vertices(h).points
+    vertices = enumerate_vertices(h)
     for r, (a, b, bound) in enumerate(h.edges):
         assert any(is_tight((a, b, bound), p) for p in vertices)
         lowered = [*h.edges[:r], (a, b, bound - 1), *h.edges[r + 1:]]
@@ -515,7 +510,7 @@ def test_deleting_a_tight_row_leaves_a_non_vertex():
     # copying every upper-right neighbour; every edge lies in one of the
     # two trees, so deleting it drops some vertex's tight rank below dim.
     h = build_hrep(GZShape((0, 1, 3, 6)))
-    vertices = enumerate_vertices(h).points
+    vertices = enumerate_vertices(h)
     for r, edge in enumerate(h.edges):
         assert any(is_tight(edge, p) for p in vertices)
         with pytest.raises(OracleError, match="not a vertex: tight rank too low"):
@@ -542,11 +537,10 @@ def test_zero_multiplicity_normalization_against_oracle():
 
 def test_counts_invariant_under_affine_symmetries():
     for values in [(0, 1), (0, 1, 1), (1, 2, 3), (0, 0, 1, 2), (0, 1, 2, 2)]:
-        shape = GZShape(values)
-        base = oracle_count(shape)
-        assert oracle_count(shape.translate(7)) == base
-        assert oracle_count(shape.translate(-3)) == base
-        assert oracle_count(shape.negate_reverse()) == base
+        base = oracle_count(GZShape(values))
+        assert oracle_count(GZShape(tuple(v + 7 for v in values))) == base
+        assert oracle_count(GZShape(tuple(v - 3 for v in values))) == base
+        assert oracle_count(GZShape(tuple(-v for v in reversed(values)))) == base
 
 
 # ------------------------------------------------------------- guardrails
@@ -594,50 +588,3 @@ def test_dimension_limit_is_configurable():
     assert oracle_count(shape, limit_dim=3) == 7
     with pytest.raises(DimensionLimitError):
         oracle_count(shape, limit_dim=2)
-
-
-# ---------------------------------------------------------------- exports
-
-
-def test_vertex_csv_export():
-    vs = enumerate_vertices(build_hrep(GZShape((0, 1))))
-    assert vs.to_csv() == "0\n1\n"
-
-
-def test_vertex_csv_uses_exact_rationals():
-    vs = enumerate_vertices(build_hrep(GZShape((0, 0, 1))))
-    csv = vs.to_csv()
-    lines = csv.strip().split("\n")
-    assert lines == sorted(lines, key=lambda s: [Fraction(t) for t in s.split(",")])
-    assert all(len(line.split(",")) == 3 for line in lines)
-
-
-def test_vertex_json_export_roundtrips():
-    vs = enumerate_vertices(build_hrep(GZShape((0, 1, 2))))
-    obj = vs.to_json_obj()
-    text = json.dumps(obj)
-    assert json.loads(text) == obj
-    assert len(obj) == len(vs)
-    parsed = {tuple(Fraction(c) for c in row) for row in obj}
-    assert parsed == set(vs.points)
-
-
-def test_exports_match_fraction_points_for_n_le_6(vertex_sets_n_le_6):
-    # The oracle's integer points export the same bytes as the same
-    # points held as Fractions, and compare equal to them as a set.
-    for vs in vertex_sets_n_le_6.values():
-        fractions = oracle.VertexSet(frozenset(tuple(map(Fraction, p)) for p in vs.points))
-        assert vs.points == fractions.points
-        assert vs.to_csv() == fractions.to_csv()
-        assert vs.to_json_obj() == fractions.to_json_obj()
-
-
-def test_exports_render_fractions_as_p_over_q():
-    from gzcount.oracle import VertexSet
-
-    vs = VertexSet(frozenset({
-        (Fraction(1, 2), Fraction(3)),
-        (Fraction(-2, 3), Fraction(0)),
-    }))
-    assert vs.to_csv() == "-2/3,0\n1/2,3\n"
-    assert vs.to_json_obj() == [["-2/3", "0"], ["1/2", "3"]]

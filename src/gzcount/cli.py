@@ -28,6 +28,7 @@ from .counting import (
     CacheFormatError,
     CountCache,
     MultiplicityVector,
+    TriTable,
     a_infinity,
     binomial_formula_V,
     count_by_fiber_recursion,
@@ -43,6 +44,7 @@ import io
 import json
 import os
 import sys
+from typing import Iterator
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -194,14 +196,27 @@ def _cmd_count(args, cache: CountCache | None) -> int:
 # ---------------------------------------------------------------- table
 
 
+def _table_json_pieces(table: TriTable) -> Iterator[str]:
+    """``_json_dump`` of the table's cells, s and variant, plus a newline, in pieces.
+
+    The same bytes as dumping {"s": ..., "variant": ..., "cells": [{"k":
+    k, "m": m, "value": v}, ...]} with the cells in (k, m) order, but
+    written cell by cell, so no dict per cell is built.  A table has at
+    least one cell.
+    """
+    entries = table.entries
+    yield '{\n  "cells": ['
+    sep = "\n"
+    for k, m in sorted(entries):
+        yield f'{sep}    {{\n      "k": {k},\n      "m": {m},\n      "value": {entries[k, m]}\n    }}'
+        sep = ",\n"
+    yield f'\n  ],\n  "s": {table.s},\n  "variant": {json.dumps(table.variant)}\n}}\n'
+
+
 def _cmd_table(args, cache: None) -> int:
     table = tri_table(args.s, args.variant)
     if args.format == "json":
-        cells = [
-            {"k": k, "m": m, "value": table.entries[(k, m)]}
-            for (k, m) in sorted(table.entries)
-        ]
-        print(_json_dump({"s": table.s, "variant": table.variant, "cells": cells}))
+        sys.stdout.writelines(_table_json_pieces(table))
         return EXIT_OK
     lines = []
     for m in range(table.s, -1, -1):

@@ -9,7 +9,9 @@ routes are provided and cross-checked by the test suite:
                           monomial x1^i1 ... xk^ik down to its constant
                           fixed point, memoised on zero-stripped vectors;
 * ``count_by_fiber_recursion`` -- the projection-onto-a-cube recursion,
-                          one step of A applied to the squarefree part;
+                          one step of A applied to the squarefree part,
+                          down to two values, where GZ(0^a 1^b) has
+                          C(a+b, a) vertices, its 0/1 patterns;
 * ``binomial_formula_V`` / ``coeff_theorem_V`` / ``recurrence_V3``
                        -- closed formulas and a recurrence for three
                           distinct values, the recurrence filled
@@ -24,11 +26,15 @@ vector up to a total, so ``gzcount g4-explore`` needs no series code.
 The first two routes share one piece of code: the iterative memo walk
 ``_memo_walk`` that sums child values up the count DAG.  It works on a
 plain dict memo (a ``CountCache``'s table, ``_FIBER_MEMO``, a per-call
-dict) and a leaf length: keys that short are worth 1 and are never
-stored -- the empty key for ``a_infinity``, keys of length at most 1
-for the fiber route.  Each route keeps its own child generator and its
-own memo table, so agreement between them still compares independent
-ways of listing children:
+dict) and a leaf hook that pops the route's leaves out of each fresh
+child dict and returns their value; leaves are never stored.  For
+``a_infinity`` the one leaf is the empty key, worth 1.  For the fiber
+route every key of at most two values is a leaf: GZ(0^a 1^b) has
+exactly C(a+b, a) vertices, its 0/1 patterns, since a 0/1 pattern's
+tiles of equal entries all reach the top row (De Loera and McAllister,
+DCG 32 (2004)).  Each route keeps its own child generator and its own
+memo table, so agreement between them still compares independent ways
+of listing children:
 
 * ``a_infinity`` lists the children of one step of A by a left-to-right
   dynamic programme over the positions of the key, whose state is the
@@ -59,7 +65,7 @@ import functools
 import json
 import os
 import re
-from itertools import chain
+from itertools import chain, filterfalse
 from math import comb
 from operator import add, index, mul, sub
 from pathlib import Path
@@ -301,20 +307,23 @@ def _memo_walk(
     key: Mults,
     children_of: Callable[[Mults], dict[Mults, int]],
     memo: dict[Mults, int],
-    leaf_len: int,
+    leaves: Callable[[dict[Mults, int]], int],
 ) -> int:
     """Value of ``key`` in a DAG where each node is the weighted sum of its children.
 
     ``children_of(node)`` returns a new dict, which the walk may change,
-    from each child to its multiplicity.  Keys of length at most
-    ``leaf_len`` are leaves worth 1; they are split off once, when their
-    parent is expanded, and never stored.  ``memo`` is a plain dict of
-    the values known so far; every other node the walk reaches is added
-    to it, insert-if-absent.  The walk keeps its own stack, so the depth
-    of the DAG is not bounded by the interpreter's recursion limit.
+    from each child to its multiplicity.  ``leaves(children)`` pops the
+    route's leaves out of that dict and returns their weighted value, so
+    leaves are split off once, when their parent is expanded, and never
+    stored or expanded; the route answers a leaf root itself.  ``memo``
+    is a plain dict of the values known so far; every other node the
+    walk reaches is added to it, insert-if-absent.  The walk keeps its
+    own stack, so the depth of the DAG is not bounded by the
+    interpreter's recursion limit.
     """
-    if len(key) <= leaf_len:
-        return 1
+    value = memo.get(key)
+    if value is not None:
+        return value
     # A key on the stack is still to be expanded; a list [node, leaf
     # weight, inner children] is an expanded node, whose children pushed
     # above it are all in memo when it comes back to the top.
@@ -325,9 +334,8 @@ def _memo_walk(
             if top in memo:
                 continue
             children = children_of(top)
-            weight = sum(map(children.pop, [ch for ch in children if len(ch) <= leaf_len]))
-            stack.append([top, weight, children])
-            stack.extend([ch for ch in children if ch not in memo])
+            stack.append([top, leaves(children), children])
+            stack.extend(filterfalse(memo.__contains__, children))
         else:
             node, weight, children = top
             values = map(memo.__getitem__, children)
@@ -373,6 +381,14 @@ def _a_children(key: Mults) -> dict[Mults, int]:
     return children
 
 
+def _a_leaves(children: dict[Mults, int]) -> int:
+    """Pop ``a_infinity``'s one leaf, the empty key, worth 1.
+
+    A lowers the total by one, so only (1,) has the empty key as a child.
+    """
+    return children.pop((), 0)
+
+
 def a_infinity(mults: Sequence[int], cache: CountCache | None = None) -> int:
     """Constant reached by iterating the operator A on x1^i1 ... xk^ik.
 
@@ -382,7 +398,10 @@ def a_infinity(mults: Sequence[int], cache: CountCache | None = None) -> int:
     """
     if cache is None:
         cache = SHARED_CACHE
-    return _memo_walk(compress(mults), _a_children, cache._counts, 0)
+    key = compress(mults)
+    if not key:
+        return 1
+    return _memo_walk(key, _a_children, cache._counts, _a_leaves)
 
 
 def a_infinity_unnormalized(mults: Sequence[int]) -> int:
@@ -475,17 +494,49 @@ def _fiber_children(key: Mults) -> dict[Mults, int]:
     return children
 
 
+def _two_value_count(key: Mults) -> int:
+    """Vertex count of a GZ polytope with at most two distinct values.
+
+    For the key (a, b) that is GZ(0^a 1^b).  A point is a vertex exactly
+    when each of its tiles of equal entries reaches the top row (De Loera
+    and McAllister, DCG 32 (2004)), so a vertex is a 0/1 pattern.  In a
+    0/1 pattern a 0 lies below a 0 to its upper left and a 1 below a 1
+    to its upper right, so every tile reaches the top row and every 0/1
+    pattern is a vertex.  Each row of one loses a 0 or a 1 from the row
+    above, so there are C(a+b, a).  The keys (a,) and () count 1, which
+    C(a, a) also gives.
+    """
+    return comb(sum(key), key[0]) if key else 1
+
+
+def _fiber_leaves(children: dict[Mults, int]) -> int:
+    """Pop the fiber route's leaves, the keys of at most two values, and return their count."""
+    # Most nodes have no such child; finding that in C skips the scan.
+    if min(map(len, children)) > 2:
+        return 0
+    weight = 0
+    for child in [ch for ch in children if len(ch) <= 2]:
+        weight += children.pop(child) * _two_value_count(child)
+    return weight
+
+
 def count_by_fiber_recursion(mults: Sequence[int], memo: dict[Mults, int] | None = None) -> int:
     """Vertex count via fibers over cube vertices.
 
     Projecting GZ onto a cube sends vertices to vertices; the fiber over
     the cube vertex labelled by a monomial of (x1+x2)...(x(k-1)+xk) is a
-    smaller GZ polytope.  Dimension-zero polytopes (at most one distinct
-    value) count 1.  Independent of ``a_infinity``'s memo table.
+    smaller GZ polytope.  The recursion stops at two values: GZ(0^a 1^b)
+    has C(a+b, a) vertices, its 0/1 patterns (see ``_two_value_count``).
+    Such keys are leaves of the walk, a root of at most two values is
+    answered at once, and ``memo`` stores only keys of three or more
+    values.  Independent of ``a_infinity``'s memo table.
     """
+    key = compress(mults)
+    if len(key) <= 2:
+        return _two_value_count(key)
     if memo is None:
         memo = _FIBER_MEMO
-    return _memo_walk(compress(mults), _fiber_children, memo, 1)
+    return _memo_walk(key, _fiber_children, memo, _fiber_leaves)
 
 
 def binomial_formula_V(k: int, l: int, m: int) -> int:
@@ -680,9 +731,9 @@ TABLE_VARIANTS = ("plain", "skew")
 
 #: Largest table ``tri_table`` builds.  Through the CLI (Python 3.11, one
 #: core of a 2-vCPU VM), ``table 500 --variant skew`` prints in 4.4-4.7 s
-#: at 246 MB peak RSS (5.5 s at 424 MB with ``--format json``); ``table
-#: 550`` takes 7.4-9.7 s at up to 517 MB and ``table 600 --variant skew``
-#: 10.4 s at 408 MB (10.9 s at 645 MB as JSON).
+#: at 246 MB peak RSS (95 MB with ``--format json``, which is written
+#: cell by cell); ``table 550`` takes 7.4-9.7 s at up to 517 MB and
+#: ``table 600 --variant skew`` 10.4 s at 408 MB.
 TABLE_MAX_S = 500
 
 

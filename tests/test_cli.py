@@ -358,6 +358,18 @@ def test_table_json(capsys):
     ]
 
 
+@pytest.mark.parametrize("variant", ["plain", "skew"])
+def test_table_json_is_streamed_with_the_bytes_of_one_dump(capsys, variant):
+    from gzcount.counting import tri_table
+
+    for s in (1, 2, 5, 30):
+        table = tri_table(s, variant)
+        cells = [{"k": k, "m": m, "value": table.entries[k, m]} for k, m in sorted(table.entries)]
+        expected = json.dumps({"s": s, "variant": variant, "cells": cells}, indent=2, sort_keys=True)
+        assert run_cli(capsys, "table", str(s), "--variant", variant, "--format", "json") == (
+            EXIT_OK, expected + "\n", "")
+
+
 def test_table_usage_error(capsys):
     code, _, _ = run_cli(capsys, "table", "0")
     assert code == EXIT_USAGE

@@ -2,6 +2,7 @@
 
 import copy
 import functools
+import hashlib
 import json
 import os
 import pickle
@@ -28,6 +29,7 @@ from gzcount.counting import (
     binomial_formula_V,
     coeff_theorem_V,
     count_by_fiber_recursion,
+    g4_explore,
     g_polynomial,
     h_polynomial,
     recurrence_V3,
@@ -276,9 +278,9 @@ def test_routes_agree_on_seeded_random_vectors():
 
 
 @pytest.mark.parametrize("key, cache_entries, fiber_entries", [
-    ((5, 5, 5, 5), 1565, 1555),
-    ((20, 20, 20), 11290, 11250),
-    ((1,) * 12, 873, 867),
+    ((5, 5, 5, 5), 1565, 1470),
+    ((20, 20, 20), 11290, 10470),
+    ((1,) * 12, 873, 843),
 ])
 def test_cold_walks_store_every_inner_node_and_no_leaf(key, cache_entries, fiber_entries):
     # The memo contents are what cache files and `cache stats` show.
@@ -289,7 +291,7 @@ def test_cold_walks_store_every_inner_node_and_no_leaf(key, cache_entries, fiber
     memo = {}
     count_by_fiber_recursion(key, memo)
     assert len(memo) == fiber_entries
-    assert all(len(k) > 1 for k in memo)
+    assert all(len(k) > 2 for k in memo)
 
 
 # ------------------------------------------------------------ fiber recursion
@@ -301,6 +303,32 @@ def test_fiber_recursion_examples():
     assert count_by_fiber_recursion((3, 2)) == comb(5, 2)
     assert count_by_fiber_recursion((7,)) == 1
     assert count_by_fiber_recursion(()) == 1
+
+
+def check_two_value_fiber_counts():
+    cache = CountCache()
+    for a in range(41):
+        for b in range(41):
+            memo = {}
+            value = count_by_fiber_recursion((a, b), memo)
+            assert value == comb(a + b, a), (a, b)
+            assert value == a_infinity((a, b), cache), (a, b)
+            assert value == recurrence_V3(a, b, 0), (a, b)
+            assert memo == {}, (a, b)
+
+
+def test_fiber_recursion_answers_two_values_by_the_binomial():
+    # GZ(0^a 1^b) has C(a+b, a) vertices, its 0/1 patterns.
+    check_two_value_fiber_counts()
+
+
+def test_fiber_two_value_check_fails_for_a_wrong_leaf_value(monkeypatch):
+    exact = counting._two_value_count
+    monkeypatch.setattr(counting, "_two_value_count", lambda key: exact(key) + 1)
+    with pytest.raises(AssertionError):
+        check_two_value_fiber_counts()
+    # The same value is the leaf weight of every larger key.
+    assert count_by_fiber_recursion((2, 1, 3), {}) != a_infinity((2, 1, 3), CountCache())
 
 
 def test_fiber_recursion_agrees_with_fixed_point():
@@ -914,6 +942,23 @@ def test_cache_save_bytes_match_json_dump(tmp_path, table):
     loaded = CountCache.load(path)
     assert dict(loaded.items()) == dict(cache.items())
     assert dict(loaded.items()) == reference_load_counts(json.loads(path.read_text())["counts"])
+
+
+# sha256 of the cache file after COUNT_MIX, recorded before the walk
+# took a leaf hook: the a_infinity memo holds the same nodes and values.
+COUNT_MIX = [(1,) * 12, (5, 5, 5, 5), (20, 20, 20), (1200, 1, 1)]
+COUNT_MIX_SHA256 = "47354cdfce9729900c0506982202f52fa380d63fc933cb7e716736265436100c"
+
+
+def test_cache_file_after_a_fixed_mix_keeps_its_bytes(tmp_path):
+    cache = CountCache()
+    for key in COUNT_MIX:
+        a_infinity(key, cache)
+    g4_explore(8, cache)
+    path = tmp_path / "counts.json"
+    cache.save(path)
+    assert len(cache) == 17687
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == COUNT_MIX_SHA256
 
 
 def test_cache_roundtrip(tmp_path):

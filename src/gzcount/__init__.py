@@ -9,10 +9,12 @@ The names below are loaded lazily: ``import gzcount`` imports no
 submodule, and ``gzcount.build_G`` imports ``gzcount.genfun`` on first
 use.  A ``gzcount count`` (default method, with or without a cache file),
 ``table``, ``cache`` or ``g4-explore`` process loads only ``gzcount``,
-``gzcount.cli``, ``gzcount.counting`` and ``gzcount.limits``:
-``counting`` imports ``polyseries`` inside the functions that build
-polynomials, so neither the series nor the oracle code, nor
-``fractions``, ``decimal`` or ``dataclasses``, is loaded.
+``gzcount.cli``, ``gzcount.counting``, ``gzcount.limits`` and
+``gzcount.records``: ``counting`` imports ``polyseries`` inside the
+functions that build polynomials, so neither the series nor the oracle
+code, nor ``fractions`` or ``decimal``, is loaded.  No module imports
+``dataclasses``: the five record types derive from ``records.Frozen``,
+so no command loads ``dataclasses`` or the ``inspect`` module behind it.
 """
 
 import importlib

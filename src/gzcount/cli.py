@@ -15,14 +15,14 @@ cache file does not rewrite it, so a read-only cache file serves lookups.
 
 from __future__ import annotations
 
-# Only counting and limits are imported here: count, table, cache and
-# g4-explore need nothing else of the package.  polyseries (with fractions and decimal),
-# genfun and oracle are imported by the handlers that use them, which
-# saves a count process about 20 ms of compiling them from source when no
-# bytecode is cached, and about 1.8 MB of peak RSS.  The two are imported
-# before argparse on purpose: compiling them before argparse and gettext
-# are resident lowers a count or table process's peak RSS by about
-# 0.1-0.3 MB.
+# Only counting and limits (and the record base counting imports) are
+# imported here: count, table, cache and g4-explore need nothing else of
+# the package.  polyseries (with fractions and decimal), genfun and oracle
+# are imported by the handlers that use them, which saves a count process
+# about 15 ms of compiling them from source when no bytecode is cached,
+# and about 1.5 MB of peak RSS.  The two are imported before argparse on
+# purpose: compiling them before argparse and gettext are resident lowers
+# a count or table process's peak RSS by about 0.1-0.3 MB.
 from .counting import (
     TABLE_VARIANTS,
     CacheFormatError,
@@ -213,19 +213,20 @@ def _table_json_pieces(table: TriTable) -> Iterator[str]:
     yield f'\n  ],\n  "s": {table.s},\n  "variant": {json.dumps(table.variant)}\n}}\n'
 
 
+def _table_csv_rows(table: TriTable) -> Iterator[str]:
+    """The table drawn as CSV lines, row m = s first, k across, an empty
+    field where the table has no cell; written one line at a time, so no
+    text of the whole table is built."""
+    entries, s = table.entries, table.s
+    for m in range(s, -1, -1):
+        cells = (entries.get((k, m)) for k in range(s + 1))
+        yield ",".join("" if cell is None else str(cell) for cell in cells) + "\n"
+
+
 def _cmd_table(args, cache: None) -> int:
     table = tri_table(args.s, args.variant)
-    if args.format == "json":
-        sys.stdout.writelines(_table_json_pieces(table))
-        return EXIT_OK
-    lines = []
-    for m in range(table.s, -1, -1):
-        row = []
-        for k in range(table.s + 1):
-            cell = table.entries.get((k, m))
-            row.append("" if cell is None else str(cell))
-        lines.append(",".join(row))
-    print("\n".join(lines))
+    pieces = _table_json_pieces if args.format == "json" else _table_csv_rows
+    sys.stdout.writelines(pieces(table))
     return EXIT_OK
 
 

@@ -72,6 +72,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .limits import ResourceLimitError
+from .records import Frozen
 
 if TYPE_CHECKING:
     from .polyseries import SparsePoly
@@ -91,46 +92,7 @@ def compress(mults: Iterable[int]) -> Mults:
     return tuple(out)
 
 
-class _Frozen:
-    """Immutable record of the fields named in ``__slots__``.
-
-    Behaves as ``@dataclass(frozen=True)`` does: fields compare and hash
-    as a tuple, only against the same class; the repr names every field;
-    assigning or deleting an attribute raises ``AttributeError``.  Written
-    out because ``dataclasses`` imports ``inspect``, which a short
-    ``gzcount count`` process would otherwise load.
-    """
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # Rebuild through __init__: the default protocol would restore
-        # the slots with setattr, which the record refuses.
-        return self.__class__, self._fields()
-
-
-class MultiplicityVector(_Frozen):
+class MultiplicityVector(Frozen):
     """Exponent vector (i1, ..., ik) of a partition with k distinct values.
 
     Canonical form has no leading or trailing zeros; interior zeros are
@@ -149,7 +111,7 @@ class MultiplicityVector(_Frozen):
             lo += 1
         while hi > lo and vals[hi - 1] == 0:
             hi -= 1
-        object.__setattr__(self, "mults", vals[lo:hi])
+        self._set_fields(vals[lo:hi])
 
     @classmethod
     def from_partition(cls, values: Sequence[int]) -> "MultiplicityVector":
@@ -730,14 +692,14 @@ def h_polynomial(s: int, method: str = "recurrence") -> SparsePoly:
 TABLE_VARIANTS = ("plain", "skew")
 
 #: Largest table ``tri_table`` builds.  Through the CLI (Python 3.11, one
-#: core of a 2-vCPU VM), ``table 500 --variant skew`` prints in 4.4-4.7 s
-#: at 246 MB peak RSS (95 MB with ``--format json``, which is written
-#: cell by cell); ``table 550`` takes 7.4-9.7 s at up to 517 MB and
-#: ``table 600 --variant skew`` 10.4 s at 408 MB.
+#: core of a 2-vCPU VM), ``table 500 --variant skew`` prints in 4.4-5.0 s
+#: at 93 MB peak RSS and ``table 500`` in 3.9-4.1 s at 55 MB, both
+#: formats written a line or a cell at a time; ``table 550`` takes
+#: 7.4-9.7 s and ``table 600 --variant skew`` 10.4 s.
 TABLE_MAX_S = 500
 
 
-class TriTable(_Frozen):
+class TriTable(Frozen):
     """Triangular table of three-value counts (plain) or its skew variant.
 
     Plain tables live on cells k + m <= s and tabulate the coefficients
@@ -755,9 +717,7 @@ class TriTable(_Frozen):
     entries: dict[tuple[int, int], int]
 
     def __init__(self, s: int, variant: str, entries: dict[tuple[int, int], int]):
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "variant", variant)
-        object.__setattr__(self, "entries", entries)
+        self._set_fields(s, variant, entries)
 
     def entry(self, k: int, m: int) -> int:
         try:

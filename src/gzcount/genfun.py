@@ -23,7 +23,6 @@ and CSV with rationals rendered exactly as p/q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
@@ -31,6 +30,7 @@ from math import factorial, prod
 # so ``genfun.g4_explore`` and ``counting.g4_explore`` are one object.
 from .counting import CountCache, _bounded_exponents, a_infinity, g4_explore, h_polynomial
 from .polyseries import SparsePoly, TruncSeries, _norm_coeff
+from .records import Frozen
 
 
 def build_G(k: int, cap: int, cache: CountCache | None = None) -> TruncSeries:
@@ -48,16 +48,20 @@ def build_E(k: int, cap: int, cache: CountCache | None = None) -> TruncSeries:
     return TruncSeries(k, cap, coeffs)
 
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(Frozen):
     """Outcome of one identity check: exact residual statistics."""
 
+    __slots__ = ("identity", "k", "cap", "max_abs", "nonzero_terms", "detail")
     identity: str
     k: int | None
     cap: int
     max_abs: object
     nonzero_terms: int
-    detail: str = ""
+    detail: str
+
+    def __init__(self, identity: str, k: int | None, cap: int, max_abs: object,
+                 nonzero_terms: int, detail: str = ""):
+        self._set_fields(identity, k, cap, max_abs, nonzero_terms, detail)
 
     @property
     def ok(self) -> bool:

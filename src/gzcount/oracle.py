@@ -7,8 +7,10 @@ proves that these are exactly the vertices.  Every candidate is then
 certified against the facet system itself, in exact integer arithmetic:
 it satisfies all inequalities and its tight normals have full rank.  So
 each reported point is a vertex of the H-representation, not merely a
-pattern of a known shape.  Of the package only ``limits`` is imported,
-so agreement between this module and the counters is a real cross-check.
+pattern of a known shape.  Of the package only ``limits`` and the
+record base in ``records`` are imported, neither of which counts
+anything, so agreement between this module and the counters is a real
+cross-check.
 The certificate runs down the tree of pattern rows, so rows that
 candidates share are checked once.
 
@@ -30,12 +32,12 @@ this module is correctness at desk scale, not generality, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product, repeat
 from operator import index
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .limits import DEFAULT_LIMIT_DIM, ResourceLimitError
+from .records import Frozen
 
 
 class OracleError(RuntimeError):
@@ -46,19 +48,19 @@ class DimensionLimitError(OracleError, ResourceLimitError):
     """Refusal to enumerate above the configured ambient-dimension limit."""
 
 
-@dataclass(frozen=True)
-class GZShape:
+class GZShape(Frozen):
     """A weakly increasing integer tuple heading the interlacing triangle."""
 
+    __slots__ = ("values",)
     values: tuple[int, ...]
 
-    def __post_init__(self):
-        vals = tuple(map(index, self.values))
+    def __init__(self, values: Iterable[int]):
+        vals = tuple(map(index, values))
         if not vals:
             raise ValueError("shape needs at least one value")
         if any(a > b for a, b in zip(vals, vals[1:])):
             raise ValueError(f"shape must be weakly increasing, got {vals}")
-        object.__setattr__(self, "values", vals)
+        self._set_fields(vals)
 
     @property
     def n(self) -> int:
@@ -74,8 +76,7 @@ def _var_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, n) for j in range(1, n - i + 1))
 
 
-@dataclass(frozen=True)
-class HRep:
+class HRep(Frozen):
     """Inequality system cutting out GZ(shape), one facet per edge.
 
     Each edge ``(a, b, bound)`` is the inequality  u[a] - u[b] <= bound,
@@ -89,6 +90,7 @@ class HRep:
     refused with ``OracleError`` when it is built.
     """
 
+    __slots__ = ("edges", "shape")
     edges: tuple[tuple[int, int, int], ...]
     shape: GZShape
 
@@ -97,7 +99,8 @@ class HRep:
         """The ambient dimension, also the index of the ground coordinate."""
         return self.shape.ambient_dim
 
-    def __post_init__(self):
+    def __init__(self, edges: tuple[tuple[int, int, int], ...], shape: GZShape):
+        self._set_fields(edges, shape)
         dim = self.dim
         for edge in self.edges:
             a, b, bound = edge

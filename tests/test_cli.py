@@ -992,7 +992,8 @@ def test_count_table_and_cache_stats_import_no_series_or_oracle_code(tmp_path):
         # Each run in its own interpreter, so no run hides another's imports.
         added = _modules_after(tmp_path, argv) - bare
         package = {m for m in added if m.split(".")[0] == "gzcount"}
-        assert package == {"gzcount", "gzcount.cli", "gzcount.counting", "gzcount.limits"}, argv
+        assert package == {"gzcount", "gzcount.cli", "gzcount.counting", "gzcount.limits",
+                           "gzcount.records"}, argv
         assert not added & SERIES_ONLY_MODULES, (argv, sorted(added & SERIES_ONLY_MODULES))
 
 
@@ -1008,6 +1009,28 @@ def test_oracle_and_series_commands_import_their_modules(tmp_path):
                  ("verify", "all", "--cap", "4")):
         loaded = _modules_after(tmp_path, argv)
         assert {"gzcount.genfun", "gzcount.polyseries"} <= loaded, argv
+
+
+# Runs of the series, verify and oracle code, each of which once loaded
+# dataclasses (and with it inspect) for its record types.
+RECORD_RUNS = (
+    ("verify", "all", "--cap", "4"),
+    ("series", "G3closed", "--cap", "5"),
+    ("series", "G", "--k", "3", "--cap", "4"),
+    ("count", "1 2 3 4 5", "--method", "all"),
+    ("count", "1 2 3 4 5", "--method", "oracle"),
+)
+
+
+def test_series_verify_and_oracle_load_no_dataclasses_or_inspect(tmp_path):
+    unwanted = {"dataclasses", "inspect"}
+    bare = _loaded_modules(tmp_path, "import sys; print(*sys.modules)")
+    for module in ("gzcount.genfun", "gzcount.oracle"):
+        added = _loaded_modules(tmp_path, f"import sys, {module}; print(*sys.modules)") - bare
+        assert module in added and not added & unwanted, (module, sorted(added & unwanted))
+    for argv in RECORD_RUNS:
+        added = _modules_after(tmp_path, argv) - bare
+        assert not added & unwanted, (argv, sorted(added & unwanted))
 
 
 # ------------------------------------------------------------ closed stdout

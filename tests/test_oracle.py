@@ -570,7 +570,8 @@ def test_oracle_count_refuses_from_the_shape(monkeypatch):
 
 def test_oracle_imports_only_limits():
     # The ground truth shares no code with the counters: a fresh import of
-    # the oracle loads no other module of the package, and no rationals.
+    # the oracle loads no other module of the package than the guardrails
+    # and the record base, and no rationals.
     code = (
         "import sys, gzcount.oracle\n"
         "print(sorted(m for m in sys.modules if m.startswith('gzcount')),"
@@ -580,7 +581,9 @@ def test_oracle_imports_only_limits():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "['gzcount', 'gzcount.limits', 'gzcount.oracle'] []"
+    assert proc.stdout.splitlines()[-1] == (
+        "['gzcount', 'gzcount.limits', 'gzcount.oracle', 'gzcount.records'] []"
+    )
 
 
 def test_dimension_limit_is_configurable():

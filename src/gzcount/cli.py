@@ -44,7 +44,7 @@ import io
 import json
 import os
 import sys
-from typing import Iterator
+from collections.abc import Iterator
 
 EXIT_OK = 0
 EXIT_USAGE = 1

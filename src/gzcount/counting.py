@@ -65,17 +65,16 @@ import functools
 import json
 import os
 import re
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, filterfalse
 from math import comb
 from operator import add, index, mul, sub
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .limits import ResourceLimitError
 from .records import Frozen
 
-if TYPE_CHECKING:
-    from .polyseries import SparsePoly
+# Annotations are never evaluated, so ``SparsePoly`` in them names
+# ``polyseries.SparsePoly`` without this module importing polyseries.
 
 Mults = tuple[int, ...]
 
@@ -195,10 +194,10 @@ class CountCache:
             sep = ",\n"
         yield "\n  }\n}\n"
 
-    def save(self, path: str | Path) -> None:
+    def save(self, path: str | os.PathLike[str]) -> None:
         # Write beside the target and rename over it, so a crash or a
         # concurrent reader never sees a half-written cache file.
-        tmp = Path(f"{path}.{os.getpid()}.tmp")
+        tmp = f"{path}.{os.getpid()}.tmp"
         try:
             # Streamed, not built as one string: the CLI holds its output
             # in memory during the save.
@@ -206,16 +205,20 @@ class CountCache:
                 fh.writelines(self._file_lines())
             os.replace(tmp, path)
         except BaseException as exc:
-            tmp.unlink(missing_ok=True)
+            try:
+                os.unlink(tmp)
+            except FileNotFoundError:
+                pass
             if isinstance(exc, OSError):
                 # Name the cache file, not the temporary file beside it.
                 raise OSError(f"cannot save count cache {path}: {exc.strerror or exc}") from exc
             raise
 
     @classmethod
-    def load(cls, path: str | Path) -> "CountCache":
+    def load(cls, path: str | os.PathLike[str]) -> "CountCache":
         try:
-            data = json.loads(Path(path).read_text())
+            with open(path) as fh:
+                data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CacheFormatError(f"cache file is not valid JSON: {exc}") from exc
         except RecursionError as exc:

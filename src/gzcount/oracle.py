@@ -17,14 +17,16 @@ candidates share are checked once.
 Every facet is ``u[a] - u[b] <= bound`` for two coordinates, or for one
 coordinate and a ground node fixed at 0, so ``HRep`` stores it as the
 edge ``(a, b, bound)`` of a graph on the coordinates plus that ground
-node; the tight facets at a candidate are edges of that graph, and their
-rank is found by a union-find over it.  A facet of any other form cannot
-be written down, and a malformed edge is refused with ``OracleError``
-when the ``HRep`` is built.
+node; the tight facets at a candidate are edges of that graph.  Their
+rank is full when every entry has a tight edge up to a shallower row or
+the ground, which is checked row by row.  A facet of any other form
+cannot be written down, and a malformed edge is refused with
+``OracleError`` when the ``HRep`` is built, an edge inside one row when
+the vertices are enumerated.
 
 The enumeration is limited to small ambient dimension (the default
-guardrail is 15, i.e. partitions of length up to 6: about 0.015 s for
-the 4,884 vertices of (1, ..., 6), and about 0.37 s for the 99,665 of
+guardrail is 15, i.e. partitions of length up to 6: about 0.011 s for
+the 4,884 vertices of (1, ..., 6), and about 0.3 s for the 99,665 of
 (1, ..., 7) at dimension 21, timed on a 2-vCPU x86-64 VM); the point of
 this module is correctness at desk scale, not generality, and
 ``oracle_count`` refuses a longer shape before building its facet system.
@@ -32,7 +34,7 @@ this module is correctness at desk scale, not generality, and
 
 from __future__ import annotations
 
-from itertools import product, repeat
+from itertools import product
 from operator import index
 from typing import Iterable, Iterator
 
@@ -85,9 +87,10 @@ class HRep(Frozen):
     other edge compares two neighbouring entries.  Each coordinate
     u(i,j) is squeezed between its two upper neighbours in the triangle,
     so there are exactly n(n-1) edges.  The dimension is the shape's
-    ambient dimension.  A system with an edge whose ends are not two
-    distinct indices in 0..dim or whose bound is not an ``int`` is
-    refused with ``OracleError`` when it is built.
+    ambient dimension.  A system whose shape is not a ``GZShape``, or
+    with an edge whose ends are not two distinct indices in 0..dim or
+    whose bound is not an ``int``, is refused with ``OracleError`` when
+    it is built.
     """
 
     __slots__ = ("edges", "shape")
@@ -100,6 +103,8 @@ class HRep(Frozen):
         return self.shape.ambient_dim
 
     def __init__(self, edges: tuple[tuple[int, int, int], ...], shape: GZShape):
+        if not isinstance(shape, GZShape):
+            raise OracleError(f"H-rep shape {shape!r} is not a GZShape")
         self._set_fields(edges, shape)
         dim = self.dim
         for edge in self.edges:
@@ -155,39 +160,40 @@ def enumerate_vertices(hrep: HRep, limit_dim: int = DEFAULT_LIMIT_DIM) -> frozen
     Every facet of the H-rep is an edge ``(a, b, bound)`` meaning
     ``u[a] - u[b] <= bound``: to the ground node, which stands for the
     top row lambda, it bounds a coordinate by an entry of lambda;
-    otherwise it compares two neighbouring entries.  The normals of the
-    edges tight at a feasible point are the rows of the incidence matrix
-    of the graph they form, with the ground column deleted, whose rank
-    is ``dim + 1`` minus the number of components of the graph.  So the
-    rank is ``dim``, and the point a vertex, exactly when every
-    coordinate is linked to lambda by a chain of tight equalities.
+    otherwise it compares two entries.  The normals of the edges tight
+    at a feasible point are the rows of the incidence matrix of the
+    graph they form, with the ground column deleted, whose rank is
+    ``dim + 1`` minus the number of components of the graph.
 
-    Rows of a pattern are weakly increasing, since
-    u(i,j) <= u(i-1,j+1) <= u(i,j+1).  An entry x strictly between its
-    two upper neighbours is therefore the only entry of value x in its
-    row.  A tight link joins equal values, and x has none upward, so a
-    chain leaving x returns to its row only through x and can never
-    climb above it: x is not linked to lambda.  Conversely, an entry
-    equal to an upper neighbour is linked to it by a tight edge, and by
-    induction down the triangle to lambda.  Hence a point is a vertex
-    exactly when every entry equals one of its two upper neighbours;
-    such a point is feasible, as it lies between those neighbours.
+    The certificate is local.  Each edge of ``hrep`` is filed once per
+    call under the triangle row of its deeper end; an edge joining two
+    entries of one row is refused with ``OracleError``, so the other end
+    lies in a shallower row or is the ground.  When a row is fixed, every
+    edge filed there must hold, and every entry of the row must be the
+    deeper end of at least one tight edge.  If every row passes, each
+    coordinate hangs by a tight edge from a node linked to the ground
+    before it, so the tight edges contain a spanning tree of the
+    ``dim + 1`` nodes and their rank is ``dim``: the point is a vertex.
+    That holds for any H-rep without same-row edges.  A violated edge or
+    an entry with no tight edge upward raises ``OracleError`` at its row.
+
+    On the GZ facet system the certificate is also complete.  Rows of a
+    pattern are weakly increasing, since u(i,j) <= u(i-1,j+1) <= u(i,j+1).
+    An entry x strictly between its two upper neighbours is therefore
+    the only entry of value x in its row.  A tight link joins equal
+    values, and x has none upward, so a chain leaving x returns to its
+    row only through x and can never climb above it: x is not linked to
+    lambda, and the point is no vertex.  Conversely, an entry equal to an
+    upper neighbour has a tight edge to it, the one the certificate
+    asks for.  Hence the vertices are exactly the points in which every
+    entry equals one of its two upper neighbours; such a point is
+    feasible, as it lies between those neighbours.
 
     Those points are enumerated as integer tuples, flattened top to
     bottom, down the tree of their rows: a node fixes one more row, each
     of whose entries chooses one of its two upper neighbours.  Each
-    position chooses among distinct values, so no pattern comes twice.
-    The points are certified against ``hrep`` itself as the rows are
-    fixed.  Each edge of ``hrep`` is filed once per call under the
-    triangle row of its deepest coordinate, the first row at which both
-    ends are known.  When a node fixes a row, it checks the edges filed
-    there and joins the tight ones into a copy of its parent's
-    union-find over the ``dim + 1`` nodes, adding the joins that merge
-    two components to its parent's count.  So a shared prefix is
-    certified once, and every complete pattern has had every edge
-    checked and counts the rank of all its tight edges, which must be
-    ``hrep.dim``.  A violated edge or a rank below ``dim`` raises
-    ``OracleError``.
+    position chooses among distinct values, so no pattern comes twice,
+    and a row that candidates share is certified once.
     """
     _check_dim(hrep.dim, limit_dim)
     dim = hrep.dim
@@ -197,37 +203,33 @@ def enumerate_vertices(hrep: HRep, limit_dim: int = DEFAULT_LIMIT_DIM) -> frozen
     width = [w for w in range(n - 1, 0, -1) for _ in range(w)] + [n]
     starts = [dim - w * (w + 1) // 2 for w in range(n)]
     levels = [[] for _ in range(n)]
-    for edge in hrep.edges:
-        levels[min(width[edge[0]], width[edge[1]])].append(edge)
+    for a, b, bound in hrep.edges:
+        if width[a] == width[b]:
+            raise OracleError(f"H-rep edge {(a, b, bound)} joins two entries of one row")
+        # Filed with its deeper end, the entry a tight edge links upward.
+        levels[min(width[a], width[b])].append((a, b, bound, a if width[a] < width[b] else b))
     points = []
-    # u holds the rows fixed so far, then the ground coordinate 0; each
-    # stack entry is a row still to certify, with its parent's union-find
-    # and join count.
+    # u holds the rows fixed so far, then the ground coordinate 0; the
+    # stack holds the rows still to certify.
     u = [0] * (dim + 1)
-    stack = [(row, list(range(dim + 1)), 0) for row in _child_rows(hrep.shape.values)]
+    stack = list(_child_rows(hrep.shape.values))
     while stack:
-        row, parent, joins = stack.pop()
+        row = stack.pop()
         w = len(row)
         u[starts[w]:starts[w] + w] = row
-        parent = parent[:]
-        for a, b, bound in levels[w]:
+        linked = set()
+        for a, b, bound, deep in levels[w]:
             value = u[a] - u[b]
-            if value < bound:
-                continue
-            if value > bound:
+            if value == bound:
+                linked.add(deep)
+            elif value > bound:
                 prefix = tuple(u[:starts[w] + w])
                 raise OracleError(f"candidate prefix {prefix} violates an inequality")
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a != b:
-                parent[a] = b
-                joins += 1
+        if len(linked) < w:
+            prefix = tuple(u[:starts[w] + w])
+            raise OracleError(f"candidate prefix {prefix} is not a vertex: tight rank too low")
         if w > 1:
-            stack.extend(zip(_child_rows(row), repeat(parent), repeat(joins)))
-        elif joins != dim:
-            raise OracleError(f"candidate {tuple(u[:dim])} is not a vertex: tight rank too low")
+            stack.extend(_child_rows(row))
         else:
             points.append(tuple(u[:dim]))
     return frozenset(points)

@@ -956,16 +956,17 @@ def _fresh_env():
     return env
 
 
-def _loaded_modules(tmp_path, code):
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_fresh_env(),
+def _loaded_modules(tmp_path, code, flags=()):
+    proc = subprocess.run([sys.executable, *flags, "-c", code], cwd=tmp_path, env=_fresh_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.splitlines()[-1].split())
 
 
-def _modules_after(tmp_path, *runs):
-    """Modules a fresh interpreter holds after ``main(argv)`` for each of ``runs``."""
-    return _loaded_modules(tmp_path, IMPORTED_AFTER.format(runs=runs))
+def _modules_after(tmp_path, *runs, flags=()):
+    """Modules a fresh interpreter, started with ``flags``, holds after
+    ``main(argv)`` for each of ``runs``."""
+    return _loaded_modules(tmp_path, IMPORTED_AFTER.format(runs=runs), flags)
 
 
 LEAN_RUNS = (
@@ -981,20 +982,27 @@ LEAN_RUNS = (
 )
 
 
+# Modules the lean runs need not load: pathlib (with urllib.parse) and
+# typing each cost a few ms of start-up.
+LEAN_UNWANTED = SERIES_ONLY_MODULES | {"pathlib", "typing"}
+
+
 def test_count_table_and_cache_stats_import_no_series_or_oracle_code(tmp_path):
     # An existing cache file, so the runs that name it load it.
     counts = {"1,1": "2", "2,1,1": "16"}
     (tmp_path / "c.json").write_text(json.dumps({"version": 1, "counts": counts}))
     # What a bare interpreter loads depends on the environment (``site``
-    # may import packages of its own), so it is measured, not assumed.
-    bare = _loaded_modules(tmp_path, "import sys; print(*sys.modules)")
-    for argv in LEAN_RUNS:
-        # Each run in its own interpreter, so no run hides another's imports.
-        added = _modules_after(tmp_path, argv) - bare
-        package = {m for m in added if m.split(".")[0] == "gzcount"}
-        assert package == {"gzcount", "gzcount.cli", "gzcount.counting", "gzcount.limits",
-                           "gzcount.records"}, argv
-        assert not added & SERIES_ONLY_MODULES, (argv, sorted(added & SERIES_ONLY_MODULES))
+    # may import packages of its own, pathlib and typing among them), so
+    # it is measured, not assumed, and measured again without ``site``.
+    for flags in ((), ("-S",)):
+        bare = _loaded_modules(tmp_path, "import sys; print(*sys.modules)", flags)
+        for argv in LEAN_RUNS:
+            # Each run in its own interpreter, so no run hides another's imports.
+            added = _modules_after(tmp_path, argv, flags=flags) - bare
+            package = {m for m in added if m.split(".")[0] == "gzcount"}
+            assert package == {"gzcount", "gzcount.cli", "gzcount.counting", "gzcount.limits",
+                               "gzcount.records"}, (flags, argv)
+            assert not added & LEAN_UNWANTED, (flags, argv, sorted(added & LEAN_UNWANTED))
 
 
 def test_oracle_and_series_commands_import_their_modules(tmp_path):

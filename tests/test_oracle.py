@@ -1,6 +1,7 @@
 """Tests for the exact polyhedral oracle."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -389,13 +390,14 @@ def pattern_rows(values, pattern):
 def test_union_find_rank_equals_elimination_rank():
     # Every prefix of the tight rows of every candidate with n <= 5: the
     # short prefixes are rank-deficient, the full tight set has rank dim.
-    # The oracle's certificate counts union-find joins the same way.
     candidates = 0
     for total in range(1, 6):
         for mults in compositions(total):
             shape = shape_for(mults)
             dim = shape.ambient_dim
             rows = reference_rows(shape)
+            # Triangle row of each coordinate; the ground, index dim, is row 0.
+            row_of = [i for i, _ in oracle._var_pairs(shape.n)] + [0]
             for candidate in copy_patterns(shape.values):
                 candidates += 1
                 tight = [(normal, edge_of(normal, dim)) for normal, bound in rows
@@ -405,6 +407,13 @@ def test_union_find_rank_equals_elimination_rank():
                     pairs = [pair for _, pair in tight[:stop]]
                     assert graph_rank(dim + 1, pairs) == rank(normals)
                 assert graph_rank(dim + 1, pairs) == dim
+                # One tight edge up from each coordinate, to a shallower
+                # row or the ground, already has rank dim.
+                upward = {}
+                for normal, (a, b) in tight:
+                    upward.setdefault(max(a, b, key=row_of.__getitem__), normal)
+                assert sorted(upward) == list(range(dim))
+                assert rank(list(upward.values())) == dim
     assert candidates == 1227
 
 
@@ -515,6 +524,84 @@ def test_deleting_a_tight_row_leaves_a_non_vertex():
         assert any(is_tight(edge, p) for p in vertices)
         with pytest.raises(OracleError, match="not a vertex: tight rank too low"):
             enumerate_vertices(replace_edges(h, h.edges[:r] + h.edges[r + 1:]))
+
+
+def mutated_hreps(h):
+    """Each edge of ``h`` deleted, and each bound moved by -1 and by +1:
+    ``(kind, index, edges)`` triples."""
+    for r, (a, b, bound) in enumerate(h.edges):
+        yield "deleted", r, h.edges[:r] + h.edges[r + 1:]
+        for kind, step in (("lowered", -1), ("raised", 1)):
+            yield kind, r, (*h.edges[:r], (a, b, bound + step), *h.edges[r + 1:])
+
+
+def is_dense_vertex(point, rows, dim):
+    """Reference check: ``point`` satisfies every ``(normal, bound)`` row
+    and its tight normals have elimination rank ``dim``."""
+    values = [dot(normal, point) for normal, _ in rows]
+    if any(v > bound for v, (_, bound) in zip(values, rows)):
+        return False
+    return rank([normal for v, (normal, bound) in zip(values, rows) if v == bound]) == dim
+
+
+def test_certificate_is_sound_on_mutated_hreps_for_n_le_5():
+    # Each edge of every facet system with n <= 5 deleted, or its bound
+    # moved by one.  Whenever the walk returns on such a system, every
+    # point it returns passes the dense reference check against the
+    # system's rows.  The walk enumerates the same copy patterns whatever
+    # the edges, so what it returns is the unmutated vertex set.
+    outcomes = {}
+    for total in range(1, 6):
+        for mults in compositions(total):
+            shape = shape_for(mults)
+            h = build_hrep(shape)
+            rows = reference_rows(shape)
+            # The edges and the reference rows come in the same order.
+            assert dense_rows(h) == rows
+            expected = enumerate_vertices(h)
+            for kind, r, edges in mutated_hreps(h):
+                if kind == "deleted":
+                    mutant_rows = rows[:r] + rows[r + 1:]
+                else:
+                    mutant_rows = [*rows[:r], (rows[r][0], edges[r][2]), *rows[r + 1:]]
+                all_vertices = all(is_dense_vertex(p, mutant_rows, shape.ambient_dim)
+                                   for p in expected)
+                try:
+                    vs = enumerate_vertices(replace_edges(h, edges))
+                except OracleError as exc:
+                    outcome = re.sub(r"\(.*\) ", "", str(exc))
+                else:
+                    outcome = "returned"
+                    assert vs == expected and all_vertices, (shape, kind, r)
+                key = (kind, outcome, all_vertices)
+                outcomes[key] = outcomes.get(key, 0) + 1
+    # 1,332 mutants.  Every lowered bound cuts off a vertex.  Of the
+    # deleted edges and raised bounds, 60 each leave every candidate a
+    # vertex, yet some entry's tight links all run through a deeper row;
+    # the walk refuses those, as it asks each entry for a tight edge up.
+    not_a_vertex = "candidate prefix is not a vertex: tight rank too low"
+    assert outcomes == {
+        ("deleted", "returned", True): 144,
+        ("deleted", not_a_vertex, True): 60,
+        ("deleted", not_a_vertex, False): 240,
+        ("lowered", "candidate prefix violates an inequality", False): 444,
+        ("raised", "returned", True): 144,
+        ("raised", not_a_vertex, True): 60,
+        ("raised", not_a_vertex, False): 240,
+    }
+
+
+def test_same_row_edge_is_refused():
+    # Every entry must hang by a tight edge from a shallower row; an edge
+    # inside one row would break that argument, and build_hrep never
+    # emits one.  (0, 1, 1, 3): row 1 is u[0..2], row 2 is u[3..4].
+    h = build_hrep(GZShape((0, 1, 1, 3)))
+    for extra in [(0, 1, 5), (2, 0, 0), (4, 3, 1)]:
+        message = re.escape(f"H-rep edge {extra} joins two entries of one row")
+        with pytest.raises(OracleError, match=message):
+            enumerate_vertices(replace_edges(h, (*h.edges, extra)))
+    # An edge skipping a row is filed under its deeper end and accepted.
+    assert enumerate_vertices(replace_edges(h, (*h.edges, (0, 5, 3)))) == enumerate_vertices(h)
 
 
 def test_oracle_against_independent_counters():

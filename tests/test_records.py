@@ -2,7 +2,7 @@
 
 ``GZShape``, ``HRep`` and ``ResidualReport`` derive from
 ``gzcount.records.Frozen``; each is checked here against a frozen
-dataclass written as the record was before, for construction and its
+dataclass with the same fields and checks, for construction and its
 errors, equality, hashing, repr, immutability, copying and pickling.
 ``tests/test_counting.py`` does the same for ``MultiplicityVector`` and
 ``TriTable``.
@@ -54,6 +54,9 @@ class ReferenceHRep:
         return self.shape.ambient_dim
 
     def __post_init__(self):
+        # A shape of another type is refused before ``dim`` is read.
+        if not isinstance(self.shape, GZShape):
+            raise OracleError(f"H-rep shape {self.shape!r} is not a GZShape")
         dim = self.dim
         for edge in self.edges:
             a, b, bound = edge
@@ -116,6 +119,9 @@ CASES = {
         ((((0, 1, 2), (2, 2, 0)), SHAPE), {}),
         ((((0, 1),), SHAPE), {}),
         ((((0, 1, 0),), (1, 2, 4)), {}),
+        (((), (1, 2, 4)), {}),
+        (((), None), {}),
+        ((((0, 9, 0),), ReferenceGZShape((1, 2, 4))), {}),
         (((),), {}),
         (((), SHAPE, 1), {}),
     ]),

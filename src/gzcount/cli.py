@@ -201,15 +201,15 @@ def _table_json_pieces(table: TriTable) -> Iterator[str]:
 
     The same bytes as dumping {"s": ..., "variant": ..., "cells": [{"k":
     k, "m": m, "value": v}, ...]} with the cells in (k, m) order, but
-    written cell by cell, so no dict per cell is built.  A table has at
-    least one cell.
+    written cell by cell off the rows, so no dict per cell is built and
+    no key is sorted.  A table has at least one cell.
     """
-    entries = table.entries
     yield '{\n  "cells": ['
     sep = "\n"
-    for k, m in sorted(entries):
-        yield f'{sep}    {{\n      "k": {k},\n      "m": {m},\n      "value": {entries[k, m]}\n    }}'
-        sep = ",\n"
+    for k, row in enumerate(table.rows):
+        for m, value in enumerate(row):
+            yield f'{sep}    {{\n      "k": {k},\n      "m": {m},\n      "value": {value}\n    }}'
+            sep = ",\n"
     yield f'\n  ],\n  "s": {table.s},\n  "variant": {json.dumps(table.variant)}\n}}\n'
 
 
@@ -217,10 +217,8 @@ def _table_csv_rows(table: TriTable) -> Iterator[str]:
     """The table drawn as CSV lines, row m = s first, k across, an empty
     field where the table has no cell; written one line at a time, so no
     text of the whole table is built."""
-    entries, s = table.entries, table.s
-    for m in range(s, -1, -1):
-        cells = (entries.get((k, m)) for k in range(s + 1))
-        yield ",".join("" if cell is None else str(cell) for cell in cells) + "\n"
+    for m in range(table.s, -1, -1):
+        yield ",".join(str(row[m]) if m < len(row) else "" for row in table.rows) + "\n"
 
 
 def _cmd_table(args, cache: None) -> int:

@@ -68,7 +68,7 @@ import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, filterfalse
 from math import comb
-from operator import add, index, mul, sub
+from operator import add, index, mul
 
 from .limits import ResourceLimitError
 from .records import Frozen
@@ -695,10 +695,10 @@ def h_polynomial(s: int, method: str = "recurrence") -> SparsePoly:
 TABLE_VARIANTS = ("plain", "skew")
 
 #: Largest table ``tri_table`` builds.  Through the CLI (Python 3.11, one
-#: core of a 2-vCPU VM), ``table 500 --variant skew`` prints in 4.4-5.0 s
-#: at 93 MB peak RSS and ``table 500`` in 3.9-4.1 s at 55 MB, both
+#: core of a 2-vCPU VM), ``table 500 --variant skew`` prints in 3.6-4.6 s
+#: at 48 MB peak RSS and ``table 500`` in 3.2-4.4 s at 32 MB, both
 #: formats written a line or a cell at a time; ``table 550`` takes
-#: 7.4-9.7 s and ``table 600 --variant skew`` 10.4 s.
+#: 5.4-7.8 s and ``table 600 --variant skew`` 8.2-8.7 s at 70 MB.
 TABLE_MAX_S = 500
 
 
@@ -712,29 +712,38 @@ class TriTable(Frozen):
     They tabulate the coefficients of h_s = g_s(x, z) - (xz)^s g_s(1/z,
     1/x) and satisfy entry(k, m) = -entry(s-m, s-k) (skew symmetry
     across the k + m = s diagonal of the drawn table).
+
+    ``rows[k][m]`` is cell (k, m): row k holds s + 1 - k cells in a
+    plain table and s + 1 in a skew one.
     """
 
-    __slots__ = ("s", "variant", "entries")
+    __slots__ = ("s", "variant", "rows")
     s: int
     variant: str
-    entries: dict[tuple[int, int], int]
+    rows: list[list[int]]
 
-    def __init__(self, s: int, variant: str, entries: dict[tuple[int, int], int]):
-        self._set_fields(s, variant, entries)
+    def __init__(self, s: int, variant: str, rows: list[list[int]]):
+        self._set_fields(s, variant, rows)
+
+    @property
+    def entries(self) -> dict[tuple[int, int], int]:
+        """The cells keyed by (k, m), in (k, m) order; built at each read."""
+        return {(k, m): v for k, row in enumerate(self.rows) for m, v in enumerate(row)}
 
     def entry(self, k: int, m: int) -> int:
-        try:
-            return self.entries[(k, m)]
-        except KeyError:
-            raise ValueError(f"cell ({k}, {m}) outside table domain") from None
+        # Checked, not caught: a negative index would wrap round a row.
+        if 0 <= k < len(self.rows) and 0 <= m < len(self.rows[k]):
+            return self.rows[k][m]
+        raise ValueError(f"cell ({k}, {m}) outside table domain")
 
 
 def tri_table(s: int, variant: str = "plain") -> TriTable:
-    """Build the size-s table.
+    """Build the size-s table on its rows, in place.
 
-    The plain table grows by the neighbour-sum rule; the skew table is
-    then the plain table minus its reflection, plain(k, m) - plain(s-m,
-    s-k), the definition of h_s on the cells.  A size above
+    The plain table grows by the neighbour-sum rule, one size at a time,
+    each row rewritten from itself and the old row above it; the skew
+    table is then the plain table minus its reflection, plain(k, m) -
+    plain(s-m, s-k), the definition of h_s on the cells.  A size above
     ``TABLE_MAX_S`` is refused with ``ResourceLimitError`` before
     anything is built.
     """
@@ -744,30 +753,25 @@ def tri_table(s: int, variant: str = "plain") -> TriTable:
         raise ValueError(f"unknown table variant {variant!r}; expected one of {TABLE_VARIANTS}")
     if s > TABLE_MAX_S:
         raise ResourceLimitError(f"table size {s} exceeds the limit {TABLE_MAX_S}")
-    # rows[k] holds the cells (k, 0), (k, 1), ... of the current table.
-    # Each step pads the rows with zeros to the new width and forms
-    # T(k, m) + T(k-1, m) once per cell, so a new cell is that column sum
-    # plus the one at m - 1, the four neighbours of the growth rule.
+    # Growing from size t to t + 1, old row k (cells (k, 0) .. (k, t-k))
+    # becomes new row k one cell longer.  The column sums T(k, m) +
+    # T(k-1, m) are formed once, so an inner cell is its column sum plus
+    # the one at m - 1, the four neighbours of the growth rule; the new
+    # diagonal cell (k, t+1-k) sums only (k, t-k) and (k-1, t+1-k).
     rows = [[1, 1], [1]]
     for t in range(1, s):
-        width = t + 2
-        above = [0] * width  # row k - 1; none above row 0
-        grown = []
-        for k in range(width):
-            here = rows[k] + [0] * (k + 1) if k <= t else [0] * width
+        above = [0] * (t + 2)  # old row k - 1; none above row 0
+        for k, here in enumerate(rows):
             col = list(map(add, here, above))
-            row = [col[0]] + list(map(add, col[1:width - k], col))
-            # The new diagonal cell (k, t+1-k) has no (k-1, t-k) term.
-            if k <= t:
-                row[-1] -= above[t - k]
-            grown.append(row)
+            rows[k] = [col[0], *map(add, col[1:], col), here[-1] + above[len(here)]]
             above = here
-        rows = grown
+        rows.append([1])  # the new corner (t+1, 0), binomial(t+1, t+1)
     if variant == "skew":
         # Cell (k, m) less the plain cell (s-m, s-k), which lies in the
-        # triangle when m >= s-k: column s-k of rows k, k-1, ..., 0.
-        rows = [list(map(sub, rows[k] + [0] * k,
-                         [0] * (s - k) + [rows[j][s - k] for j in range(k, -1, -1)]))
-                for k in range(s + 1)]
-    cells = {(k, m): v for k, row in enumerate(rows) for m, v in enumerate(row)}
-    return TriTable(s=s, variant=variant, entries=cells)
+        # triangle when m >= s-k: column s-k of rows k, k-1, ..., 0.  From
+        # the last row up, those rows are all still plain.
+        for k in range(s, -1, -1):
+            row = rows[k]
+            row[-1] = 0  # the diagonal cell (k, s-k) less itself
+            row.extend(-rows[j][s - k] for j in range(k - 1, -1, -1))
+    return TriTable(s=s, variant=variant, rows=rows)

@@ -34,9 +34,9 @@ this module is correctness at desk scale, not generality, and
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from itertools import product
 from operator import index
-from typing import Iterable, Iterator
 
 from .limits import DEFAULT_LIMIT_DIM, ResourceLimitError
 from .records import Frozen

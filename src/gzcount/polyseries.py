@@ -57,9 +57,9 @@ functions, so they can be shared freely between concurrent callers.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from operator import index, mul
-from typing import Iterable, Mapping
 
 from .limits import DegreeLimitError
 

@@ -986,6 +986,14 @@ LEAN_RUNS = (
 # typing each cost a few ms of start-up.
 LEAN_UNWANTED = SERIES_ONLY_MODULES | {"pathlib", "typing"}
 
+# Runs of the polynomial and oracle code, which need not load typing
+# either: their annotations name the abstract types of collections.abc.
+UNTYPED_RUNS = (
+    ("verify", "all", "--cap", "4"),
+    ("series", "G3closed", "--cap", "5"),
+    ("count", "1 2 3 4 5", "--method", "oracle"),
+)
+
 
 def test_count_table_and_cache_stats_import_no_series_or_oracle_code(tmp_path):
     # An existing cache file, so the runs that name it load it.
@@ -1003,6 +1011,11 @@ def test_count_table_and_cache_stats_import_no_series_or_oracle_code(tmp_path):
             assert package == {"gzcount", "gzcount.cli", "gzcount.counting", "gzcount.limits",
                                "gzcount.records"}, (flags, argv)
             assert not added & LEAN_UNWANTED, (flags, argv, sorted(added & LEAN_UNWANTED))
+    # Without ``site``, nothing but the package could load typing.
+    bare = _loaded_modules(tmp_path, "import sys; print(*sys.modules)", ("-S",))
+    for argv in UNTYPED_RUNS:
+        added = _modules_after(tmp_path, argv, flags=("-S",)) - bare
+        assert "typing" not in added, argv
 
 
 def test_oracle_and_series_commands_import_their_modules(tmp_path):

@@ -9,6 +9,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
@@ -729,6 +730,36 @@ def test_table_validation():
         tri_table(2, "plain").entry(5, 5)
 
 
+@pytest.mark.parametrize("variant", counting.TABLE_VARIANTS)
+def test_entry_refuses_every_cell_outside_the_table(variant):
+    # Among them negative k or m, which plain list indexing would wrap,
+    # m = s + 1 - k just past the plain diagonal and k = s + 1 just past
+    # the last row.
+    s = 5
+    table = tri_table(s, variant)
+    cells = table.entries
+    for k, m in product(range(-s - 2, s + 3), repeat=2):
+        if 0 <= k <= s and 0 <= m <= (s - k if variant == "plain" else s):
+            assert table.entry(k, m) == cells[k, m]
+        else:
+            with pytest.raises(ValueError, match=rf"^cell \({k}, {m}\) outside table domain$"):
+                table.entry(k, m)
+
+
+@pytest.mark.parametrize("variant", counting.TABLE_VARIANTS)
+def test_table_build_peaks_near_what_the_table_keeps(variant):
+    # Grown in place on its rows, a table needs little room beyond its
+    # own cells; a second copy of them (a dict keyed by cell, or a
+    # second set of rows for the skew table) lifts the peak well above.
+    tracemalloc.start()
+    try:
+        table = tri_table(120, variant)  # still held, so counted as kept
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * kept, (variant, table.s, kept, peak)
+
+
 # -------------------------------------------------------- multiplicity vector
 
 
@@ -782,7 +813,7 @@ class ReferenceMultiplicityVector:
 class ReferenceTriTable:
     s: int
     variant: str
-    entries: dict
+    rows: list
 
 
 def _ref_repr(obj):
@@ -828,11 +859,11 @@ def test_multiplicity_vector_equality_matches_frozen_dataclass():
 
 def test_tri_table_matches_frozen_dataclass():
     tables = [tri_table(s, v) for s in (1, 2, 3) for v in counting.TABLE_VARIANTS]
-    refs = [ReferenceTriTable(t.s, t.variant, t.entries) for t in tables]
+    refs = [ReferenceTriTable(t.s, t.variant, t.rows) for t in tables]
     for table, ref in zip(tables, refs):
-        assert (table.s, table.variant, table.entries) == (ref.s, ref.variant, ref.entries)
+        assert (table.s, table.variant, table.rows) == (ref.s, ref.variant, ref.rows)
         assert repr(table) == _ref_repr(ref)
-        by_keyword = TriTable(s=ref.s, variant=ref.variant, entries=dict(ref.entries))
+        by_keyword = TriTable(s=ref.s, variant=ref.variant, rows=[list(row) for row in ref.rows])
         assert by_keyword == table and not by_keyword != table
         with pytest.raises(TypeError, match="unhashable"):
             hash(ref)
@@ -842,7 +873,7 @@ def test_tri_table_matches_frozen_dataclass():
         assert (t1 == t2) == (r1 == r2)
         assert (t1 != t2) == (r1 != r2)
     table, ref = tables[0], refs[0]
-    for other in ((table.s, table.variant, table.entries), table.entries, None):
+    for other in ((table.s, table.variant, table.rows), table.rows, None):
         assert (table == other) is (ref == other) is False
         assert (table != other) is (ref != other) is True
     assert (table == ref) is (ref == table) is False
@@ -854,10 +885,11 @@ def test_tri_table_matches_frozen_dataclass():
     (tri_table(2), "s"),
     (tri_table(2), "entries"),
     (tri_table(2), "other"),
+    (tri_table(2), "rows"),
 ])
 def test_records_are_immutable_like_frozen_dataclasses(obj, attr):
     ref = (ReferenceMultiplicityVector(obj.mults) if isinstance(obj, MultiplicityVector)
-           else ReferenceTriTable(obj.s, obj.variant, obj.entries))
+           else ReferenceTriTable(obj.s, obj.variant, obj.rows))
     before = repr(obj)
     for target in (ref, obj):
         with pytest.raises(AttributeError):

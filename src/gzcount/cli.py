@@ -89,6 +89,10 @@ def parse_partition(text: str) -> list[int]:
             raise ValueError(f"bad partition token {tok!r}") from None
         if mult <= 0:
             raise ValueError(f"multiplicity must be positive in token {tok!r}")
+        if mult > sys.maxsize:
+            raise ResourceLimitError(
+                f"multiplicity in token {tok!r} exceeds the largest list length {sys.maxsize}"
+            )
         values.extend([value] * mult)
     if any(a > b for a, b in zip(values, values[1:])):
         raise ValueError(f"partition values must be weakly increasing: {values}")
@@ -256,6 +260,8 @@ def _cmd_series(args, cache: CountCache | None) -> int:
         k = fixed_k
     else:
         k = args.k if args.k is not None else 1
+        if k > sys.maxsize:
+            raise ResourceLimitError(f"--k {k} exceeds the largest tuple length {sys.maxsize}")
 
     series = build(genfun, k, args.cap, cache)
     names = variables(k)

@@ -1,4 +1,4 @@
-"""Independent ground truth: exact vertex enumeration of GZ polytopes.
+"""Independent ground truth: certified vertices of GZ polytopes.
 
 Builds the facet inequality system of GZ(lambda) directly from the
 interlacing triangle.  The candidate vertices are the patterns in which
@@ -11,8 +11,6 @@ pattern of a known shape.  Of the package only ``limits`` and the
 record base in ``records`` are imported, neither of which counts
 anything, so agreement between this module and the counters is a real
 cross-check.
-The certificate runs down the tree of pattern rows, so rows that
-candidates share are checked once.
 
 Every facet is ``u[a] - u[b] <= bound`` for two coordinates, or for one
 coordinate and a ground node fixed at 0, so ``HRep`` stores it as the
@@ -22,14 +20,23 @@ rank is full when every entry has a tight edge up to a shallower row or
 the ground, which is checked row by row.  A facet of any other form
 cannot be written down, and a malformed edge is refused with
 ``OracleError`` when the ``HRep`` is built, an edge inside one row when
-the vertices are enumerated.
+the vertices are enumerated or counted.
 
-The enumeration is limited to small ambient dimension (the default
-guardrail is 15, i.e. partitions of length up to 6: about 0.011 s for
-the 4,884 vertices of (1, ..., 6), and about 0.3 s for the 99,665 of
-(1, ..., 7) at dimension 21, timed on a 2-vCPU x86-64 VM); the point of
-this module is correctness at desk scale, not generality, and
-``oracle_count`` refuses a longer shape before building its facet system.
+Two walks apply that one certificate.  ``enumerate_vertices`` runs down
+the tree of pattern rows and returns the points, certifying a row that
+candidates share once.  ``count_vertices``, which ``oracle_count`` uses,
+builds no point: on a facet system whose edges each join a row to the
+row directly above it, as ``build_hrep``'s do, a row's check reads only
+that row and its parent, so it pushes path counts down the rows and
+certifies each distinct (parent row, child row) transition once.
+
+The ambient dimension is limited by a guardrail, 15 by default, i.e.
+partitions of length up to 6.  ``oracle_count`` refuses a longer shape
+before building its facet system.  It takes about 0.001 s for the 4,884
+vertices of (1, ..., 6), 0.0035 s for the 99,665 of (1, ..., 7) at
+dimension 21 and 0.015 s for the 3,000,736 of (1, ..., 8) at dimension
+28, timed in-process on a 2-vCPU x86-64 VM; the point of this module is
+correctness at desk scale, not generality.
 """
 
 from __future__ import annotations
@@ -153,6 +160,41 @@ def _child_rows(row: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     return product(*[(a, b) if a != b else (a,) for a, b in zip(row, row[1:])])
 
 
+def _file_edges(hrep: HRep) -> tuple[list[int], list[list[tuple[int, int, int, int]]]]:
+    """The width of each index's row, and each edge of ``hrep`` filed
+    under the width of the row of its deeper end as ``(a, b, bound,
+    deep)``, ``deep`` being that end.
+
+    Row i of the triangle has n - i entries, and the ground, which
+    stands for lambda, has width n.  An edge joining two entries of one
+    row is refused with ``OracleError``, so the other end of a filed
+    edge lies in a shallower row or is the ground.
+    """
+    n = hrep.shape.n
+    width = [w for w in range(n - 1, 0, -1) for _ in range(w)] + [n]
+    levels = [[] for _ in range(n)]
+    for a, b, bound in hrep.edges:
+        if width[a] == width[b]:
+            raise OracleError(f"H-rep edge {(a, b, bound)} joins two entries of one row")
+        levels[min(width[a], width[b])].append((a, b, bound, a if width[a] < width[b] else b))
+    return width, levels
+
+
+def _row_fault(u: list[int], edges: list[tuple[int, int, int, int]], w: int) -> str | None:
+    """Why the row of width ``w`` just written into ``u`` fails the
+    certificate, or None if it passes: every edge filed at width ``w``
+    must hold, and each of the row's ``w`` entries must be the deeper end
+    of at least one tight edge."""
+    linked = set()
+    for a, b, bound, deep in edges:
+        value = u[a] - u[b]
+        if value == bound:
+            linked.add(deep)
+        elif value > bound:
+            return "violates an inequality"
+    return None if len(linked) == w else "is not a vertex: tight rank too low"
+
+
 def enumerate_vertices(hrep: HRep, limit_dim: int = DEFAULT_LIMIT_DIM) -> frozenset[tuple[int, ...]]:
     """Exact vertex set of GZ(shape), certified against ``hrep``: a
     ``frozenset`` holding each vertex once, as a tuple of ``int``.
@@ -166,11 +208,12 @@ def enumerate_vertices(hrep: HRep, limit_dim: int = DEFAULT_LIMIT_DIM) -> frozen
     ``dim + 1`` minus the number of components of the graph.
 
     The certificate is local.  Each edge of ``hrep`` is filed once per
-    call under the triangle row of its deeper end; an edge joining two
-    entries of one row is refused with ``OracleError``, so the other end
-    lies in a shallower row or is the ground.  When a row is fixed, every
-    edge filed there must hold, and every entry of the row must be the
-    deeper end of at least one tight edge.  If every row passes, each
+    call under the triangle row of its deeper end (``_file_edges``); an
+    edge joining two entries of one row is refused with ``OracleError``,
+    so the other end lies in a shallower row or is the ground.  When a
+    row is fixed, every edge filed there must hold, and every entry of
+    the row must be the deeper end of at least one tight edge
+    (``_row_fault``).  If every row passes, each
     coordinate hangs by a tight edge from a node linked to the ground
     before it, so the tight edges contain a spanning tree of the
     ``dim + 1`` nodes and their rank is ``dim``: the point is a vertex.
@@ -197,17 +240,9 @@ def enumerate_vertices(hrep: HRep, limit_dim: int = DEFAULT_LIMIT_DIM) -> frozen
     """
     _check_dim(hrep.dim, limit_dim)
     dim = hrep.dim
-    n = hrep.shape.n
-    # Rows are keyed by width: row i of the triangle has n - i entries,
-    # the first at starts[n - i], and the ground stands for lambda.
-    width = [w for w in range(n - 1, 0, -1) for _ in range(w)] + [n]
-    starts = [dim - w * (w + 1) // 2 for w in range(n)]
-    levels = [[] for _ in range(n)]
-    for a, b, bound in hrep.edges:
-        if width[a] == width[b]:
-            raise OracleError(f"H-rep edge {(a, b, bound)} joins two entries of one row")
-        # Filed with its deeper end, the entry a tight edge links upward.
-        levels[min(width[a], width[b])].append((a, b, bound, a if width[a] < width[b] else b))
+    # The row of width w starts at index starts[w].
+    starts = [dim - w * (w + 1) // 2 for w in range(hrep.shape.n)]
+    _, levels = _file_edges(hrep)
     points = []
     # u holds the rows fixed so far, then the ground coordinate 0; the
     # stack holds the rows still to certify.
@@ -217,17 +252,9 @@ def enumerate_vertices(hrep: HRep, limit_dim: int = DEFAULT_LIMIT_DIM) -> frozen
         row = stack.pop()
         w = len(row)
         u[starts[w]:starts[w] + w] = row
-        linked = set()
-        for a, b, bound, deep in levels[w]:
-            value = u[a] - u[b]
-            if value == bound:
-                linked.add(deep)
-            elif value > bound:
-                prefix = tuple(u[:starts[w] + w])
-                raise OracleError(f"candidate prefix {prefix} violates an inequality")
-        if len(linked) < w:
-            prefix = tuple(u[:starts[w] + w])
-            raise OracleError(f"candidate prefix {prefix} is not a vertex: tight rank too low")
+        fault = _row_fault(u, levels[w], w)
+        if fault:
+            raise OracleError(f"candidate prefix {tuple(u[:starts[w] + w])} {fault}")
         if w > 1:
             stack.extend(_child_rows(row))
         else:
@@ -235,7 +262,52 @@ def enumerate_vertices(hrep: HRep, limit_dim: int = DEFAULT_LIMIT_DIM) -> frozen
     return frozenset(points)
 
 
+def count_vertices(hrep: HRep, limit_dim: int = DEFAULT_LIMIT_DIM) -> int:
+    """Number of vertices of GZ(shape), certified against ``hrep`` as
+    ``enumerate_vertices`` certifies them, without building a point.
+
+    Every edge of ``hrep`` must join a row to the row directly above it,
+    or the top internal row to the ground; an edge that skips a row, or
+    one inside a row, is refused with ``OracleError``.  ``build_hrep``
+    emits only such edges.  Then the check of a row reads that row and
+    its parent row alone, and a row's children depend on the row alone,
+    so the certified patterns below a row depend only on the row.  The
+    count is pushed down one row width at a time, in a dict from each
+    distinct row to the number of paths reaching it from lambda; each
+    (parent row, child row) transition is certified once, and the count
+    is the sum over the rows of width 1.  Every row wider than 1 has a
+    child, so a transition fails here exactly when some pattern through
+    it fails in ``enumerate_vertices``: both walks raise on the same
+    H-reps and agree on the count elsewhere.
+    """
+    _check_dim(hrep.dim, limit_dim)
+    dim = hrep.dim
+    n = hrep.shape.n
+    starts = [dim - w * (w + 1) // 2 for w in range(n)]
+    width, levels = _file_edges(hrep)
+    for w, edges in enumerate(levels):
+        for a, b, bound, _ in edges:
+            if width[a] + width[b] != 2 * w + 1:
+                raise OracleError(f"H-rep edge {(a, b, bound)} skips a row")
+    u = [0] * (dim + 1)
+    paths = {hrep.shape.values: 1}
+    for w in range(n - 1, 0, -1):
+        below = {}
+        for row, count in paths.items():
+            if w < n - 1:  # the top row, lambda, is the ground
+                u[starts[w + 1]:starts[w + 1] + w + 1] = row
+            for child in _child_rows(row):
+                u[starts[w]:starts[w] + w] = child
+                fault = _row_fault(u, levels[w], w)
+                if fault:
+                    raise OracleError(f"candidate row {child} below {row} {fault}")
+                below[child] = below.get(child, 0) + count
+        paths = below
+    return sum(paths.values())
+
+
 def oracle_count(shape: GZShape, limit_dim: int = DEFAULT_LIMIT_DIM) -> int:
-    """Vertex count of GZ(shape) by direct enumeration."""
+    """Vertex count of GZ(shape), certified row transition by row
+    transition against its facet system (``count_vertices``)."""
     _check_dim(shape.ambient_dim, limit_dim)  # before building n(n-1) facet edges
-    return len(enumerate_vertices(build_hrep(shape), limit_dim=limit_dim))
+    return count_vertices(build_hrep(shape), limit_dim)

@@ -130,6 +130,25 @@ def test_criterion_03_oracle_equivalence_n_7():
     assert elapsed < budget
 
 
+def test_criterion_03_oracle_equivalence_n_8():
+    budget = 120.0
+    start = time.perf_counter()
+    cache = CountCache()
+    fiber_memo = {}
+    checked = 0
+    ok = True
+    for mults in compositions(8):
+        expected = oracle_count(shape_for(mults), limit_dim=28)
+        ok = ok and expected == a_infinity(mults, cache)
+        ok = ok and expected == count_by_fiber_recursion(mults, fiber_memo)
+        checked += 1
+    ok = ok and checked == 128
+    elapsed = time.perf_counter() - start
+    _report(3, f"oracle equivalence on {checked} shapes (n=8)", ok, elapsed, budget)
+    assert ok
+    assert elapsed < budget
+
+
 def test_criterion_04_pde_for_E():
     budget = 60.0
     start = time.perf_counter()

@@ -147,6 +147,24 @@ def test_count_recurrence_on_a_large_cube_matches_the_formula(capsys, monkeypatc
     assert (code, out, "") == run_cli(capsys, "count", "1^60 2^60 3^60", "--method", "formula")
 
 
+@pytest.mark.parametrize("argv, named", [
+    (("count", "1^99999999999999999999 2"), "multiplicity in token '1^99999999999999999999'"),
+    (("count", "1^9223372036854775808", "--method", "fiber"),
+     "multiplicity in token '1^9223372036854775808'"),
+    (("series", "E", "--k", "99999999999999999999"), "--k 99999999999999999999"),
+    (("series", "G", "--k", "9223372036854775808", "--cap", "1"), "--k 9223372036854775808"),
+])
+def test_sizes_above_the_largest_sequence_are_refused_where_read(argv, named):
+    # A list or tuple cannot be longer than sys.maxsize, so a multiplicity
+    # or a variable count above it is refused as it is read, before
+    # anything is built.
+    proc = subprocess.run([sys.executable, "-m", "gzcount.cli", *argv], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (EXIT_LIMIT, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"gzcount: refused: {named} exceeds the largest ")
+
+
 def test_count_recurrence_refuses_a_cone_above_the_limit():
     env = dict(os.environ, PYTHONPATH=str(Path(gzcount.__file__).parents[1]))
     proc = subprocess.run(

@@ -389,7 +389,8 @@ def test_each_route_reaches_its_own_counter(reach):
                   "counting._two_value_count"},
         "formula": {"counting.binomial_formula_V"},
         "recurrence": {"counting.recurrence_V3", "counting._rec3_cone_cells"},
-        "oracle": {"oracle.oracle_count", "oracle.build_hrep", "oracle.enumerate_vertices",
+        "oracle": {"oracle.oracle_count", "oracle.build_hrep", "oracle.count_vertices",
+                   "oracle._file_edges", "oracle._row_fault",
                    "oracle.GZShape", "oracle.GZShape.__init__", "oracle.GZShape.n",
                    "oracle.HRep", "oracle.HRep.dim", "oracle._child_rows"},
     }

@@ -21,6 +21,7 @@ from gzcount.oracle import (
     HRep,
     OracleError,
     build_hrep,
+    count_vertices,
     enumerate_vertices,
     oracle_count,
 )
@@ -457,7 +458,8 @@ def test_edges_read_reference_rows_as_differences():
 
 def test_graph_path_matches_rank_path_for_n_le_6(vertex_sets_n_le_6):
     # Certify every candidate by dense dot products and elimination rank:
-    # the union-find certificate must accept the same points.
+    # the row certificate must accept the same points, and the counting
+    # walk must count them.
     assert len(vertex_sets_n_le_6) == 63
     for mults, vs in vertex_sets_n_le_6.items():
         shape = shape_for(mults)
@@ -470,6 +472,7 @@ def test_graph_path_matches_rank_path_for_n_le_6(vertex_sets_n_le_6):
             assert rank(tight) == shape.ambient_dim
             expected.add(candidate)
         assert vs == expected
+        assert count_vertices(build_hrep(shape)) == len(expected)
         assert type(vs) is frozenset
         assert all(type(point) is tuple for point in vs)
         assert all(type(c) is int for point in vs for c in point)
@@ -480,14 +483,15 @@ def test_certificate_rejects_bad_candidates(monkeypatch):
     # between them.  (0, 2, 1) is feasible with three tight rows, two of
     # them the parallel bounds pinning u(1,1), so its tight rank is 2: a
     # non-vertex, as u(2,1) = 1 lies strictly between its upper
-    # neighbours.  (0, 3, 0) breaks u(1,2) <= 2.  Each is fed to the walk
-    # as the only child row at every level.
+    # neighbours.  (0, 3, 0) breaks u(1,2) <= 2.  Each is fed to both
+    # walks as the only child row at every level.
     h = build_hrep(GZShape((0, 0, 2)))
     for point, message in [((0, 3, 0), "violates"), ((0, 2, 1), "not a vertex")]:
         rows = {len(row) + 1: row for row in pattern_rows(h.shape.values, point)}
         monkeypatch.setattr(oracle, "_child_rows", lambda row, rows=rows: iter([rows[len(row)]]))
-        with pytest.raises(OracleError, match=message):
-            enumerate_vertices(h)
+        for walk in (enumerate_vertices, count_vertices):
+            with pytest.raises(OracleError, match=message):
+                walk(h)
 
 
 def replace_edges(h, edges):
@@ -503,14 +507,15 @@ def is_tight(edge, point):
 def test_every_row_is_checked():
     # Each edge of the H-rep is tight at some vertex, so lowering its bound
     # by one leaves that vertex violating it: whichever triangle row the
-    # edge is filed under, the walk must check it.
+    # edge is filed under, both walks must check it.
     h = build_hrep(GZShape((0, 1, 3, 6)))
     vertices = enumerate_vertices(h)
     for r, (a, b, bound) in enumerate(h.edges):
         assert any(is_tight((a, b, bound), p) for p in vertices)
-        lowered = [*h.edges[:r], (a, b, bound - 1), *h.edges[r + 1:]]
-        with pytest.raises(OracleError, match="violates an inequality"):
-            enumerate_vertices(replace_edges(h, lowered))
+        lowered = replace_edges(h, [*h.edges[:r], (a, b, bound - 1), *h.edges[r + 1:]])
+        for walk in (enumerate_vertices, count_vertices):
+            with pytest.raises(OracleError, match="violates an inequality"):
+                walk(lowered)
 
 
 def test_deleting_a_tight_row_leaves_a_non_vertex():
@@ -522,8 +527,9 @@ def test_deleting_a_tight_row_leaves_a_non_vertex():
     vertices = enumerate_vertices(h)
     for r, edge in enumerate(h.edges):
         assert any(is_tight(edge, p) for p in vertices)
-        with pytest.raises(OracleError, match="not a vertex: tight rank too low"):
-            enumerate_vertices(replace_edges(h, h.edges[:r] + h.edges[r + 1:]))
+        for walk in (enumerate_vertices, count_vertices):
+            with pytest.raises(OracleError, match="not a vertex: tight rank too low"):
+                walk(replace_edges(h, h.edges[:r] + h.edges[r + 1:]))
 
 
 def mutated_hreps(h):
@@ -549,7 +555,9 @@ def test_certificate_is_sound_on_mutated_hreps_for_n_le_5():
     # moved by one.  Whenever the walk returns on such a system, every
     # point it returns passes the dense reference check against the
     # system's rows.  The walk enumerates the same copy patterns whatever
-    # the edges, so what it returns is the unmutated vertex set.
+    # the edges, so what it returns is the unmutated vertex set.  The
+    # counting walk refuses exactly the same systems, and counts that set
+    # on the others.
     outcomes = {}
     for total in range(1, 6):
         for mults in compositions(total):
@@ -566,13 +574,17 @@ def test_certificate_is_sound_on_mutated_hreps_for_n_le_5():
                     mutant_rows = [*rows[:r], (rows[r][0], edges[r][2]), *rows[r + 1:]]
                 all_vertices = all(is_dense_vertex(p, mutant_rows, shape.ambient_dim)
                                    for p in expected)
+                mutant = replace_edges(h, edges)
                 try:
-                    vs = enumerate_vertices(replace_edges(h, edges))
+                    vs = enumerate_vertices(mutant)
                 except OracleError as exc:
                     outcome = re.sub(r"\(.*\) ", "", str(exc))
+                    with pytest.raises(OracleError):
+                        count_vertices(mutant)
                 else:
                     outcome = "returned"
                     assert vs == expected and all_vertices, (shape, kind, r)
+                    assert count_vertices(mutant) == len(vs), (shape, kind, r)
                 key = (kind, outcome, all_vertices)
                 outcomes[key] = outcomes.get(key, 0) + 1
     # 1,332 mutants.  Every lowered bound cuts off a vertex.  Of the
@@ -600,8 +612,15 @@ def test_same_row_edge_is_refused():
         message = re.escape(f"H-rep edge {extra} joins two entries of one row")
         with pytest.raises(OracleError, match=message):
             enumerate_vertices(replace_edges(h, (*h.edges, extra)))
-    # An edge skipping a row is filed under its deeper end and accepted.
-    assert enumerate_vertices(replace_edges(h, (*h.edges, (0, 5, 3)))) == enumerate_vertices(h)
+        with pytest.raises(OracleError, match=message):
+            count_vertices(replace_edges(h, (*h.edges, extra)))
+    # An edge skipping a row is filed under its deeper end and accepted by
+    # the enumeration.  The count reads only a row and its parent row, so
+    # it refuses such an edge.
+    skipping = replace_edges(h, (*h.edges, (0, 5, 3)))
+    assert enumerate_vertices(skipping) == enumerate_vertices(h)
+    with pytest.raises(OracleError, match=re.escape("H-rep edge (0, 5, 3) skips a row")):
+        count_vertices(skipping)
 
 
 def test_oracle_against_independent_counters():
@@ -636,8 +655,9 @@ def test_counts_invariant_under_affine_symmetries():
 def test_dimension_limit_refusal():
     shape = GZShape((1, 2, 3, 4, 5, 6, 7))
     assert shape.ambient_dim == 21 > DEFAULT_LIMIT_DIM
-    with pytest.raises(DimensionLimitError):
-        enumerate_vertices(build_hrep(shape))
+    for walk in (enumerate_vertices, count_vertices):
+        with pytest.raises(DimensionLimitError):
+            walk(build_hrep(shape))
     with pytest.raises(DimensionLimitError):
         oracle_count(shape)
 

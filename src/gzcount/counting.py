@@ -398,11 +398,30 @@ def _bounded_exponents(k: int, cap: int) -> list[tuple[int, ...]]:
     whose first nonzero entry is at f are those of total t that are zero
     before f, in order, each with one unit added at f.  Tuples zero before f
     lead their total, so taking f from k - 1 down to 0 keeps each total in order.
+
+    There are C(cap + k, k) tuples of k entries each; a list of more than
+    ``EXPONENT_MAX_ENTRIES`` entries is refused with ``ResourceLimitError``
+    before anything is built.  With s <= l the smaller and larger of k and
+    cap, C(cap + k, k) is the last of the integers C(l + i, i), i = 0..s,
+    each at least twice the one before, so it is grown one factor
+    (l + i) / i at a time and given up as soon as the list passes the
+    limit: after at most log2 of the limit factors, whatever k and cap.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
+    small, large = sorted((k, cap))
+    tuples, i = 1, 0
+    while k * tuples <= EXPONENT_MAX_ENTRIES and i < small:
+        i += 1
+        tuples = tuples * (large + i) // i
+    if k * tuples > EXPONENT_MAX_ENTRIES:
+        count = k * tuples if i == small else f"more than {k * tuples}"
+        raise ResourceLimitError(
+            f"exponent list of {count} entries for k = {k}, cap = {cap}"
+            f" exceeds the limit {EXPONENT_MAX_ENTRIES}"
+        )
     out = [(0,) * k]
     # first[f]: the tuples of the current total whose first nonzero entry
     # is at f; the zero tuple, zero before every f, is filed under k - 1.
@@ -547,6 +566,16 @@ def coeff_theorem_V(k: int, l: int, m: int) -> int:
 #: cells in 6.3 s at 224 MB peak RSS and (140, 140, 140) fills 3.65M cells
 #: in 13.4 s at 685 MB; (300, 300, 300), at 36M cells, is refused.
 REC3_MAX_CELLS = 4_000_000
+
+#: Largest exponent list ``_bounded_exponents`` builds for ``series``,
+#: ``verify`` and ``g4-explore``, in entries (k per tuple).  One variable
+#: costs the most per entry: through the CLI (Python 3.11, one core of a
+#: 2-vCPU VM), ``series G --cap 1999999`` (2M entries) takes 21 s at
+#: 984 MB peak RSS, against 0.7 s at 31 MB for ``series G --k 1413 --cap 1``
+#: (2M) and 6.2 s at 158 MB for ``g4-explore --cap 56`` (1.95M).  The
+#: largest list any test or benchmark builds, ``series G --k 1200 --cap 1``,
+#: has 1.44M entries.
+EXPONENT_MAX_ENTRIES = 2_000_000
 
 _REC3_MEMO: dict[Mults, int] = {}
 

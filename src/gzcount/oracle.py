@@ -2,7 +2,7 @@
 
 Builds the facet inequality system of GZ(lambda) directly from the
 interlacing triangle.  The candidate vertices are the patterns in which
-every entry equals one of its two upper neighbours; ``enumerate_vertices``
+every entry equals one of its two upper neighbours; ``count_vertices``
 proves that these are exactly the vertices.  Every candidate is then
 certified against the facet system itself, in exact integer arithmetic:
 it satisfies all inequalities and its tight normals have full rank.  So
@@ -15,28 +15,29 @@ cross-check.
 Every facet is ``u[a] - u[b] <= bound`` for two coordinates, or for one
 coordinate and a ground node fixed at 0, so ``HRep`` stores it as the
 edge ``(a, b, bound)`` of a graph on the coordinates plus that ground
-node; the tight facets at a candidate are edges of that graph.  Their
-rank is full when every entry has a tight edge up to a shallower row or
-the ground, which is checked row by row.  A facet of any other form
-cannot be written down, and a malformed edge is refused with
-``OracleError`` when the ``HRep`` is built, an edge inside one row when
-the vertices are enumerated or counted.
+node; the tight facets at a candidate are edges of that graph.  Every
+edge must join a row of the triangle to the row directly above it, the
+ground counting as the row above the top internal row, as each edge of
+``build_hrep`` does.  Their rank is full when every entry has a tight
+edge up to the row above, which is checked row by row.  A facet of any
+other form cannot be written down; a malformed edge is refused with
+``OracleError`` when the ``HRep`` is built, and an edge that does not
+join a row to the row above it when the vertices are counted.
 
-Two walks apply that one certificate.  ``enumerate_vertices`` runs down
-the tree of pattern rows and returns the points, certifying a row that
-candidates share once.  ``count_vertices``, which ``oracle_count`` uses,
-builds no point: on a facet system whose edges each join a row to the
-row directly above it, as ``build_hrep``'s do, a row's check reads only
-that row and its parent, so it pushes path counts down the rows and
+One walk applies that certificate.  ``count_vertices``, which
+``oracle_count`` uses, builds no point: a row's check reads only that
+row and its parent, so it pushes path counts down the rows and
 certifies each distinct (parent row, child row) transition once.
+``enumerate_vertices`` calls it, then lists the certified patterns.
 
 The ambient dimension is limited by a guardrail, 15 by default, i.e.
 partitions of length up to 6.  ``oracle_count`` refuses a longer shape
-before building its facet system.  It takes about 0.001 s for the 4,884
-vertices of (1, ..., 6), 0.0035 s for the 99,665 of (1, ..., 7) at
-dimension 21 and 0.015 s for the 3,000,736 of (1, ..., 8) at dimension
-28, timed in-process on a 2-vCPU x86-64 VM; the point of this module is
-correctness at desk scale, not generality.
+before building its facet system.  It takes about 0.0013 s for the 4,884
+vertices of (1, ..., 6), 0.004 s for the 99,665 of (1, ..., 7) at
+dimension 21 and 0.016 s for the 3,000,736 of (1, ..., 8) at dimension
+28; ``enumerate_vertices`` takes 0.008 s and 0.29 s for the first two.
+All are best-of-several in-process timings on a 2-vCPU x86-64 VM; the
+point of this module is correctness at desk scale, not generality.
 """
 
 from __future__ import annotations
@@ -160,24 +161,26 @@ def _child_rows(row: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     return product(*[(a, b) if a != b else (a,) for a, b in zip(row, row[1:])])
 
 
-def _file_edges(hrep: HRep) -> tuple[list[int], list[list[tuple[int, int, int, int]]]]:
-    """The width of each index's row, and each edge of ``hrep`` filed
-    under the width of the row of its deeper end as ``(a, b, bound,
-    deep)``, ``deep`` being that end.
+def _file_edges(hrep: HRep) -> list[list[tuple[int, int, int, int]]]:
+    """Each edge of ``hrep`` filed under the width of the row of its
+    deeper end as ``(a, b, bound, deep)``, ``deep`` being that end.
 
     Row i of the triangle has n - i entries, and the ground, which
-    stands for lambda, has width n.  An edge joining two entries of one
-    row is refused with ``OracleError``, so the other end of a filed
-    edge lies in a shallower row or is the ground.
+    stands for lambda, has width n.  Every edge must join a row to the
+    row directly above it; any other edge, inside one row or skipping a
+    row, is refused with ``OracleError``.
     """
     n = hrep.shape.n
     width = [w for w in range(n - 1, 0, -1) for _ in range(w)] + [n]
     levels = [[] for _ in range(n)]
     for a, b, bound in hrep.edges:
-        if width[a] == width[b]:
-            raise OracleError(f"H-rep edge {(a, b, bound)} joins two entries of one row")
-        levels[min(width[a], width[b])].append((a, b, bound, a if width[a] < width[b] else b))
-    return width, levels
+        w = min(width[a], width[b])
+        if width[a] + width[b] != 2 * w + 1:
+            raise OracleError(
+                f"H-rep edge {(a, b, bound)} does not join a row to the row directly above it"
+            )
+        levels[w].append((a, b, bound, a if width[a] < width[b] else b))
+    return levels
 
 
 def _row_fault(u: list[int], edges: list[tuple[int, int, int, int]], w: int) -> str | None:
@@ -195,9 +198,9 @@ def _row_fault(u: list[int], edges: list[tuple[int, int, int, int]], w: int) -> 
     return None if len(linked) == w else "is not a vertex: tight rank too low"
 
 
-def enumerate_vertices(hrep: HRep, limit_dim: int = DEFAULT_LIMIT_DIM) -> frozenset[tuple[int, ...]]:
-    """Exact vertex set of GZ(shape), certified against ``hrep``: a
-    ``frozenset`` holding each vertex once, as a tuple of ``int``.
+def count_vertices(hrep: HRep, limit_dim: int = DEFAULT_LIMIT_DIM) -> int:
+    """Number of vertices of GZ(shape), each certified against ``hrep``,
+    counted without building a point.
 
     Every facet of the H-rep is an edge ``(a, b, bound)`` meaning
     ``u[a] - u[b] <= bound``: to the ground node, which stands for the
@@ -207,18 +210,19 @@ def enumerate_vertices(hrep: HRep, limit_dim: int = DEFAULT_LIMIT_DIM) -> frozen
     graph they form, with the ground column deleted, whose rank is
     ``dim + 1`` minus the number of components of the graph.
 
-    The certificate is local.  Each edge of ``hrep`` is filed once per
-    call under the triangle row of its deeper end (``_file_edges``); an
-    edge joining two entries of one row is refused with ``OracleError``,
-    so the other end lies in a shallower row or is the ground.  When a
-    row is fixed, every edge filed there must hold, and every entry of
-    the row must be the deeper end of at least one tight edge
-    (``_row_fault``).  If every row passes, each
-    coordinate hangs by a tight edge from a node linked to the ground
-    before it, so the tight edges contain a spanning tree of the
-    ``dim + 1`` nodes and their rank is ``dim``: the point is a vertex.
-    That holds for any H-rep without same-row edges.  A violated edge or
-    an entry with no tight edge upward raises ``OracleError`` at its row.
+    The certificate is local.  Every edge must join a row to the row
+    directly above it, the ground counting as the row of width n, and is
+    filed once per call under the row of its deeper end
+    (``_file_edges``); any other edge is refused with ``OracleError``.
+    ``build_hrep`` emits only such edges.  When a row is fixed, every
+    edge filed there must hold, and every entry of the row must be the
+    deeper end of at least one tight edge (``_row_fault``).  If every row
+    passes, each coordinate hangs by a tight edge from a node linked to
+    the ground before it, so the tight edges contain a spanning tree of
+    the ``dim + 1`` nodes and their rank is ``dim``: the point is a
+    vertex.  That holds for any H-rep whose edges each join a row to
+    the row above it.  A violated edge or an entry with no tight edge
+    upward raises ``OracleError`` at its row.
 
     On the GZ facet system the certificate is also complete.  Rows of a
     pattern are weakly increasing, since u(i,j) <= u(i-1,j+1) <= u(i,j+1).
@@ -232,63 +236,20 @@ def enumerate_vertices(hrep: HRep, limit_dim: int = DEFAULT_LIMIT_DIM) -> frozen
     entry equals one of its two upper neighbours; such a point is
     feasible, as it lies between those neighbours.
 
-    Those points are enumerated as integer tuples, flattened top to
-    bottom, down the tree of their rows: a node fixes one more row, each
-    of whose entries chooses one of its two upper neighbours.  Each
-    position chooses among distinct values, so no pattern comes twice,
-    and a row that candidates share is certified once.
-    """
-    _check_dim(hrep.dim, limit_dim)
-    dim = hrep.dim
-    # The row of width w starts at index starts[w].
-    starts = [dim - w * (w + 1) // 2 for w in range(hrep.shape.n)]
-    _, levels = _file_edges(hrep)
-    points = []
-    # u holds the rows fixed so far, then the ground coordinate 0; the
-    # stack holds the rows still to certify.
-    u = [0] * (dim + 1)
-    stack = list(_child_rows(hrep.shape.values))
-    while stack:
-        row = stack.pop()
-        w = len(row)
-        u[starts[w]:starts[w] + w] = row
-        fault = _row_fault(u, levels[w], w)
-        if fault:
-            raise OracleError(f"candidate prefix {tuple(u[:starts[w] + w])} {fault}")
-        if w > 1:
-            stack.extend(_child_rows(row))
-        else:
-            points.append(tuple(u[:dim]))
-    return frozenset(points)
-
-
-def count_vertices(hrep: HRep, limit_dim: int = DEFAULT_LIMIT_DIM) -> int:
-    """Number of vertices of GZ(shape), certified against ``hrep`` as
-    ``enumerate_vertices`` certifies them, without building a point.
-
-    Every edge of ``hrep`` must join a row to the row directly above it,
-    or the top internal row to the ground; an edge that skips a row, or
-    one inside a row, is refused with ``OracleError``.  ``build_hrep``
-    emits only such edges.  Then the check of a row reads that row and
-    its parent row alone, and a row's children depend on the row alone,
-    so the certified patterns below a row depend only on the row.  The
-    count is pushed down one row width at a time, in a dict from each
-    distinct row to the number of paths reaching it from lambda; each
-    (parent row, child row) transition is certified once, and the count
-    is the sum over the rows of width 1.  Every row wider than 1 has a
-    child, so a transition fails here exactly when some pattern through
-    it fails in ``enumerate_vertices``: both walks raise on the same
-    H-reps and agree on the count elsewhere.
+    The check of a row reads that row and its parent row alone, and a
+    row's children (``_child_rows``) depend on the row alone, so the
+    certified patterns below a row depend only on the row.  The count is
+    pushed down one row width at a time, in a dict from each distinct
+    row to the number of paths reaching it from lambda; each (parent
+    row, child row) transition is certified once, and the count is the
+    sum over the rows of width 1.  Each position of a child row chooses
+    among distinct values, so no pattern is counted twice.
     """
     _check_dim(hrep.dim, limit_dim)
     dim = hrep.dim
     n = hrep.shape.n
     starts = [dim - w * (w + 1) // 2 for w in range(n)]
-    width, levels = _file_edges(hrep)
-    for w, edges in enumerate(levels):
-        for a, b, bound, _ in edges:
-            if width[a] + width[b] != 2 * w + 1:
-                raise OracleError(f"H-rep edge {(a, b, bound)} skips a row")
+    levels = _file_edges(hrep)
     u = [0] * (dim + 1)
     paths = {hrep.shape.values: 1}
     for w in range(n - 1, 0, -1):
@@ -304,6 +265,21 @@ def count_vertices(hrep: HRep, limit_dim: int = DEFAULT_LIMIT_DIM) -> int:
                 below[child] = below.get(child, 0) + count
         paths = below
     return sum(paths.values())
+
+
+def enumerate_vertices(hrep: HRep, limit_dim: int = DEFAULT_LIMIT_DIM) -> frozenset[tuple[int, ...]]:
+    """Exact vertex set of GZ(shape), certified against ``hrep``: a
+    ``frozenset`` holding each vertex once, as a tuple of ``int``.
+
+    ``count_vertices`` certifies every row transition a pattern can take
+    or raises, so the patterns are then listed unchecked, one row at a
+    time and flattened top to bottom.
+    """
+    count_vertices(hrep, limit_dim)
+    level = [((), hrep.shape.values)]
+    for _ in range(hrep.shape.n - 1):
+        level = [(point + child, child) for point, row in level for child in _child_rows(row)]
+    return frozenset(point for point, _ in level)
 
 
 def oracle_count(shape: GZShape, limit_dim: int = DEFAULT_LIMIT_DIM) -> int:

@@ -8,6 +8,7 @@ import hashlib
 import importlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -163,6 +164,28 @@ def test_sizes_above_the_largest_sequence_are_refused_where_read(argv, named):
     assert (proc.returncode, proc.stdout) == (EXIT_LIMIT, "")
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(f"gzcount: refused: {named} exceeds the largest ")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("series", "G", "--cap", "99999999999999999999"),
+     "100000000000000000000 entries for k = 1, cap = 99999999999999999999"),
+    (("verify", "pde", "--k", "1", "--cap", "99999999999999999999"),
+     "100000000000000000000 entries for k = 1, cap = 99999999999999999999"),
+    (("g4-explore", "--cap", "200"), "more than 5494804 entries for k = 4, cap = 200"),
+    (("series", "G", "--k", "3000", "--cap", "2"), "more than 9003000 entries for k = 3000, cap = 2"),
+])
+def test_exponent_lists_above_the_limit_are_refused_before_they_are_built(argv, named):
+    # The count is grown one binomial factor at a time and given up once
+    # it passes the limit, so the refusal is quick and small.
+    def small_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (400_000_000, 400_000_000))
+
+    proc = subprocess.run([sys.executable, "-m", "gzcount.cli", *argv], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=10,
+                          preexec_fn=small_address_space)
+    assert (proc.returncode, proc.stdout) == (EXIT_LIMIT, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"gzcount: refused: exponent list of {named} exceeds the limit 2000000\n"
 
 
 def test_count_recurrence_refuses_a_cone_above_the_limit():

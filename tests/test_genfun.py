@@ -7,7 +7,7 @@ from math import comb, factorial
 
 import pytest
 
-from gzcount import genfun
+from gzcount import counting, genfun
 from gzcount.counting import CountCache, _bounded_exponents, a_infinity, h_polynomial
 from gzcount.genfun import (
     ResidualReport,
@@ -28,6 +28,7 @@ from gzcount.genfun import (
     verify_h,
     verify_pde_E,
 )
+from gzcount.limits import ResourceLimitError
 from gzcount.polyseries import SparsePoly, TruncSeries
 
 ONE = SparsePoly.one()
@@ -51,6 +52,19 @@ def test_bounded_exponents_lists_every_vector_in_graded_lex_order():
     # Many variables: nothing recurses.
     vectors = list(_bounded_exponents(1200, 1))
     assert len(vectors) == 1201 and vectors[1] == (0,) * 1199 + (1,)
+
+
+def test_bounded_exponents_refuses_a_list_above_the_limit(monkeypatch):
+    # k * C(cap + k, k) entries are checked before anything is built; the
+    # count is exact when its binomial was grown to the end.
+    assert 1200 * 1201 <= counting.EXPONENT_MAX_ENTRIES
+    monkeypatch.setattr(counting, "EXPONENT_MAX_ENTRIES", 12)
+    assert len(_bounded_exponents(3, 1)) == 4 and len(_bounded_exponents(12, 0)) == 1
+    for k, cap, count in [(3, 2, "30"), (13, 0, "13"), (2, 10, "more than 22"),
+                          (10**18, 10**18, f"more than {10**18}")]:
+        with pytest.raises(ResourceLimitError, match=(
+                rf"^exponent list of {count} entries for k = {k}, cap = {cap} exceeds the limit 12$")):
+            _bounded_exponents(k, cap)
 
 
 @pytest.mark.parametrize("call", [

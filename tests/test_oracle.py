@@ -484,7 +484,7 @@ def test_certificate_rejects_bad_candidates(monkeypatch):
     # them the parallel bounds pinning u(1,1), so its tight rank is 2: a
     # non-vertex, as u(2,1) = 1 lies strictly between its upper
     # neighbours.  (0, 3, 0) breaks u(1,2) <= 2.  Each is fed to both
-    # walks as the only child row at every level.
+    # entry points as the only child row at every level.
     h = build_hrep(GZShape((0, 0, 2)))
     for point, message in [((0, 3, 0), "violates"), ((0, 2, 1), "not a vertex")]:
         rows = {len(row) + 1: row for row in pattern_rows(h.shape.values, point)}
@@ -507,7 +507,7 @@ def is_tight(edge, point):
 def test_every_row_is_checked():
     # Each edge of the H-rep is tight at some vertex, so lowering its bound
     # by one leaves that vertex violating it: whichever triangle row the
-    # edge is filed under, both walks must check it.
+    # edge is filed under, both entry points must refuse it.
     h = build_hrep(GZShape((0, 1, 3, 6)))
     vertices = enumerate_vertices(h)
     for r, (a, b, bound) in enumerate(h.edges):
@@ -552,12 +552,11 @@ def is_dense_vertex(point, rows, dim):
 
 def test_certificate_is_sound_on_mutated_hreps_for_n_le_5():
     # Each edge of every facet system with n <= 5 deleted, or its bound
-    # moved by one.  Whenever the walk returns on such a system, every
-    # point it returns passes the dense reference check against the
-    # system's rows.  The walk enumerates the same copy patterns whatever
-    # the edges, so what it returns is the unmutated vertex set.  The
-    # counting walk refuses exactly the same systems, and counts that set
-    # on the others.
+    # moved by one.  Whenever the enumeration returns on such a system,
+    # every point it returns passes the dense reference check against the
+    # system's rows.  It lists the same copy patterns whatever the edges,
+    # so what it returns is the unmutated vertex set.  The count refuses
+    # exactly the same systems, and counts that set on the others.
     outcomes = {}
     for total in range(1, 6):
         for mults in compositions(total):
@@ -591,36 +590,31 @@ def test_certificate_is_sound_on_mutated_hreps_for_n_le_5():
     # deleted edges and raised bounds, 60 each leave every candidate a
     # vertex, yet some entry's tight links all run through a deeper row;
     # the walk refuses those, as it asks each entry for a tight edge up.
-    not_a_vertex = "candidate prefix is not a vertex: tight rank too low"
+    not_a_vertex = "candidate row is not a vertex: tight rank too low"
     assert outcomes == {
         ("deleted", "returned", True): 144,
         ("deleted", not_a_vertex, True): 60,
         ("deleted", not_a_vertex, False): 240,
-        ("lowered", "candidate prefix violates an inequality", False): 444,
+        ("lowered", "candidate row violates an inequality", False): 444,
         ("raised", "returned", True): 144,
         ("raised", not_a_vertex, True): 60,
         ("raised", not_a_vertex, False): 240,
     }
 
 
-def test_same_row_edge_is_refused():
-    # Every entry must hang by a tight edge from a shallower row; an edge
-    # inside one row would break that argument, and build_hrep never
-    # emits one.  (0, 1, 1, 3): row 1 is u[0..2], row 2 is u[3..4].
+@pytest.mark.parametrize("extra", [(0, 1, 5), (2, 0, 0), (4, 3, 1), (0, 5, 3)],
+                         ids=["row-1", "row-1-backward", "row-2", "skips-row-2"])
+def test_edge_not_joining_a_row_to_the_row_above_is_refused(extra):
+    # Every entry must hang by a tight edge from the row directly above
+    # it, and a row's check reads only that row and its parent; an edge
+    # inside one row or skipping a row would break that argument, and
+    # build_hrep never emits one.  (0, 1, 1, 3): row 1 is u[0..2], row 2
+    # is u[3..4], row 3 is u[5].
     h = build_hrep(GZShape((0, 1, 1, 3)))
-    for extra in [(0, 1, 5), (2, 0, 0), (4, 3, 1)]:
-        message = re.escape(f"H-rep edge {extra} joins two entries of one row")
+    message = re.escape(f"H-rep edge {extra} does not join a row to the row directly above it")
+    for walk in (enumerate_vertices, count_vertices):
         with pytest.raises(OracleError, match=message):
-            enumerate_vertices(replace_edges(h, (*h.edges, extra)))
-        with pytest.raises(OracleError, match=message):
-            count_vertices(replace_edges(h, (*h.edges, extra)))
-    # An edge skipping a row is filed under its deeper end and accepted by
-    # the enumeration.  The count reads only a row and its parent row, so
-    # it refuses such an edge.
-    skipping = replace_edges(h, (*h.edges, (0, 5, 3)))
-    assert enumerate_vertices(skipping) == enumerate_vertices(h)
-    with pytest.raises(OracleError, match=re.escape("H-rep edge (0, 5, 3) skips a row")):
-        count_vertices(skipping)
+            walk(replace_edges(h, (*h.edges, extra)))
 
 
 def test_oracle_against_independent_counters():

@@ -652,7 +652,7 @@ def _one_x_z() -> tuple[SparsePoly, SparsePoly, SparsePoly]:
     """The polynomials 1, x and z, built on first use."""
     from .polyseries import SparsePoly
 
-    return SparsePoly.one(), SparsePoly.variable(1), SparsePoly.variable(2)
+    return SparsePoly.const(1), SparsePoly.variable(1), SparsePoly.variable(2)
 
 
 def _h_numerator(s: int) -> SparsePoly:
@@ -707,7 +707,7 @@ def h_polynomial(s: int, method: str = "recurrence") -> SparsePoly:
     one, x, z = _one_x_z()
     if method == "recurrence":
         if _H_CACHE[0] is None:
-            _H_CACHE[0] = SparsePoly.zero()
+            _H_CACHE[0] = SparsePoly()
         while len(_H_CACHE) <= s:
             t = len(_H_CACHE) - 1
             h = _H_CACHE[-1]

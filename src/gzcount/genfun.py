@@ -29,8 +29,43 @@ from math import factorial, prod
 # g4_explore lives beside the counters it calls; it is imported here too,
 # so ``genfun.g4_explore`` and ``counting.g4_explore`` are one object.
 from .counting import CountCache, _bounded_exponents, a_infinity, g4_explore, h_polynomial
+from .limits import ResourceLimitError
 from .polyseries import SparsePoly, TruncSeries, _norm_coeff
 from .records import Frozen
+
+# Each limit below is checked before anything is built and refused with
+# ResourceLimitError (CLI exit 3).  Timings are through the CLI (Python
+# 3.11, a 2-vCPU VM, two or three runs each).
+
+#: Largest cap ``closed_form_G3`` evaluates: ``series G3closed --cap 85``
+#: takes 7.8-10.6 s at 55 MB peak RSS, ``--cap 90`` 11.1 s.
+G3_MAX_CAP = 85
+
+#: Largest cap ``closed_form_E2`` evaluates: ``series E2closed --cap 240``
+#: takes 7.0-7.9 s at 31 MB peak RSS, ``--cap 250`` 9.2-13.0 s and
+#: ``--cap 260`` 16 s.
+E2_MAX_CAP = 240
+
+#: Largest cap ``closed_form_H`` evaluates: ``series H --cap 280`` takes
+#: 8.8-10.6 s at 366 MB peak RSS, ``--cap 300`` 15.2 s at 449 MB.
+H_MAX_CAP = 280
+
+#: Largest s_max ``verify_h`` checks: ``verify h --cap 130`` takes
+#: 6.2-6.5 s at 273 MB peak RSS, ``--cap 140`` 12.9-13.3 s at 335 MB.
+VERIFY_H_MAX_CAP = 130
+
+#: Largest cap! * E_k ``verify_pde_E`` builds, in exponent entries times
+#: cap * cap.bit_length() (a bound on the bits of cap!).  One variable
+#: costs the most per unit: ``verify pde --k 1 --cap 6000`` (468M) takes
+#: 9.7 s at 103 MB peak RSS, ``--k 1 --cap 4500`` (263M) 4.7 s, against
+#: 1.5 s at 142 MB for ``--k 2 --cap 400`` (580M) and 2.7 s at 180 MB for
+#: ``--k 3 --cap 100`` (371M).
+PDE_MAX_ENTRY_BITS = 500_000_000
+
+
+def _check_cap(what: str, cap: int, limit: int) -> None:
+    if cap > limit:
+        raise ResourceLimitError(f"{what} cap {cap} exceeds the limit {limit}")
 
 
 def build_G(k: int, cap: int, cache: CountCache | None = None) -> TruncSeries:
@@ -144,6 +179,12 @@ def _scaled_E(k: int, cap: int, cache: CountCache | None = None) -> TruncSeries:
     """cap! * E_k in ints: the coefficient of z^e is count(e) * (cap! // e!),
     as every e! with |e| <= cap divides cap!."""
     exponents = _bounded_exponents(k, cap)  # first, so a bad k or cap gets its message
+    entries, bits = k * len(exponents), cap * cap.bit_length()
+    if entries * bits > PDE_MAX_ENTRY_BITS:
+        raise ResourceLimitError(
+            f"pde series at cap {cap}: {entries} entries times {bits} bits bounding cap!"
+            f" exceeds the limit {PDE_MAX_ENTRY_BITS}"
+        )
     scale = factorial(cap)
     coeffs = {e: a_infinity(e, cache) * (scale // prod(map(factorial, e))) for e in exponents}
     return TruncSeries(k, cap, coeffs)
@@ -155,7 +196,8 @@ def verify_pde_E(k: int, cap: int, cache: CountCache | None = None) -> ResidualR
     The operator is linear with constant coefficients, so it is applied
     to cap! * E_k, whose coefficients are ints; the largest residual is
     divided by cap! again, so the report is the one the rational series
-    of ``build_E`` would give.
+    of ``build_E`` would give.  A scaled series above
+    ``PDE_MAX_ENTRY_BITS`` is refused before it is built.
     """
     residual = pde_residual(_scaled_E(k, cap, cache), k)
     return ResidualReport(
@@ -181,7 +223,7 @@ def g3_roots(cap: int) -> tuple[TruncSeries, TruncSeries]:
     lam(0,0) = 1 and mu(0,0) = 0, and the pair satisfies
     lam + mu = 1 - x - z and lam * mu = xz.
     """
-    one = SparsePoly.one()
+    one = SparsePoly.const(1)
     x = SparsePoly.variable(1)
     z = SparsePoly.variable(3)
     inner = TruncSeries.from_poly(one - 2 * x - 2 * z + x * x - 2 * x * z + z * z, 3, cap)
@@ -200,8 +242,9 @@ def closed_form_G3(cap: int) -> TruncSeries:
     Neither 1 - x - z nor 1 / lam has a y term, so the one three-variable
     solve is the final inverse of (1 - x - z) - y (1 - x - z) / lam.
     Every coefficient is checked to be a nonnegative integer before
-    returning.
+    returning.  A cap above ``G3_MAX_CAP`` is refused.
     """
+    _check_cap("G3 closed form", cap, G3_MAX_CAP)
     lam, mu = g3_roots(cap)
     base = lam + mu
     y = TruncSeries.from_poly(SparsePoly.variable(2), 3, cap)
@@ -219,8 +262,9 @@ def closed_form_E2(cap: int) -> TruncSeries:
 
     exp(z1 + z2) times the Bessel-type sum over n of (z1 z2)^n / (n!)^2.
     Both factors are built from their coefficients: that of z1^a z2^b in
-    exp(z1 + z2) is 1 / (a! b!).
+    exp(z1 + z2) is 1 / (a! b!).  A cap above ``E2_MAX_CAP`` is refused.
     """
+    _check_cap("E2 closed form", cap, E2_MAX_CAP)
     expo = TruncSeries(2, cap, {
         (a, b): Fraction(1, factorial(a) * factorial(b))
         for a in range(cap + 1) for b in range(cap + 1 - a)
@@ -235,9 +279,11 @@ def closed_form_H(cap: int) -> TruncSeries:
     """Generating series of the skew slice polynomials, variables (x, z, y).
 
     y (1 - xz) / ((1 - y(x+z)) (1 - y(1+x)(1+z))); the coefficient of y^s
-    is the polynomial h_s, complete once cap >= 3s.
+    is the polynomial h_s, complete once cap >= 3s.  A cap above
+    ``H_MAX_CAP`` is refused.
     """
-    one = SparsePoly.one()
+    _check_cap("H series", cap, H_MAX_CAP)
+    one = SparsePoly.const(1)
     x = SparsePoly.variable(1)
     z = SparsePoly.variable(2)
     y = SparsePoly.variable(3)
@@ -283,7 +329,7 @@ def expand_H_in_y(s_max: int) -> list[SparsePoly]:
     """
     if s_max < 0:
         raise ValueError(f"s_max must be >= 0, got {s_max}")
-    one = SparsePoly.one()
+    one = SparsePoly.const(1)
     x = SparsePoly.variable(1)
     z = SparsePoly.variable(2)
     plain = x + z
@@ -291,8 +337,8 @@ def expand_H_in_y(s_max: int) -> list[SparsePoly]:
     p1 = plain + paired
     p2 = plain * paired
     numer = one - x * z
-    slices = [SparsePoly.zero()]
-    before, r = SparsePoly.zero(), one  # r_(s-2) and r_(s-1)
+    slices = [SparsePoly()]
+    before, r = SparsePoly(), one  # r_(s-2) and r_(s-1)
     for s in range(1, s_max + 1):
         if s > 1:
             before, r = r, p1 * r - p2 * before
@@ -310,10 +356,12 @@ def verify_h(s_max: int) -> ResidualReport:
     same as the y^s slice of H built to total degree 3*s_max (h_s has
     degree at most 2s in x and z), without building the terms of higher
     y-degree.  Each comparison is a ``SparsePoly`` difference, and every
-    nonzero coefficient of it counts as one residual term.
+    nonzero coefficient of it counts as one residual term.  An s_max
+    above ``VERIFY_H_MAX_CAP`` is refused.
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
+    _check_cap("h check", s_max, VERIFY_H_MAX_CAP)
     slices = expand_H_in_y(s_max)
     residuals = []
     for s in range(1, s_max + 1):

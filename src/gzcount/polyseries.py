@@ -107,10 +107,6 @@ class Monomial:
                 merged[idx] = merged.get(idx, 0) + exp
         self.pairs = tuple(sorted(merged.items()))
 
-    @classmethod
-    def unit(cls, index: int, exp: int = 1) -> "Monomial":
-        return cls(((index, exp),))
-
     def support(self) -> tuple[int, ...]:
         """Variable indices appearing in this monomial, strictly increasing."""
         return tuple(idx for idx, _ in self.pairs)
@@ -123,16 +119,6 @@ class Monomial:
             if idx == index:
                 return exp
         return 0
-
-    def divide_by_support(self) -> "Monomial":
-        """Divide by the product of the variables in the support."""
-        return _monomial(tuple((idx, exp - 1) for idx, exp in self.pairs if exp > 1))
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        merged = dict(self.pairs)
-        for idx, exp in other.pairs:
-            merged[idx] = merged.get(idx, 0) + exp
-        return _monomial(tuple(sorted(merged.items())))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.pairs == other.pairs
@@ -201,20 +187,12 @@ class SparsePoly:
         self._degree = None
 
     @classmethod
-    def zero(cls) -> "SparsePoly":
-        return cls()
-
-    @classmethod
     def const(cls, value: int) -> "SparsePoly":
         return cls({_MONO_ONE: value})
 
     @classmethod
-    def one(cls) -> "SparsePoly":
-        return cls.const(1)
-
-    @classmethod
     def variable(cls, index: int) -> "SparsePoly":
-        return cls({Monomial.unit(index): 1})
+        return cls({Monomial({index: 1}): 1})
 
     @property
     def terms(self) -> dict[Monomial, int]:
@@ -291,7 +269,7 @@ class SparsePoly:
     def __pow__(self, n: int) -> "SparsePoly":
         if n < 0:
             raise ValueError("negative powers are not defined for polynomials")
-        result = SparsePoly.one()
+        result = SparsePoly.const(1)
         base = self
         while n:
             if n & 1:
@@ -551,16 +529,8 @@ class TruncSeries:
         self._coeffs = None
 
     @classmethod
-    def zero(cls, nvars: int, cap: int) -> "TruncSeries":
-        return cls(nvars, cap)
-
-    @classmethod
     def constant(cls, nvars: int, cap: int, value) -> "TruncSeries":
         return cls(nvars, cap, {(0,) * nvars: value})
-
-    @classmethod
-    def one(cls, nvars: int, cap: int) -> "TruncSeries":
-        return cls.constant(nvars, cap, 1)
 
     @classmethod
     def variable(cls, nvars: int, cap: int, index: int) -> "TruncSeries":

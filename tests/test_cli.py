@@ -188,6 +188,37 @@ def test_exponent_lists_above_the_limit_are_refused_before_they_are_built(argv, 
     assert proc.stderr == f"gzcount: refused: exponent list of {named} exceeds the limit 2000000\n"
 
 
+_HUGE_CAP = ("--cap", "99999999999999999999")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("series", "G3closed", *_HUGE_CAP),
+     "G3 closed form cap 99999999999999999999 exceeds the limit 85"),
+    (("series", "E2closed", *_HUGE_CAP),
+     "E2 closed form cap 99999999999999999999 exceeds the limit 240"),
+    (("series", "H", *_HUGE_CAP),
+     "H series cap 99999999999999999999 exceeds the limit 280"),
+    (("verify", "h", *_HUGE_CAP),
+     "h check cap 99999999999999999999 exceeds the limit 130"),
+    (("verify", "g3", *_HUGE_CAP),
+     "G3 closed form cap 99999999999999999999 exceeds the limit 85"),
+    (("verify", "e2", *_HUGE_CAP),
+     "E2 closed form cap 99999999999999999999 exceeds the limit 240"),
+    (("verify", "pde", "--k", "1", "--cap", "100000"),
+     "pde series at cap 100000: 100001 entries times 1700000 bits bounding cap!"
+     " exceeds the limit 500000000"),
+])
+def test_series_checks_refuse_an_oversized_cap_before_building(argv, message):
+    def small_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (800_000_000, 800_000_000))
+
+    proc = subprocess.run([sys.executable, "-m", "gzcount.cli", *argv], env=_fresh_env(),
+                          capture_output=True, text=True, timeout=10,
+                          preexec_fn=small_address_space)
+    assert (proc.returncode, proc.stdout) == (EXIT_LIMIT, "")
+    assert proc.stderr == f"gzcount: refused: {message}\n"
+
+
 def test_count_recurrence_refuses_a_cone_above_the_limit():
     env = dict(os.environ, PYTHONPATH=str(Path(gzcount.__file__).parents[1]))
     proc = subprocess.run(

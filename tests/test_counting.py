@@ -40,7 +40,7 @@ from gzcount.counting import (
 from gzcount.limits import ResourceLimitError
 from gzcount.polyseries import Monomial, SparsePoly, TruncSeries
 
-ONE = SparsePoly.one()
+ONE = SparsePoly.const(1)
 X1 = SparsePoly.variable(1)
 X2 = SparsePoly.variable(2)
 X3 = SparsePoly.variable(3)

@@ -31,7 +31,7 @@ from gzcount.genfun import (
 from gzcount.limits import ResourceLimitError
 from gzcount.polyseries import SparsePoly, TruncSeries
 
-ONE = SparsePoly.one()
+ONE = SparsePoly.const(1)
 
 
 def poly_series(poly, nvars, cap):
@@ -65,6 +65,40 @@ def test_bounded_exponents_refuses_a_list_above_the_limit(monkeypatch):
         with pytest.raises(ResourceLimitError, match=(
                 rf"^exponent list of {count} entries for k = {k}, cap = {cap} exceeds the limit 12$")):
             _bounded_exponents(k, cap)
+
+
+@pytest.mark.parametrize("name, limit, call, what", [
+    ("G3_MAX_CAP", 4, closed_form_G3, "G3 closed form"),
+    ("G3_MAX_CAP", 4, verify_g3, "G3 closed form"),
+    ("E2_MAX_CAP", 4, closed_form_E2, "E2 closed form"),
+    ("E2_MAX_CAP", 4, verify_e2, "E2 closed form"),
+    ("H_MAX_CAP", 4, closed_form_H, "H series"),
+    ("VERIFY_H_MAX_CAP", 4, verify_h, "h check"),
+])
+def test_closed_forms_refuse_a_cap_above_their_limit(monkeypatch, name, limit, call, what):
+    # Every cap a test, CI or the benchmark uses stays below the real limit.
+    assert getattr(genfun, name) >= 36
+    monkeypatch.setattr(genfun, name, limit)
+    call(limit)
+    for cap in (limit + 1, 10**20):
+        with pytest.raises(ResourceLimitError,
+                           match=rf"^{what} cap {cap} exceeds the limit {limit}$"):
+            call(cap)
+
+
+def test_verify_pde_refuses_a_scaled_series_above_the_limit(monkeypatch):
+    # k * C(cap + k, k) entries times cap * cap.bit_length() bits: 5 * 12 at
+    # k = 1, cap = 4 and 6 * 15 at cap = 5.  The benchmark's largest pde
+    # check, k = 5 at cap 22, stays a tenth of the real limit.
+    assert 5 * comb(27, 5) * 22 * 5 <= genfun.PDE_MAX_ENTRY_BITS // 10
+    monkeypatch.setattr(genfun, "PDE_MAX_ENTRY_BITS", 60)
+    assert verify_pde_E(1, 4).ok
+    with pytest.raises(ResourceLimitError, match=(
+            r"^pde series at cap 5: 6 entries times 15 bits bounding cap! exceeds the limit 60$")):
+        verify_pde_E(1, 5)
+    # The exponent list is checked first, so its message is unchanged.
+    with pytest.raises(ResourceLimitError, match=r"^exponent list of "):
+        verify_pde_E(1, 10**20)
 
 
 @pytest.mark.parametrize("call", [
@@ -297,12 +331,12 @@ def power_loop_E2(cap):
     each, times the Bessel sum added term by term: the route closed_form_E2
     took before it built both factors from their coefficients."""
     u = poly_series(SparsePoly.variable(1) + SparsePoly.variable(2), 2, cap)
-    expo = TruncSeries.one(2, cap)
-    power = TruncSeries.one(2, cap)
+    expo = TruncSeries.constant(2, cap, 1)
+    power = TruncSeries.constant(2, cap, 1)
     for t in range(1, cap + 1):
         power = power * u
         expo = expo + power.scale(Fraction(1, factorial(t)))
-    bessel = TruncSeries.one(2, cap)
+    bessel = TruncSeries.constant(2, cap, 1)
     for n in range(1, cap // 2 + 1):
         bessel = bessel + TruncSeries(2, cap, {(n, n): Fraction(1, factorial(n) ** 2)})
     return expo * bessel
@@ -376,7 +410,7 @@ def test_expand_H_in_y_matches_the_three_variable_inverse():
         for s, poly in enumerate(slices):
             cut = {(m.exponent(1), m.exponent(2)): c for m, c in poly.truncate(cap - s).items()}
             assert cut == h_slice(series, s), (cap, s)
-    assert expand_H_in_y(0) == [SparsePoly.zero()]
+    assert expand_H_in_y(0) == [SparsePoly()]
     with pytest.raises(ValueError, match="s_max must be >= 0, got -1"):
         expand_H_in_y(-1)
 

@@ -20,7 +20,7 @@ from gzcount.polyseries import (
     format_rational,
 )
 
-ONE = SparsePoly.one()
+ONE = SparsePoly.const(1)
 X1 = SparsePoly.variable(1)
 X2 = SparsePoly.variable(2)
 X3 = SparsePoly.variable(3)
@@ -53,7 +53,7 @@ def ref_poly_mul(a, b):
     acc = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            key = ma * mb
+            key = Monomial(ma.pairs + mb.pairs)
             acc[key] = acc.get(key, 0) + ca * cb
     return {m: c for m, c in acc.items() if c}
 
@@ -239,7 +239,6 @@ def test_monomial_reads_bools_as_plain_ints():
         assert m == Monomial({1: 1})
         assert repr(m) == "x1"
         assert all(type(v) is int for pair in m.pairs for v in pair)
-    assert repr(Monomial({3: 2}) * Monomial({3: 2})) == "x3^4"
 
 
 def test_poly_keys_must_be_monomials():
@@ -249,13 +248,9 @@ def test_poly_keys_must_be_monomials():
 
 
 def test_monomial_multiplication_merges():
-    m = Monomial({1: 1, 2: 2}) * Monomial({2: 1, 3: 1})
+    # The constructor sums repeated indices, so a product is the concatenation of pairs.
+    m = Monomial(Monomial({1: 1, 2: 2}).pairs + Monomial({2: 1, 3: 1}).pairs)
     assert m.pairs == ((1, 1), (2, 3), (3, 1))
-
-
-def test_monomial_divide_by_support():
-    assert Monomial({1: 3, 2: 1}).divide_by_support().pairs == ((1, 2),)
-    assert Monomial({1: 1}).divide_by_support() == Monomial()
 
 
 # ---------------------------------------------------------------- polynomials
@@ -274,7 +269,7 @@ def test_poly_product_expands():
 
 def test_poly_add_zero_is_identity():
     p = (X1 + X2) * (X2 + X3) - 4 * X1
-    assert p + SparsePoly.zero() == p
+    assert p + SparsePoly() == p
     assert p + 0 == p
 
 
@@ -384,7 +379,7 @@ def test_poly_mul_matches_monomial_keyed_reference():
     # The cross terms cancel and must not be stored as zeros.
     diff = (x1 + x9 ** 40) * (x1 - x9 ** 40)
     assert diff.terms == {Monomial({1: 2}): 1, Monomial({9: 80}): -1}
-    assert (big * SparsePoly.zero()).is_zero
+    assert (big * SparsePoly()).is_zero
     assert (SparsePoly.const(-2) * big).terms == {Monomial({1: 1, 9: 40}): -6}
 
 
@@ -440,7 +435,7 @@ def test_poly_sparse_indices_and_cancellation():
     assert repr(p) == "x1^2 - x9^6"
     zero = (x9 + X1) - x9 - X1
     _check_poly_against(zero, {})
-    assert zero == 0 and zero == SparsePoly.zero() and hash(zero) == hash(SparsePoly.zero())
+    assert zero == 0 and zero == SparsePoly() and hash(zero) == hash(SparsePoly())
     assert repr(zero) == "0" and zero.degree() == 0
     assert (x9 * zero).is_zero and (zero * x9).is_zero
     assert (x9 - x9 + 5) == 5 and (x9 - x9 + 5).degree() == 0
@@ -469,14 +464,15 @@ def test_divide_exact_matches_monomial_keyed_reference():
 
 def test_support_classes_match_monomial_grouping():
     # Grouping on packed keys agrees with grouping the Monomial terms by
-    # support() and dividing each by divide_by_support().
+    # support() and dividing each by the product of its support's variables.
     rng = random.Random(2718)
     for _ in range(60):
         terms = random_sparse_terms(rng)
         terms[Monomial({1: _MAX_DEGREE - 1, 17: 1})] = 3
         want: dict = {}
         for mono, coeff in terms.items():
-            want.setdefault(mono.support(), {})[mono.divide_by_support()] = coeff
+            quotient = Monomial({i: e - 1 for i, e in mono.pairs})
+            want.setdefault(mono.support(), {})[quotient] = coeff
         got = _support_classes(SparsePoly(terms))
         assert got == {support: SparsePoly(quotient) for support, quotient in want.items()}
         assert all(list(support) == sorted(set(support)) for support in got)
@@ -548,14 +544,14 @@ def test_poly_degree_limit():
 
 def test_series_product_truncates():
     x = TruncSeries.variable(1, 5, 1)
-    one = TruncSeries.one(1, 5)
+    one = TruncSeries.constant(1, 5, 1)
     p = (one + x) * (one - x)
     assert p == TruncSeries(1, 5, {(0,): 1, (2,): -1})
 
 
 def test_series_geometric_inverse():
     x = TruncSeries.variable(1, 4, 1)
-    one = TruncSeries.one(1, 4)
+    one = TruncSeries.constant(1, 4, 1)
     s = (one - x).inv()
     assert s == TruncSeries(1, 4, {(n,): 1 for n in range(5)})
     assert (one - x) * s == one
@@ -568,21 +564,21 @@ def test_series_cap_rule_kills_high_degrees():
 
 def test_series_nvars_mismatch():
     with pytest.raises(ValueError):
-        TruncSeries.one(2, 3) + TruncSeries.one(3, 3)
+        TruncSeries.constant(2, 3, 1) + TruncSeries.constant(3, 3, 1)
     with pytest.raises(ValueError):
-        TruncSeries.one(2, 3) * TruncSeries.one(3, 3)
+        TruncSeries.constant(2, 3, 1) * TruncSeries.constant(3, 3, 1)
 
 
-@pytest.mark.parametrize("other, name", [(2, "int"), (SparsePoly.one(), "SparsePoly")])
+@pytest.mark.parametrize("other, name", [(2, "int"), (SparsePoly.const(1), "SparsePoly")])
 def test_series_combines_only_with_series(other, name):
-    one = TruncSeries.one(2, 3)
+    one = TruncSeries.constant(2, 3, 1)
     for combine in (one.__add__, one.__sub__, one.__mul__, one.agrees_with):
         with pytest.raises(TypeError, match=f"^cannot combine TruncSeries with {name}$"):
             combine(other)
 
 
 def test_series_coeff_guarded_by_cap():
-    s = TruncSeries.one(2, 3)
+    s = TruncSeries.constant(2, 3, 1)
     assert s.coeff((0, 0)) == 1
     with pytest.raises(ValueError):
         s.coeff((2, 2))
@@ -592,7 +588,7 @@ def test_series_inv_examples():
     one_xy = TruncSeries.from_poly(ONE - X1 - X2, 2, 2)
     inv = one_xy.inv()
     assert inv.coeffs == {(0, 0): 1, (1, 0): 1, (0, 1): 1, (2, 0): 1, (1, 1): 2, (0, 2): 1}
-    assert TruncSeries.one(3, 4).inv() == TruncSeries.one(3, 4)
+    assert TruncSeries.constant(3, 4, 1).inv() == TruncSeries.constant(3, 4, 1)
     geo = TruncSeries.from_poly(ONE + X1 * X2, 2, 4).inv()
     assert geo.coeffs == {(0, 0): 1, (1, 1): -1, (2, 2): 1}
 
@@ -610,11 +606,11 @@ def test_series_inv_randomized():
         a = a + TruncSeries(3, a.cap, base)
         if a.coeffs.get((0, 0, 0), 0) == 0:
             continue
-        assert a * a.inv() == TruncSeries.one(3, a.cap)
+        assert a * a.inv() == TruncSeries.constant(3, a.cap, 1)
 
 
 def test_series_sqrt_examples():
-    assert TruncSeries.one(1, 4).sqrt() == TruncSeries.one(1, 4)
+    assert TruncSeries.constant(1, 4, 1).sqrt() == TruncSeries.constant(1, 4, 1)
     r = TruncSeries.from_poly(ONE - 2 * X1, 1, 3).sqrt()
     assert r.coeffs == {(0,): 1, (1,): -1, (2,): Fraction(-1, 2), (3,): Fraction(-1, 2)}
 
@@ -636,7 +632,7 @@ def test_series_sqrt_randomized():
     rng = random.Random(4242)
     for _ in range(20):
         a = random_series(rng, fractions=True)
-        a = a - TruncSeries.constant(3, a.cap, a.coeffs.get((0, 0, 0), 0)) + TruncSeries.one(3, a.cap)
+        a = a - TruncSeries.constant(3, a.cap, a.coeffs.get((0, 0, 0), 0)) + TruncSeries.constant(3, a.cap, 1)
         r = a.sqrt()
         assert r * r == a
         assert r.coeffs[(0, 0, 0)] == 1
@@ -696,7 +692,7 @@ def test_every_series_operation_matches_tuple_keyed_reference(nvars):
         for factor in (2, -4, Fraction(1, 2), Fraction(2, 3)):
             want = {e: c * factor for e, c in s.coeffs.items()}
             assert_same_series(s.scale(factor), ref_series(nvars, cap, want))
-        assert_same_series(s.scale(0), TruncSeries.zero(nvars, cap))
+        assert_same_series(s.scale(0), TruncSeries(nvars, cap))
         assert_same_series(s * t, ref_series_mul(s, t))
         # The derivative keeps the base of s; t with a smaller cap has another.
         d = s.deriv(i)
@@ -784,7 +780,7 @@ def test_fractions_that_cancel_to_integers_are_ints():
         TruncSeries(2, 3, {(2, 0): Fraction(1, 2)}).deriv(1),
         TruncSeries(2, 3, {(1, 0): Fraction(1, 2)}).integrate(1).deriv(1).scale(2),
         TruncSeries.constant(2, 3, Fraction(1, 2)).inv(),
-        (TruncSeries.one(2, 3) + half.scale(2)).sqrt().scale(2) - TruncSeries.one(2, 3),
+        (TruncSeries.constant(2, 3, 1) + half.scale(2)).sqrt().scale(2) - TruncSeries.constant(2, 3, 1),
     ]
     for series in results:
         for c in series.coeffs.values():
@@ -804,7 +800,7 @@ def test_coefficients_are_exact(value):
         TruncSeries(2, 3, {(1, 1): value})
     with pytest.raises(TypeError):
         SparsePoly({Monomial(): value})
-    for series in (TruncSeries.one(2, 3), TruncSeries.zero(2, 3)):
+    for series in (TruncSeries.constant(2, 3, 1), TruncSeries(2, 3)):
         with pytest.raises(TypeError):
             series.scale(value)
     with pytest.raises(TypeError):
@@ -823,10 +819,10 @@ def test_series_coeff_rejects_negative_exponents():
 
 
 def test_series_truncate_rejects_negative_cap():
-    s = TruncSeries.one(2, 3)
+    s = TruncSeries.constant(2, 3, 1)
     with pytest.raises(ValueError, match="cap must be >= 0"):
         s.truncate(-1)
-    assert s.truncate(0) == TruncSeries.one(2, 0)
+    assert s.truncate(0) == TruncSeries.constant(2, 0, 1)
 
 
 # ---------------------------------------------------------- operator algebra
@@ -846,7 +842,7 @@ def test_deriv_of_truncated_exponential_is_itself():
 
 
 def test_integrate_examples():
-    one = TruncSeries.one(1, 0)
+    one = TruncSeries.constant(1, 0, 1)
     assert one.integrate(1) == TruncSeries(1, 1, {(1,): 1})
     xn = TruncSeries(1, 5, {(5,): 1})
     assert xn.integrate(1) == TruncSeries(1, 6, {(6,): Fraction(1, 6)})
@@ -889,7 +885,7 @@ def test_divdiff_reconstruction():
 
 
 def test_index_out_of_range_errors():
-    s = TruncSeries.one(2, 3)
+    s = TruncSeries.constant(2, 3, 1)
     for op in (s.deriv, s.integrate, s.divdiff, s.substitute_zero):
         with pytest.raises(ValueError):
             op(0)
@@ -899,7 +895,7 @@ def test_index_out_of_range_errors():
 
 def test_float_variable_index_is_refused():
     # Variable indices are read through operator.index, as Monomial reads them.
-    s = TruncSeries.one(2, 3)
+    s = TruncSeries.constant(2, 3, 1)
     for op in (s.deriv, s.integrate, s.divdiff, s.substitute_zero,
                lambda i: TruncSeries.variable(2, 3, i)):
         with pytest.raises(TypeError):

@@ -23,18 +23,18 @@ routes are provided and cross-checked by the test suite:
 ``g4_explore`` lists the ``a_infinity`` counts of every four-value
 vector up to a total, so ``gzcount g4-explore`` needs no series code.
 
-The first two routes share one piece of code: the iterative memo walk
-``_memo_walk`` that sums child values up the count DAG.  It works on a
-plain dict memo (a ``CountCache``'s table, ``_FIBER_MEMO``, a per-call
-dict) and a leaf hook that pops the route's leaves out of each fresh
-child dict and returns their value; leaves are never stored.  For
-``a_infinity`` the one leaf is the empty key, worth 1.  For the fiber
-route every key of at most two values is a leaf: GZ(0^a 1^b) has
-exactly C(a+b, a) vertices, its 0/1 patterns, since a 0/1 pattern's
-tiles of equal entries all reach the top row (De Loera and McAllister,
-DCG 32 (2004)).  Each route keeps its own child generator and its own
-memo table, so agreement between them still compares independent ways
-of listing children:
+The first two routes share no code.  Each strips zeros from its input,
+checks it, and sums child values up its DAG in its own iterative walk
+(``_a_walk``, ``_fiber_walk``) on a plain dict memo: a ``CountCache``'s
+table for ``a_infinity``, ``_FIBER_MEMO`` or a per-call dict for the
+fiber route.  Each walk splits its route's leaves off every fresh child
+dict and never stores them.  For ``a_infinity`` the one leaf is the
+empty key, worth 1.  For the fiber route every key of at most two values
+is a leaf: GZ(0^a 1^b) has exactly C(a+b, a) vertices, its 0/1
+patterns, since a 0/1 pattern's tiles of equal entries all reach the
+top row (De Loera and McAllister, DCG 32 (2004)).  Each route lists
+children its own way, so agreement between them compares independent
+code:
 
 * ``a_infinity`` lists the children of one step of A by a left-to-right
   dynamic programme over the positions of the key, whose state is the
@@ -46,9 +46,9 @@ of listing children:
 The zero-keeping reference ``a_infinity_unnormalized`` walks no DAG: it
 applies ``apply_A``, the operator's definition, to the whole monomial
 on ``SparsePoly`` objects, once per unit of degree, and reads off the
-constant left.  A fault in the walk cannot hide in a comparison with it.
+constant left.  A fault in either walk cannot hide in a comparison with it.
 
-No route recurses: the memo walk keeps its own stack and the three-value
+No route recurses: each walk keeps its own stack and the three-value
 recurrence fills its cells in an order where every term is ready, so no
 answer depends on the recursion limit or on what a memo already holds.
 Counts are arbitrary-precision integers throughout.
@@ -65,7 +65,7 @@ import functools
 import json
 import os
 import re
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, filterfalse
 from math import comb
 from operator import add, index, mul
@@ -268,46 +268,6 @@ def apply_A(p: SparsePoly) -> SparsePoly:
     return acc
 
 
-def _memo_walk(
-    key: Mults,
-    children_of: Callable[[Mults], dict[Mults, int]],
-    memo: dict[Mults, int],
-    leaves: Callable[[dict[Mults, int]], int],
-) -> int:
-    """Value of ``key`` in a DAG where each node is the weighted sum of its children.
-
-    ``children_of(node)`` returns a new dict, which the walk may change,
-    from each child to its multiplicity.  ``leaves(children)`` pops the
-    route's leaves out of that dict and returns their weighted value, so
-    leaves are split off once, when their parent is expanded, and never
-    stored or expanded; the route answers a leaf root itself.  ``memo``
-    is a plain dict of the values known so far; every other node the
-    walk reaches is added to it, insert-if-absent.  The walk keeps its
-    own stack, so the depth of the DAG is not bounded by the
-    interpreter's recursion limit.
-    """
-    value = memo.get(key)
-    if value is not None:
-        return value
-    # A key on the stack is still to be expanded; a list [node, leaf
-    # weight, inner children] is an expanded node, whose children pushed
-    # above it are all in memo when it comes back to the top.
-    stack: list = [key]
-    while stack:
-        top = stack.pop()
-        if type(top) is tuple:
-            if top in memo:
-                continue
-            children = children_of(top)
-            stack.append([top, leaves(children), children])
-            stack.extend(filterfalse(memo.__contains__, children))
-        else:
-            node, weight, children = top
-            values = map(memo.__getitem__, children)
-            memo.setdefault(node, weight + sum(map(mul, children.values(), values)))
-    return memo[key]
-
-
 def _a_children(key: Mults) -> dict[Mults, int]:
     """Expansion of A applied to x1^i1 ... xk^ik, as zero-stripped vectors.
 
@@ -320,38 +280,50 @@ def _a_children(key: Mults) -> dict[Mults, int]:
     zero-stripped prefix and carry therefore have the same completions,
     and merging them as they arise, with summed multiplicities, leaves
     the same child counts as expanding all 2^(k-1) products.
+
+    A merge is rarely needed.  A step appends the entry it fixes to each
+    prefix: e after a free prefix and e + 1 after a carried one for the
+    next free dict, e - 1 and e for the next carried dict.  Appending one
+    entry keeps distinct prefixes distinct, and states that end in
+    different entries differ, so two states can meet only where an entry
+    e - 1 = 0 strips away: at e = 1 a free prefix passes into the carried
+    dict unchanged, and may equal a carried prefix with 1 appended.  Only
+    that step merges; every other one assigns.  The children are the
+    carried step at the last entry, which has no factor of its own: e - 1
+    after a free prefix, e after a carried one.
     """
     # free: prefixes whose next entry gets no carry; carried: it gets 1.
-    free: dict[Mults, int] = {(): 1}
-    carried: dict[Mults, int] = {}
-    for e in key[:-1]:
-        next_free: dict[Mults, int] = {}
-        next_carried: dict[Mults, int] = {}
-        for carry, states in ((0, free), (1, carried)):
-            for prefix, mult in states.items():
-                # Factor j chooses x_j: entry e + carry, nothing carried.
-                child = prefix + (e + carry,)
-                next_free[child] = next_free.get(child, 0) + mult
-                # Factor j chooses x_(j+1): entry e - 1 + carry, carry 1.
-                entry = e - 1 + carry
-                child = prefix + (entry,) if entry else prefix
+    # They start after factor 1's choice.  For a key of one entry, the
+    # carried dict, {x^(e-1)}, is already its last step.
+    e = key[0]
+    free: dict[Mults, int] = {(e,): 1}
+    carried: dict[Mults, int] = {(e - 1,) if e > 1 else (): 1}
+    last = len(key) - 1
+    for j in range(1, len(key)):
+        e = key[j]
+        same = (e,)
+        if e == 1:
+            next_carried = free.copy()
+            for prefix, mult in carried.items():
+                child = prefix + same
                 next_carried[child] = next_carried.get(child, 0) + mult
+        else:
+            less = (e - 1,)
+            next_carried = {}
+            for prefix, mult in free.items():
+                next_carried[prefix + less] = mult
+            for prefix, mult in carried.items():
+                next_carried[prefix + same] = mult
+        if j == last:
+            return next_carried
+        more = (e + 1,)
+        next_free = {}
+        for prefix, mult in free.items():
+            next_free[prefix + same] = mult
+        for prefix, mult in carried.items():
+            next_free[prefix + more] = mult
         free, carried = next_free, next_carried
-    children: dict[Mults, int] = {}
-    for carry, states in ((0, free), (1, carried)):
-        entry = key[-1] - 1 + carry
-        for prefix, mult in states.items():
-            child = prefix + (entry,) if entry else prefix
-            children[child] = children.get(child, 0) + mult
-    return children
-
-
-def _a_leaves(children: dict[Mults, int]) -> int:
-    """Pop ``a_infinity``'s one leaf, the empty key, worth 1.
-
-    A lowers the total by one, so only (1,) has the empty key as a child.
-    """
-    return children.pop((), 0)
+    return carried
 
 
 def a_infinity(mults: Sequence[int], cache: CountCache | None = None) -> int:
@@ -366,7 +338,39 @@ def a_infinity(mults: Sequence[int], cache: CountCache | None = None) -> int:
     key = compress(mults)
     if not key:
         return 1
-    return _memo_walk(key, _a_children, cache._counts, _a_leaves)
+    return _a_walk(key, cache._counts)
+
+
+def _a_walk(key: Mults, memo: dict[Mults, int]) -> int:
+    """Value of the nonempty ``key`` in the DAG of A, each node the weighted sum of its children.
+
+    ``memo`` is a plain dict of the values known so far; every node the
+    walk expands is added to it, insert-if-absent.  The one leaf, the
+    empty key worth 1, is popped from each fresh child dict, so it is
+    never stored or expanded; A lowers the total by one, so only (1,)
+    has it as a child.  The walk keeps its own stack, so the depth of the
+    DAG is not bounded by the interpreter's recursion limit.
+    """
+    value = memo.get(key)
+    if value is not None:
+        return value
+    # A key on the stack is still to be expanded; a list [node, leaf
+    # weight, inner children] is an expanded node, whose children pushed
+    # above it are all in memo when it comes back to the top.
+    stack: list = [key]
+    while stack:
+        top = stack.pop()
+        if type(top) is tuple:
+            if top in memo:
+                continue
+            children = _a_children(top)
+            stack.append([top, children.pop((), 0), children])
+            stack.extend(filterfalse(memo.__contains__, children))
+        else:
+            node, weight, children = top
+            values = map(memo.__getitem__, children)
+            memo.setdefault(node, weight + sum(map(mul, children.values(), values)))
+    return memo[key]
 
 
 def a_infinity_unnormalized(mults: Sequence[int]) -> int:
@@ -461,7 +465,8 @@ def _fiber_children(key: Mults) -> dict[Mults, int]:
     bitmask whose bit j says factor j chose x_(j+1) over x_j.  The masks
     are visited in Gray-code order, so each differs from the previous
     one in a single bit j, and flipping it moves one unit of exponent
-    between positions j and j+1.
+    between positions j and j+1: to j+1 when the bit is set, back to j
+    when it is cleared.
     """
     exps = [*key[:-1], key[-1] - 1]
     children = {tuple(filter(None, exps)): 1}
@@ -470,9 +475,12 @@ def _fiber_children(key: Mults) -> dict[Mults, int]:
         bit = i & -i
         mask ^= bit
         j = bit.bit_length() - 1
-        step = 1 if mask & bit else -1
-        exps[j] -= step
-        exps[j + 1] += step
+        if mask & bit:
+            exps[j] -= 1
+            exps[j + 1] += 1
+        else:
+            exps[j] += 1
+            exps[j + 1] -= 1
         child = tuple(filter(None, exps))
         children[child] = children.get(child, 0) + 1
     return children
@@ -493,17 +501,6 @@ def _two_value_count(key: Mults) -> int:
     return comb(sum(key), key[0]) if key else 1
 
 
-def _fiber_leaves(children: dict[Mults, int]) -> int:
-    """Pop the fiber route's leaves, the keys of at most two values, and return their count."""
-    # Most nodes have no such child; finding that in C skips the scan.
-    if min(map(len, children)) > 2:
-        return 0
-    weight = 0
-    for child in [ch for ch in children if len(ch) <= 2]:
-        weight += children.pop(child) * _two_value_count(child)
-    return weight
-
-
 def count_by_fiber_recursion(mults: Sequence[int], memo: dict[Mults, int] | None = None) -> int:
     """Vertex count via fibers over cube vertices.
 
@@ -513,14 +510,54 @@ def count_by_fiber_recursion(mults: Sequence[int], memo: dict[Mults, int] | None
     has C(a+b, a) vertices, its 0/1 patterns (see ``_two_value_count``).
     Such keys are leaves of the walk, a root of at most two values is
     answered at once, and ``memo`` stores only keys of three or more
-    values.  Independent of ``a_infinity``'s memo table.
+    values.  Independent of ``a_infinity``'s memo table, and of its code:
+    this route strips and checks its input, and walks the DAG, itself.
     """
-    key = compress(mults)
+    parts = []
+    for v in mults:
+        v = index(v)
+        if v < 0:
+            raise ValueError(f"multiplicities must be nonnegative, got {v}")
+        if v:
+            parts.append(v)
+    key = tuple(parts)
     if len(key) <= 2:
         return _two_value_count(key)
     if memo is None:
         memo = _FIBER_MEMO
-    return _memo_walk(key, _fiber_children, memo, _fiber_leaves)
+    return _fiber_walk(key, memo)
+
+
+def _fiber_walk(key: Mults, memo: dict[Mults, int]) -> int:
+    """Value of ``key``, of three or more values, in the fiber DAG.
+
+    Walked as ``_a_walk`` walks the DAG of A, with this route's own code.
+    The leaves are the children of at most two values: they are popped
+    from each fresh child dict and weighed by ``_two_value_count`` at
+    once, so they are never stored or expanded.
+    """
+    value = memo.get(key)
+    if value is not None:
+        return value
+    stack: list = [key]
+    while stack:
+        top = stack.pop()
+        if type(top) is tuple:
+            if top in memo:
+                continue
+            children = _fiber_children(top)
+            weight = 0
+            # Most nodes have no leaf child; finding that in C skips the scan.
+            if min(map(len, children)) <= 2:
+                for child in [ch for ch in children if len(ch) <= 2]:
+                    weight += children.pop(child) * _two_value_count(child)
+            stack.append([top, weight, children])
+            stack.extend(filterfalse(memo.__contains__, children))
+        else:
+            node, weight, children = top
+            values = map(memo.__getitem__, children)
+            memo.setdefault(node, weight + sum(map(mul, children.values(), values)))
+    return memo[key]
 
 
 def binomial_formula_V(k: int, l: int, m: int) -> int:

@@ -165,7 +165,8 @@ def test_unnormalized_reference_uses_no_memo_walk_or_child_generator(monkeypatch
     def forbidden(*args, **kwargs):
         raise AssertionError("the reference must iterate A, not walk the count DAG")
 
-    monkeypatch.setattr(counting, "_memo_walk", forbidden)
+    monkeypatch.setattr(counting, "_a_walk", forbidden)
+    monkeypatch.setattr(counting, "_fiber_walk", forbidden)
     monkeypatch.setattr(counting, "_a_children", forbidden)
     monkeypatch.setattr(counting, "_fiber_children", forbidden)
     assert a_infinity_unnormalized((2, 1, 3, 1)) == 1541
@@ -230,6 +231,18 @@ def fiber_children_by_bitmask(key):
         child = tuple(e for e in exps if e)
         children[child] = children.get(child, 0) + 1
     return children
+
+
+def test_a_children_match_bitmask_reference_where_entries_strip_to_zero():
+    # An entry of 1 strips to zero and merges states; larger entries never do.
+    rng = random.Random(34)
+    keys = [key for k in range(1, 9) for key in product((1, 2), repeat=k)]
+    keys += [tuple(rng.choice((1, 1, 2, 3, 7)) for _ in range(k))
+             for k in range(1, 11) for _ in range(60)]
+    keys += [(1,) * k for k in range(1, 13)]
+    assert sum(1 for key in keys if 1 in key and max(key) > 1) > 500
+    for key in keys:
+        assert counting._a_children(key) == fiber_children_by_bitmask(key), key
 
 
 def test_fiber_children_match_bitmask_reference():

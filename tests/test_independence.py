@@ -29,24 +29,23 @@ from pathlib import Path
 import pytest
 
 import gzcount
+from gzcount import cli, counting
 from gzcount.cli import COUNT_METHODS, routes_for
 from gzcount.limits import DEFAULT_LIMIT_DIM
 
 PACKAGE = Path(gzcount.__file__).parent
 
-# The code shared between routes today: a-infinity and the fiber route
-# walk the count DAG with one walker, on keys stripped by one function.
-SHARED = {
-    ("a-infinity", "fiber"): {"counting._memo_walk", "counting.compress"},
-}
+# The code shared between routes today: none.  a-infinity and the fiber
+# route each strip their keys and walk the count DAG with their own code.
+SHARED = {}
 
 # Regime -> the largest number of pairwise code-disjoint routes that
 # ``count --method all`` runs there, at the default --limit-dim.
 DISJOINT_ROUTES = {
-    ("at most 3 values", "n <= 6"): 3,
-    ("at most 3 values", "n >= 7"): 2,
-    ("4 or more values", "n <= 6"): 2,
-    ("4 or more values", "n >= 7"): 1,
+    ("at most 3 values", "n <= 6"): 4,
+    ("at most 3 values", "n >= 7"): 3,
+    ("4 or more values", "n <= 6"): 3,
+    ("4 or more values", "n >= 7"): 2,
 }
 
 ALLOWED_MODULES = ("limits", "records")
@@ -384,9 +383,10 @@ def _largest_disjoint(routes, shared):
 
 def test_each_route_reaches_its_own_counter(reach):
     expected = {
-        "a-infinity": {"counting.a_infinity", "counting._a_children", "counting.CountCache"},
-        "fiber": {"counting.count_by_fiber_recursion", "counting._fiber_children",
-                  "counting._two_value_count"},
+        "a-infinity": {"counting.a_infinity", "counting._a_walk", "counting._a_children",
+                       "counting.CountCache"},
+        "fiber": {"counting.count_by_fiber_recursion", "counting._fiber_walk",
+                  "counting._fiber_children", "counting._two_value_count"},
         "formula": {"counting.binomial_formula_V"},
         "recurrence": {"counting.recurrence_V3", "counting._rec3_cone_cells"},
         "oracle": {"oracle.oracle_count", "oracle.build_hrep", "oracle.count_vertices",
@@ -401,7 +401,7 @@ def test_each_route_reaches_its_own_counter(reach):
     assert "counting.CountCache.load" not in reach["a-infinity"]
 
 
-def test_only_the_memo_walk_and_compress_are_shared(reach):
+def test_routes_share_only_the_pinned_code(reach):
     shared = {}
     for a, b in combinations(COUNT_METHODS, 2):
         common = reach[a] & reach[b]
@@ -422,3 +422,24 @@ def test_largest_code_disjoint_route_set_in_each_regime(reach):
             size = _largest_disjoint(chosen, shares)
             fewest[regime] = min(fewest.get(regime, size), size)
     assert fewest == DISJOINT_ROUTES
+
+
+def test_a_fault_in_a_infinity_alone_is_caught_at_n_8(monkeypatch, capsys):
+    # Four or more values at n >= 7 run a-infinity and the fiber route
+    # only; with no code in common, a fault in one shows as a mismatch.
+    exact = counting._a_children
+
+    def doubled_leaf(key):
+        children = exact(key)
+        if () in children:
+            children[()] *= 2
+        return children
+
+    monkeypatch.setattr(counting, "_a_children", doubled_leaf)
+    # A cold table, and no cache file to read from or to write the fault to.
+    monkeypatch.setattr(counting, "SHARED_CACHE", counting.CountCache())
+    monkeypatch.delenv("GZCOUNT_CACHE", raising=False)
+    assert cli.main(["count", "1 2 3 4 5 6 7 8", "--method", "all"]) == 2
+    out = capsys.readouterr().out
+    assert "a-infinity 6001472" in out and "fiber 3000736" in out
+    assert "agreement: MISMATCH" in out

@@ -17,6 +17,11 @@ each identity as an exact residual:
   (``expand_H_in_y``), so each slice is a whole polynomial in x and z
   and ``verify_h`` builds no term of y-degree above its s_max.
 
+The closed forms of G_3, E_2 and H and the slices of H are held in one
+process-global table, ``_GROWN``, at the largest cap asked for so far;
+a smaller cap is answered by truncating the held value, so a process
+builds each of them once per new largest cap.
+
 A nonzero residual is reported, never raised; reports serialise to JSON
 and CSV with rationals rendered exactly as p/q.
 """
@@ -30,7 +35,7 @@ from math import factorial, prod
 # so ``genfun.g4_explore`` and ``counting.g4_explore`` are one object.
 from .counting import CountCache, _bounded_exponents, a_infinity, g4_explore, h_polynomial
 from .limits import ResourceLimitError
-from .polyseries import SparsePoly, TruncSeries, _norm_coeff
+from .polyseries import SparsePoly, TruncSeries, _exponents, _norm_coeff
 from .records import Frozen
 
 # Each limit below is checked before anything is built and refused with
@@ -42,8 +47,9 @@ from .records import Frozen
 G3_MAX_CAP = 85
 
 #: Largest cap ``closed_form_E2`` evaluates: ``series E2closed --cap 240``
-#: takes 7.0-7.9 s at 31 MB peak RSS, ``--cap 250`` 9.2-13.0 s and
-#: ``--cap 260`` 16 s.
+#: takes 2.8-3.5 s at 35 MB peak RSS with int factors (7.7-9.2 s at 32 MB
+#: with Fraction factors); with the limit raised, ``--cap 250`` takes
+#: 4.6-5.3 s at 38 MB and ``--cap 260`` 3.9-4.0 s at 40 MB.
 E2_MAX_CAP = 240
 
 #: Largest cap ``closed_form_H`` evaluates: ``series H --cap 280`` takes
@@ -66,6 +72,32 @@ PDE_MAX_ENTRY_BITS = 500_000_000
 def _check_cap(what: str, cap: int, limit: int) -> None:
     if cap > limit:
         raise ResourceLimitError(f"{what} cap {cap} exceeds the limit {limit}")
+
+
+#: The closed forms at the largest cap built so far in this process, keyed
+#: by name: "G3", "E2" and "H" hold a ``TruncSeries``, "H slices" the list
+#: of ``expand_H_in_y``.  Each coefficient of degree d depends only on the
+#: terms of degree <= d of what it is built from, so truncation commutes
+#: with every operation the builders use (mul, inv, sqrt, scale, add,
+#: ``from_poly``) and a smaller cap is answered by truncating the held
+#: value.  A larger cap builds anew and replaces the entry; nothing held
+#: is ever modified, so concurrent callers always see a complete value.
+#: Every cap is checked before the table is read.
+_GROWN: dict[str, object] = {}
+
+
+def _grown(name: str, cap: int, build) -> TruncSeries:
+    """The series ``name`` at ``cap``, built by ``build`` only beyond the held cap.
+
+    Always a new ``TruncSeries`` (``truncate`` re-keys in base cap + 1),
+    so a caller that reads its ``coeffs`` pins nothing in the table.
+    """
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+    held = _GROWN.get(name)
+    if held is None or held.cap < cap:
+        held = _GROWN[name] = build(cap)
+    return held.truncate(cap)
 
 
 def build_G(k: int, cap: int, cache: CountCache | None = None) -> TruncSeries:
@@ -241,19 +273,26 @@ def closed_form_G3(cap: int) -> TruncSeries:
     1 / ((1 - x - z)(1 - y / lam)), where 1 - x - z = lam + mu.
     Neither 1 - x - z nor 1 / lam has a y term, so the one three-variable
     solve is the final inverse of (1 - x - z) - y (1 - x - z) / lam.
-    Every coefficient is checked to be a nonnegative integer before
-    returning.  A cap above ``G3_MAX_CAP`` is refused.
+    Every coefficient is checked to be a nonnegative integer when the
+    series is built.  Held in ``_GROWN``; a cap above ``G3_MAX_CAP`` is
+    refused.
     """
     _check_cap("G3 closed form", cap, G3_MAX_CAP)
+    return _grown("G3", cap, _build_G3)
+
+
+def _build_G3(cap: int) -> TruncSeries:
     lam, mu = g3_roots(cap)
     base = lam + mu
     y = TruncSeries.from_poly(SparsePoly.variable(2), 3, cap)
     result = (base - y * (base * lam.inv())).inv()
-    for exps, coeff in result.coeffs.items():
-        if not isinstance(coeff, int) or coeff < 0:
-            raise ArithmeticError(
-                f"closed form produced non-count coefficient {coeff} at {exps}"
-            )
+    for layer in result._layers:
+        for key, coeff in layer.items():
+            if type(coeff) is not int or coeff < 0:
+                exps = _exponents(key, result._base, 3)
+                raise ArithmeticError(
+                    f"closed form produced non-count coefficient {coeff} at {exps}"
+                )
     return result
 
 
@@ -261,28 +300,42 @@ def closed_form_E2(cap: int) -> TruncSeries:
     """Closed form of the two-variable exponential series.
 
     exp(z1 + z2) times the Bessel-type sum over n of (z1 z2)^n / (n!)^2.
-    Both factors are built from their coefficients: that of z1^a z2^b in
-    exp(z1 + z2) is 1 / (a! b!).  A cap above ``E2_MAX_CAP`` is refused.
+    Both factors are built from their coefficients, scaled to ints by
+    cap!, as in ``_scaled_E``: that of z1^a z2^b in cap! exp(z1 + z2) is
+    cap! / (a! b!), and that of (z1 z2)^n in the scaled sum is
+    cap! / (n!)^2, an int as (n!)^2 divides (2n)!.  The int product is
+    divided by (cap!)^2 once.  Held in ``_GROWN``; a cap above
+    ``E2_MAX_CAP`` is refused.
     """
     _check_cap("E2 closed form", cap, E2_MAX_CAP)
-    expo = TruncSeries(2, cap, {
-        (a, b): Fraction(1, factorial(a) * factorial(b))
-        for a in range(cap + 1) for b in range(cap + 1 - a)
-    })
+    return _grown("E2", cap, _build_E2)
+
+
+def _build_E2(cap: int) -> TruncSeries:
+    scale = factorial(cap)
     bessel = TruncSeries(2, cap, {
-        (n, n): Fraction(1, factorial(n) ** 2) for n in range(cap // 2 + 1)
+        (n, n): scale // factorial(n) ** 2 for n in range(cap // 2 + 1)
     })
-    return expo * bessel
+    # The exponential factor is not named, so it is freed before the scaling.
+    product = TruncSeries(2, cap, {
+        (a, b): scale // (factorial(a) * factorial(b))
+        for a in range(cap + 1) for b in range(cap + 1 - a)
+    }) * bessel
+    return product.scale(Fraction(1, scale * scale))
 
 
 def closed_form_H(cap: int) -> TruncSeries:
     """Generating series of the skew slice polynomials, variables (x, z, y).
 
     y (1 - xz) / ((1 - y(x+z)) (1 - y(1+x)(1+z))); the coefficient of y^s
-    is the polynomial h_s, complete once cap >= 3s.  A cap above
-    ``H_MAX_CAP`` is refused.
+    is the polynomial h_s, complete once cap >= 3s.  Held in ``_GROWN``;
+    a cap above ``H_MAX_CAP`` is refused.
     """
     _check_cap("H series", cap, H_MAX_CAP)
+    return _grown("H", cap, _build_H)
+
+
+def _build_H(cap: int) -> TruncSeries:
     one = SparsePoly.const(1)
     x = SparsePoly.variable(1)
     z = SparsePoly.variable(2)
@@ -325,10 +378,19 @@ def expand_H_in_y(s_max: int) -> list[SparsePoly]:
     EC1, Thm 4.1.1): 1 / (d1 d2) = sum_s r_s y^s with r_0 = 1, r_1 = p1
     and r_s = p1 r_(s-1) - p2 r_(s-2), so [y^s] H = (1 - xz) r_(s-1).
     Each slice is exact, with no truncation in x or z.  x and z are
-    variables 1 and 2, as in ``h_polynomial``.
+    variables 1 and 2, as in ``h_polynomial``.  The longest list built so
+    far is held in ``_GROWN``, and a shorter one is a new list of its
+    first slices.
     """
     if s_max < 0:
         raise ValueError(f"s_max must be >= 0, got {s_max}")
+    held = _GROWN.get("H slices")
+    if held is None or len(held) <= s_max:
+        held = _GROWN["H slices"] = _build_H_slices(s_max)
+    return held[:s_max + 1]
+
+
+def _build_H_slices(s_max: int) -> list[SparsePoly]:
     one = SparsePoly.const(1)
     x = SparsePoly.variable(1)
     z = SparsePoly.variable(2)

@@ -20,12 +20,13 @@ no exponent of a result reaches B.
   per total degree, keyed in a base B of at least cap + 1, with x1 the
   most significant digit.  Two terms whose degrees sum to at most the cap
   have no exponent above it, so a product of terms from two layers needs
-  no check.  Results keep their operands' base, so a truncation or a
-  derivative keeps a base above its own cap + 1.  A binary operation on
-  two bases rebuilds both operands from their coefficients, keyed in
-  base cap + 1 for the smaller cap, and ``integrate`` builds its result
-  from its coefficients.  The map from exponent tuples, ``coeffs``, is
-  built only when read.
+  no check.  Results keep their operands' base, so a derivative keeps a
+  base above its own cap + 1; ``truncate`` re-keys its terms in base
+  cap + 1, so a truncation combines layer by layer with a series built
+  at its cap.  A binary operation on two bases rebuilds both operands
+  from their coefficients, keyed in base cap + 1 for the smaller cap, and
+  ``integrate`` builds its result from its coefficients.  The map from
+  exponent tuples, ``coeffs``, is built when first read and kept.
 * A ``SparsePoly`` also keeps its terms packed between operations, in
   one dict with a fixed 30-bit field per variable, x1 in the lowest bits
   (B = 2^30).  The key of a term is then its exponent vector alone, a
@@ -34,8 +35,9 @@ no exponent of a result reaches B.
   of ``divide_exact`` read no exponents.  No field carries while every
   total degree stays below 2^30 - 1: a term, product or division that
   would reach it raises ``DegreeLimitError``, a ``ResourceLimitError``
-  (CLI exit 3).  The map from ``Monomial``, ``terms``, is built only
-  when read.
+  (CLI exit 3).  The map from ``Monomial``, ``terms``, is built at each
+  read and not kept, so reading a polynomial that a memo table holds
+  leaves no ``Monomial`` behind in it.
 
 The two carriers differ only in how they pack keys and share every loop
 over term maps: ``_added`` sums two of them, ``_add_products`` adds their
@@ -164,11 +166,11 @@ class SparsePoly:
     x_i is the ``_WIDTH``-bit field at bit ``_WIDTH * (i - 1)``.  Every term
     has total degree at most ``_MAX_DEGREE``, so no field ever carries into
     the next and the key modulo 2^_WIDTH - 1 is the term's total degree.
-    ``terms``, the same map keyed by ``Monomial``, is built when first
-    read.  Zero coefficients are never stored; the zero polynomial has no terms.
+    ``terms``, the same map keyed by ``Monomial``, is built at each read.
+    Zero coefficients are never stored; the zero polynomial has no terms.
     """
 
-    __slots__ = ("_keys", "_terms", "_degree")
+    __slots__ = ("_keys", "_degree")
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
         keys: dict[int, int] = {}
@@ -183,7 +185,6 @@ class SparsePoly:
                 if coeff:
                     keys[_key(mono)] = coeff
         self._keys = keys
-        self._terms = None
         self._degree = None
 
     @classmethod
@@ -196,13 +197,8 @@ class SparsePoly:
 
     @property
     def terms(self) -> dict[Monomial, int]:
-        """The nonzero coefficients keyed by ``Monomial``.
-
-        Built on first read and kept, so callers must not modify it.
-        """
-        if self._terms is None:
-            self._terms = {_monomial_of(k): c for k, c in self._keys.items()}
-        return self._terms
+        """The nonzero coefficients keyed by ``Monomial``, a new map at each read."""
+        return {_monomial_of(k): c for k, c in self._keys.items()}
 
     def items(self):
         return self.terms.items()
@@ -309,7 +305,6 @@ def _poly(keys: dict[int, int], degree: int | None = None) -> SparsePoly:
     """Internal constructor: trusts ``keys`` (packed, no zero coefficients) and ``degree``."""
     out = object.__new__(SparsePoly)
     out._keys = keys
-    out._terms = None
     out._degree = degree
     return out
 
@@ -476,6 +471,16 @@ def _exponents(key: int, base: int, nvars: int) -> tuple[int, ...]:
     return tuple(exps)
 
 
+def _rekeyed(key: int, base: int, new_base: int, nvars: int) -> int:
+    """A key packed in ``base`` packed again in ``new_base``, digit by digit."""
+    out, weight = 0, 1
+    for _ in range(nvars):
+        key, e = divmod(key, base)
+        out += e * weight
+        weight *= new_base
+    return out
+
+
 def _var_index(var, nvars: int) -> int:
     """A 1-based variable index read through ``operator.index`` (a float raises TypeError)."""
     var = index(var)
@@ -609,11 +614,20 @@ class TruncSeries:
         return self._layers[sum(exps)].get(key, 0)
 
     def truncate(self, new_cap: int) -> "TruncSeries":
+        """The terms of total degree <= ``new_cap``, keyed in base new_cap + 1.
+
+        A series already in that base shares its layers, not copied.
+        """
         if new_cap < 0:
             raise ValueError(f"cap must be >= 0, got {new_cap}")
         if new_cap > self.cap:
             raise ValueError(f"cannot raise cap from {self.cap} to {new_cap}")
-        return _series(self.nvars, new_cap, self._base, self._layers[:new_cap + 1])
+        base, new_base, nvars = self._base, new_cap + 1, self.nvars
+        layers = self._layers[:new_cap + 1]
+        if base != new_base:
+            layers = [{_rekeyed(k, base, new_base, nvars): c for k, c in layer.items()}
+                      for layer in layers]
+        return _series(nvars, new_cap, new_base, layers)
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         cap, base, mine, theirs = self._common(other)

@@ -588,6 +588,20 @@ def test_verify_digests_change_only_in_the_h_detail(capsys, command, digest):
     assert hashlib.sha256(restored.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "g3", "--cap", "12"), ("series", "G3closed", "--cap", "12"),
+])
+def test_a_pre_grown_closed_form_keeps_stdout_bytes(capsys, argv):
+    # The table starts empty in each test; grown to cap 20 first, the
+    # cap 12 answer is a truncation of it, with the same bytes.
+    empty = run_cli(capsys, *argv)
+    assert empty[0] == EXIT_OK
+    gzcount.genfun._GROWN.clear()
+    gzcount.genfun.closed_form_G3(20)
+    assert run_cli(capsys, *argv) == empty
+    assert gzcount.genfun._GROWN["G3"].cap == 20
+
+
 # ------------------------------------------------------------------ verify
 
 

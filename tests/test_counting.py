@@ -2,6 +2,7 @@
 
 import copy
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -1160,3 +1161,13 @@ def test_tampered_cache_is_detectable(tmp_path):
     assert poisoned == 8
     assert honest == 7
     assert poisoned != honest
+
+
+def test_reading_a_memo_polynomial_pins_no_monomial_map():
+    # ``terms`` is built at each read, so the polynomial _G_CACHE holds
+    # keeps no Monomial-keyed map for the life of the process.
+    poly = counting.g_polynomial(20)
+    assert counting._G_CACHE[20] is poly
+    assert len(dict(poly.items())) == len(poly.terms) > 1
+    held = [r for r in gc.get_referents(poly) if isinstance(r, dict)]
+    assert held and not any(isinstance(key, Monomial) for d in held for key in d)

@@ -472,6 +472,108 @@ def test_closed_forms_at_cap_zero_and_below(build, nvars, constant):
         build(-1)
 
 
+# ------------------------------------------------------------- grown table
+
+# (table key, builder, largest cap built first, cap limit name, refusal text)
+GROWN = [
+    ("G3", closed_form_G3, 14, "G3_MAX_CAP", "G3 closed form"),
+    ("E2", closed_form_E2, 20, "E2_MAX_CAP", "E2 closed form"),
+    ("H", closed_form_H, 16, "H_MAX_CAP", "H series"),
+]
+
+
+def same_terms(got, want):
+    """Equal caps, bases, packed layers and coefficient types."""
+    assert (got.nvars, got.cap, got._base) == (want.nvars, want.cap, want._base)
+    assert got._layers == want._layers
+    assert [{k: type(c) for k, c in layer.items()} for layer in got._layers] == [
+        {k: type(c) for k, c in layer.items()} for layer in want._layers]
+
+
+@pytest.mark.parametrize("name, build, top, limit, what", GROWN)
+def test_grown_series_answers_every_smaller_cap_as_a_fresh_build(name, build, top, limit, what):
+    build(top)
+    held = genfun._GROWN[name]
+    assert held.cap == top
+    for cap in range(top + 1):
+        got = build(cap)
+        assert genfun._GROWN[name] is held and got is not held
+        assert got._base == cap + 1
+        genfun._GROWN.clear()
+        same_terms(got, build(cap))
+        genfun._GROWN[name] = held
+
+
+@pytest.mark.parametrize("name, build, top, limit, what", GROWN)
+def test_grown_series_is_replaced_by_a_larger_cap(name, build, top, limit, what):
+    build(top)
+    held = genfun._GROWN[name]
+    kept = [dict(layer) for layer in held._layers]
+    larger = build(top + 3)
+    assert genfun._GROWN[name] is not held and genfun._GROWN[name].cap == top + 3
+    # The held series was replaced, never modified.
+    assert held.cap == top and held._layers == kept
+    genfun._GROWN.clear()
+    same_terms(larger, build(top + 3))
+
+
+class UntouchableTable(dict):
+    """A table that fails any test which reads or writes it."""
+
+    def _touched(self, *args, **kwargs):
+        raise AssertionError("the grown table was read or written")
+
+    __getitem__ = __setitem__ = __contains__ = get = setdefault = pop = _touched
+
+
+@pytest.mark.parametrize("name, build, top, limit, what", GROWN)
+def test_refused_caps_leave_the_grown_table_unread_and_unwritten(
+        monkeypatch, name, build, top, limit, what):
+    monkeypatch.setattr(genfun, "_GROWN", UntouchableTable())
+    with pytest.raises(ValueError, match=r"^cap must be >= 0, got -1$"):
+        build(-1)
+    cap = getattr(genfun, limit) + 1
+    with pytest.raises(ResourceLimitError, match=rf"^{what} cap {cap} exceeds the limit {cap - 1}$"):
+        build(cap)
+    # A cap that is answered does use the table.
+    with pytest.raises(AssertionError, match="grown table"):
+        build(2)
+
+
+@pytest.mark.parametrize("name, build, top, limit, what", GROWN)
+def test_reading_coeffs_of_a_grown_series_pins_nothing_in_the_table(
+        name, build, top, limit, what):
+    build(top)
+    for cap in (top, top - 3):
+        assert build(cap).coeffs
+        assert genfun._GROWN[name]._coeffs is None
+
+
+def test_grown_H_slices_answer_every_shorter_list_as_a_fresh_build(monkeypatch):
+    top = 14
+    expand_H_in_y(top)
+    held = genfun._GROWN["H slices"]
+    assert len(held) == top + 1
+    for s_max in range(top + 1):
+        got = expand_H_in_y(s_max)
+        assert genfun._GROWN["H slices"] is held and got is not held
+        genfun._GROWN.clear()
+        assert got == expand_H_in_y(s_max)
+        genfun._GROWN["H slices"] = held
+    longer = expand_H_in_y(top + 3)
+    assert genfun._GROWN["H slices"] is not held and len(genfun._GROWN["H slices"]) == top + 4
+    assert len(held) == top + 1 and longer[:top + 1] == held
+    monkeypatch.setattr(genfun, "_GROWN", UntouchableTable())
+    with pytest.raises(ValueError, match=r"^s_max must be >= 0, got -1$"):
+        expand_H_in_y(-1)
+    # verify_h refuses its s_max before it expands H.
+    with pytest.raises(ValueError, match=r"^s_max must be >= 1$"):
+        verify_h(0)
+    cap = genfun.VERIFY_H_MAX_CAP + 1
+    with pytest.raises(ResourceLimitError, match=rf"^h check cap {cap} exceeds the limit"):
+        verify_h(cap)
+
+
 # ---------------------------------------------------------------- g4 dump
 
 

@@ -669,12 +669,24 @@ def cancelling_series(rng, nvars, cap):
     return TruncSeries(nvars, cap, coeffs)
 
 
+def off_base(s, lift):
+    """``s`` keyed in base s.cap + 1 + lift: ``integrate`` builds its result in
+    base cap + 1 of the raised cap, and a derivative keeps its operand's base."""
+    for _ in range(lift):
+        s = s.integrate(1)
+    for _ in range(lift):
+        s = s.deriv(1)
+    return s
+
+
 def other_base_series(rng, nvars, cap):
-    """A series with cap ``cap`` whose keys use a base above cap + 1 (a truncation or a derivative)."""
-    high = cancelling_series(rng, nvars, cap + rng.randint(1, 3))
+    """A series with cap ``cap`` whose keys use a base above cap + 1 (a truncation or a
+    derivative of a series with a higher cap, lifted back to that series' base)."""
+    lift = rng.randint(1, 3)
+    high = cancelling_series(rng, nvars, cap + lift)
     if rng.random() < 0.5:
-        return high.truncate(cap)
-    return high.deriv(rng.randint(1, nvars)).truncate(cap)
+        return off_base(high.truncate(cap), lift)
+    return off_base(high.deriv(rng.randint(1, nvars)).truncate(cap), lift)
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
@@ -740,17 +752,18 @@ def test_series_operands_in_different_bases():
     assert s.integrate(2) == ref_series_integrate(s, 1)
     assert s.integrate(2)._base > s._base
     # sqrt lifts its partial root in the operand's base, here above cap + 1.
-    root = TruncSeries.from_poly(ONE - 2 * X1 + X2, 2, 9).truncate(5)
+    root = off_base(TruncSeries.from_poly(ONE - 2 * X1 + X2, 2, 5), 4)
     assert root._base > root.cap + 1
     assert_same_series(root.sqrt(), ref_series_sqrt(root))
 
 
 def test_series_operands_both_off_their_cap_base():
-    # A derivative and a truncation keep their operand's base, so neither
-    # is keyed in base cap + 1, and the two bases differ.
+    # A derivative keeps its operand's base, and off_base lifts a
+    # truncation to base 10, so neither is keyed in base cap + 1, and the
+    # two bases differ.
     a = TruncSeries(2, 8, {(2, 1): Fraction(1, 2), (0, 3): 3, (5, 1): 1, (1, 6): -2, (3, 0): 4})
     b = TruncSeries(2, 9, {(0, 0): 1, (1, 0): Fraction(3, 2), (0, 2): -1, (2, 2): 5, (4, 5): 7})
-    d, t = a.deriv(1), b.truncate(5)
+    d, t = a.deriv(1), off_base(b.truncate(5), 4)
     assert (d._base, t._base) == (9, 10)
     assert d._base != d.cap + 1 and t._base != t.cap + 1
     assert_same_series(d + t, ref_series_add(d, t))
@@ -758,7 +771,7 @@ def test_series_operands_both_off_their_cap_base():
     assert_same_series(d * t, ref_series_mul(d, t))
     assert_same_series(t * d, ref_series_mul(t, d))
     # The same coefficients as d with a cap of 7 in base 10.
-    same = ref_series(2, 9, d.coeffs).truncate(7)
+    same = off_base(ref_series(2, 7, d.coeffs), 2)
     assert same._base == 10
     assert d == same and same == d
     assert d != same + TruncSeries(2, 7, {(1, 1): 1})
@@ -816,6 +829,26 @@ def test_series_coeff_rejects_negative_exponents():
         s.coeff((-1, 2))
     with pytest.raises(ValueError, match="negative exponent"):
         s.coeff((2, -1))
+
+
+def test_series_truncate_rekeys_in_base_cap_plus_one():
+    # A truncation shares its base with a series built at its cap, so the
+    # two combine layer by layer; a series already in that base shares its
+    # layers.
+    rng = random.Random(4111)
+    for nvars in (1, 2, 3):
+        for _ in range(10):
+            cap = rng.randint(0, 6)
+            s = other_base_series(rng, nvars, cap)
+            low = rng.randint(0, cap)
+            cut = s.truncate(low)
+            assert cut._base == low + 1
+            built = ref_series(nvars, low, s.coeffs)
+            assert_same_series(cut, built)
+            assert cut._layers == built._layers
+            again = cut.truncate(low)
+            assert again is not cut and again._layers == cut._layers
+            assert all(x is y for x, y in zip(again._layers, cut._layers))
 
 
 def test_series_truncate_rejects_negative_cap():

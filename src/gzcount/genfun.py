@@ -17,10 +17,10 @@ each identity as an exact residual:
   (``expand_H_in_y``), so each slice is a whole polynomial in x and z
   and ``verify_h`` builds no term of y-degree above its s_max.
 
-The closed forms of G_3, E_2 and H and the slices of H are held in one
-process-global table, ``_GROWN``, at the largest cap asked for so far;
-a smaller cap is answered by truncating the held value, so a process
-builds each of them once per new largest cap.
+The closed form of G_3 and the slices of H are held in one
+process-global table, ``_GROWN``, at the largest cap asked for so far
+up to ``GROWN_MAX_CAP``; a smaller cap is answered by truncating the
+held value, so a process builds each of them once per new largest cap.
 
 A nonzero residual is reported, never raised; reports serialise to JSON
 and CSV with rationals rendered exactly as p/q.
@@ -74,8 +74,8 @@ def _check_cap(what: str, cap: int, limit: int) -> None:
         raise ResourceLimitError(f"{what} cap {cap} exceeds the limit {limit}")
 
 
-#: The closed forms at the largest cap built so far in this process, keyed
-#: by name: "G3", "E2" and "H" hold a ``TruncSeries``, "H slices" the list
+#: The closed form of G3 and the slices of H at the largest cap built so
+#: far in this process: "G3" holds a ``TruncSeries``, "H slices" the list
 #: of ``expand_H_in_y``.  Each coefficient of degree d depends only on the
 #: terms of degree <= d of what it is built from, so truncation commutes
 #: with every operation the builders use (mul, inv, sqrt, scale, add,
@@ -85,19 +85,13 @@ def _check_cap(what: str, cap: int, limit: int) -> None:
 #: Every cap is checked before the table is read.
 _GROWN: dict[str, object] = {}
 
-
-def _grown(name: str, cap: int, build) -> TruncSeries:
-    """The series ``name`` at ``cap``, built by ``build`` only beyond the held cap.
-
-    Always a new ``TruncSeries`` (``truncate`` re-keys in base cap + 1),
-    so a caller that reads its ``coeffs`` pins nothing in the table.
-    """
-    if cap < 0:
-        raise ValueError(f"cap must be >= 0, got {cap}")
-    held = _GROWN.get(name)
-    if held is None or held.cap < cap:
-        held = _GROWN[name] = build(cap)
-    return held.truncate(cap)
+#: Largest cap held in ``_GROWN``.  A larger cap is built and returned
+#: without reading or writing the table, so the table pins little for the
+#: life of the process: G3 at cap 30 holds 0.6 MB and the H slices to
+#: s = 30 hold 1.1 MB (tracemalloc).  Held at cap 80, G3 stayed alive
+#: through ``verify_h`` and raised ``verify all --k 1 --cap 80`` from 86
+#: to 97 MB peak RSS.
+GROWN_MAX_CAP = 30
 
 
 def build_G(k: int, cap: int, cache: CountCache | None = None) -> TruncSeries:
@@ -274,11 +268,20 @@ def closed_form_G3(cap: int) -> TruncSeries:
     Neither 1 - x - z nor 1 / lam has a y term, so the one three-variable
     solve is the final inverse of (1 - x - z) - y (1 - x - z) / lam.
     Every coefficient is checked to be a nonnegative integer when the
-    series is built.  Held in ``_GROWN``; a cap above ``G3_MAX_CAP`` is
-    refused.
+    series is built.  Held in ``_GROWN`` up to ``GROWN_MAX_CAP``, and
+    always returned as a new ``TruncSeries`` (``truncate`` re-keys in
+    base cap + 1), so a caller that reads its ``coeffs`` pins nothing in
+    the table.  A cap above ``G3_MAX_CAP`` is refused.
     """
     _check_cap("G3 closed form", cap, G3_MAX_CAP)
-    return _grown("G3", cap, _build_G3)
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
+    if cap > GROWN_MAX_CAP:
+        return _build_G3(cap)
+    held = _GROWN.get("G3")
+    if held is None or held.cap < cap:
+        held = _GROWN["G3"] = _build_G3(cap)
+    return held.truncate(cap)
 
 
 def _build_G3(cap: int) -> TruncSeries:
@@ -304,14 +307,11 @@ def closed_form_E2(cap: int) -> TruncSeries:
     cap!, as in ``_scaled_E``: that of z1^a z2^b in cap! exp(z1 + z2) is
     cap! / (a! b!), and that of (z1 z2)^n in the scaled sum is
     cap! / (n!)^2, an int as (n!)^2 divides (2n)!.  The int product is
-    divided by (cap!)^2 once.  Held in ``_GROWN``; a cap above
-    ``E2_MAX_CAP`` is refused.
+    divided by (cap!)^2 once.  A cap above ``E2_MAX_CAP`` is refused.
     """
     _check_cap("E2 closed form", cap, E2_MAX_CAP)
-    return _grown("E2", cap, _build_E2)
-
-
-def _build_E2(cap: int) -> TruncSeries:
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     scale = factorial(cap)
     bessel = TruncSeries(2, cap, {
         (n, n): scale // factorial(n) ** 2 for n in range(cap // 2 + 1)
@@ -328,14 +328,10 @@ def closed_form_H(cap: int) -> TruncSeries:
     """Generating series of the skew slice polynomials, variables (x, z, y).
 
     y (1 - xz) / ((1 - y(x+z)) (1 - y(1+x)(1+z))); the coefficient of y^s
-    is the polynomial h_s, complete once cap >= 3s.  Held in ``_GROWN``;
-    a cap above ``H_MAX_CAP`` is refused.
+    is the polynomial h_s, complete once cap >= 3s.  A cap above
+    ``H_MAX_CAP`` is refused.
     """
     _check_cap("H series", cap, H_MAX_CAP)
-    return _grown("H", cap, _build_H)
-
-
-def _build_H(cap: int) -> TruncSeries:
     one = SparsePoly.const(1)
     x = SparsePoly.variable(1)
     z = SparsePoly.variable(2)
@@ -379,11 +375,13 @@ def expand_H_in_y(s_max: int) -> list[SparsePoly]:
     and r_s = p1 r_(s-1) - p2 r_(s-2), so [y^s] H = (1 - xz) r_(s-1).
     Each slice is exact, with no truncation in x or z.  x and z are
     variables 1 and 2, as in ``h_polynomial``.  The longest list built so
-    far is held in ``_GROWN``, and a shorter one is a new list of its
-    first slices.
+    far, up to ``GROWN_MAX_CAP``, is held in ``_GROWN``, and a shorter one
+    is a new list of its first slices.
     """
     if s_max < 0:
         raise ValueError(f"s_max must be >= 0, got {s_max}")
+    if s_max > GROWN_MAX_CAP:
+        return _build_H_slices(s_max)
     held = _GROWN.get("H slices")
     if held is None or len(held) <= s_max:
         held = _GROWN["H slices"] = _build_H_slices(s_max)

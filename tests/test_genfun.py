@@ -474,14 +474,6 @@ def test_closed_forms_at_cap_zero_and_below(build, nvars, constant):
 
 # ------------------------------------------------------------- grown table
 
-# (table key, builder, largest cap built first, cap limit name, refusal text)
-GROWN = [
-    ("G3", closed_form_G3, 14, "G3_MAX_CAP", "G3 closed form"),
-    ("E2", closed_form_E2, 20, "E2_MAX_CAP", "E2 closed form"),
-    ("H", closed_form_H, 16, "H_MAX_CAP", "H series"),
-]
-
-
 def same_terms(got, want):
     """Equal caps, bases, packed layers and coefficient types."""
     assert (got.nvars, got.cap, got._base) == (want.nvars, want.cap, want._base)
@@ -490,31 +482,30 @@ def same_terms(got, want):
         {k: type(c) for k, c in layer.items()} for layer in want._layers]
 
 
-@pytest.mark.parametrize("name, build, top, limit, what", GROWN)
-def test_grown_series_answers_every_smaller_cap_as_a_fresh_build(name, build, top, limit, what):
-    build(top)
-    held = genfun._GROWN[name]
+def test_grown_G3_answers_every_smaller_cap_as_a_fresh_build():
+    top = 14
+    closed_form_G3(top)
+    held = genfun._GROWN["G3"]
     assert held.cap == top
     for cap in range(top + 1):
-        got = build(cap)
-        assert genfun._GROWN[name] is held and got is not held
+        got = closed_form_G3(cap)
+        assert genfun._GROWN["G3"] is held and got is not held
         assert got._base == cap + 1
         genfun._GROWN.clear()
-        same_terms(got, build(cap))
-        genfun._GROWN[name] = held
+        same_terms(got, closed_form_G3(cap))
+        genfun._GROWN["G3"] = held
 
 
-@pytest.mark.parametrize("name, build, top, limit, what", GROWN)
-def test_grown_series_is_replaced_by_a_larger_cap(name, build, top, limit, what):
-    build(top)
-    held = genfun._GROWN[name]
+def test_grown_G3_is_replaced_by_a_larger_cap():
+    closed_form_G3(14)
+    held = genfun._GROWN["G3"]
     kept = [dict(layer) for layer in held._layers]
-    larger = build(top + 3)
-    assert genfun._GROWN[name] is not held and genfun._GROWN[name].cap == top + 3
+    larger = closed_form_G3(17)
+    assert genfun._GROWN["G3"] is not held and genfun._GROWN["G3"].cap == 17
     # The held series was replaced, never modified.
-    assert held.cap == top and held._layers == kept
+    assert held.cap == 14 and held._layers == kept
     genfun._GROWN.clear()
-    same_terms(larger, build(top + 3))
+    same_terms(larger, closed_form_G3(17))
 
 
 class UntouchableTable(dict):
@@ -526,27 +517,40 @@ class UntouchableTable(dict):
     __getitem__ = __setitem__ = __contains__ = get = setdefault = pop = _touched
 
 
-@pytest.mark.parametrize("name, build, top, limit, what", GROWN)
-def test_refused_caps_leave_the_grown_table_unread_and_unwritten(
-        monkeypatch, name, build, top, limit, what):
+def test_refused_caps_leave_the_grown_table_unread_and_unwritten(monkeypatch):
     monkeypatch.setattr(genfun, "_GROWN", UntouchableTable())
     with pytest.raises(ValueError, match=r"^cap must be >= 0, got -1$"):
-        build(-1)
-    cap = getattr(genfun, limit) + 1
-    with pytest.raises(ResourceLimitError, match=rf"^{what} cap {cap} exceeds the limit {cap - 1}$"):
-        build(cap)
+        closed_form_G3(-1)
+    cap = genfun.G3_MAX_CAP + 1
+    with pytest.raises(ResourceLimitError, match=rf"^G3 closed form cap {cap} exceeds the limit {cap - 1}$"):
+        closed_form_G3(cap)
     # A cap that is answered does use the table.
     with pytest.raises(AssertionError, match="grown table"):
-        build(2)
+        closed_form_G3(2)
 
 
-@pytest.mark.parametrize("name, build, top, limit, what", GROWN)
-def test_reading_coeffs_of_a_grown_series_pins_nothing_in_the_table(
-        name, build, top, limit, what):
-    build(top)
-    for cap in (top, top - 3):
-        assert build(cap).coeffs
-        assert genfun._GROWN[name]._coeffs is None
+def test_caps_above_the_held_limit_leave_the_grown_table_unread_and_unwritten(monkeypatch):
+    monkeypatch.setattr(genfun, "GROWN_MAX_CAP", 5)
+    monkeypatch.setattr(genfun, "_GROWN", UntouchableTable())
+    got = closed_form_G3(6)
+    assert got._base == 7
+    assert expand_H_in_y(6)[1:] == [h_polynomial(s) for s in range(1, 7)]
+    monkeypatch.setattr(genfun, "_GROWN", {})
+    same_terms(got, closed_form_G3(6))
+
+
+@pytest.mark.parametrize("build", [closed_form_E2, closed_form_H])
+def test_closed_forms_of_E2_and_H_are_built_anew_and_never_held(monkeypatch, build):
+    # No repeated caller gains measurably from holding them, so they pin nothing.
+    monkeypatch.setattr(genfun, "_GROWN", UntouchableTable())
+    assert build(6) == build(6)
+
+
+def test_reading_coeffs_of_grown_G3_pins_nothing_in_the_table():
+    closed_form_G3(14)
+    for cap in (14, 11):
+        assert closed_form_G3(cap).coeffs
+        assert genfun._GROWN["G3"]._coeffs is None
 
 
 def test_grown_H_slices_answer_every_shorter_list_as_a_fresh_build(monkeypatch):

@@ -269,9 +269,9 @@ def closed_form_G3(cap: int) -> TruncSeries:
     solve is the final inverse of (1 - x - z) - y (1 - x - z) / lam.
     Every coefficient is checked to be a nonnegative integer when the
     series is built.  Held in ``_GROWN`` up to ``GROWN_MAX_CAP``, and
-    always returned as a new ``TruncSeries`` (``truncate`` re-keys in
-    base cap + 1), so a caller that reads its ``coeffs`` pins nothing in
-    the table.  A cap above ``G3_MAX_CAP`` is refused.
+    always returned as ``truncate`` of the held series (keyed in base
+    cap + 1), so it combines layer by layer with a series built at its
+    cap.  A cap above ``G3_MAX_CAP`` is refused.
     """
     _check_cap("G3 closed form", cap, G3_MAX_CAP)
     if cap < 0:

@@ -21,12 +21,14 @@ no exponent of a result reaches B.
   most significant digit.  Two terms whose degrees sum to at most the cap
   have no exponent above it, so a product of terms from two layers needs
   no check.  Results keep their operands' base, so a derivative keeps a
-  base above its own cap + 1; ``truncate`` re-keys its terms in base
-  cap + 1, so a truncation combines layer by layer with a series built
-  at its cap.  A binary operation on two bases rebuilds both operands
-  from their coefficients, keyed in base cap + 1 for the smaller cap, and
-  ``integrate`` builds its result from its coefficients.  The map from
-  exponent tuples, ``coeffs``, is built when first read and kept.
+  base above its own cap + 1.  ``truncate`` is the one operation that
+  re-keys terms into another base: it keys them in base cap + 1, so a
+  truncation combines layer by layer with a series built at its cap, and
+  a binary operation on two bases first truncates both operands to the
+  smaller cap.  ``integrate`` builds its result anew from its
+  coefficients.  The map from exponent tuples, ``coeffs``, is built at
+  each read and not kept, so the layers are a series' only copy of its
+  terms.
 * A ``SparsePoly`` also keeps its terms packed between operations, in
   one dict with a fixed 30-bit field per variable, x1 in the lowest bits
   (B = 2^30).  The key of a term is then its exponent vector alone, a
@@ -280,7 +282,9 @@ class SparsePoly:
         return isinstance(other, SparsePoly) and self._keys == other._keys
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._keys.items()))
+        # A constant equals the int it holds, so it hashes as that int.
+        keys = self._keys
+        return hash(keys.get(0, 0)) if keys.keys() <= {0} else hash(frozenset(keys.items()))
 
     def terms_sorted(self) -> list[tuple[Monomial, int]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
@@ -497,13 +501,13 @@ class TruncSeries:
     least cap + 1 with the first variable most significant, so the keys
     of one degree sort in lexicographic exponent order.  ``coeffs``, the
     same terms keyed by dense exponent tuples of length ``nvars``, is
-    built when first read.  Arithmetic never reports a coefficient beyond
+    built at each read.  Arithmetic never reports a coefficient beyond
     the cap: binary operations return the minimum of the operand caps,
     formal derivatives and coefficient shifts lower the cap by one,
     integration raises it by one.
     """
 
-    __slots__ = ("nvars", "cap", "_base", "_layers", "_coeffs")
+    __slots__ = ("nvars", "cap", "_base", "_layers")
 
     def __init__(self, nvars: int, cap: int, coeffs: Mapping[tuple[int, ...], object] | None = None):
         if nvars < 1:
@@ -531,7 +535,6 @@ class TruncSeries:
         self.cap = cap
         self._base = base
         self._layers = layers
-        self._coeffs = None
 
     @classmethod
     def constant(cls, nvars: int, cap: int, value) -> "TruncSeries":
@@ -561,22 +564,15 @@ class TruncSeries:
 
     @property
     def coeffs(self) -> dict[tuple[int, ...], object]:
-        """The nonzero coefficients keyed by dense exponent tuples.
-
-        Built on first read and kept, so callers must not modify it.
-        """
-        if self._coeffs is None:
-            base, nvars = self._base, self.nvars
-            self._coeffs = {
-                _exponents(k, base, nvars): c for layer in self._layers for k, c in layer.items()
-            }
-        return self._coeffs
+        """The nonzero coefficients keyed by dense exponent tuples, a new map at each read."""
+        base, nvars = self._base, self.nvars
+        return {_exponents(k, base, nvars): c for layer in self._layers for k, c in layer.items()}
 
     def _common(self, other: "TruncSeries"):
         """Cap, base and both operands' layers of degree <= cap for a binary operation.
 
         Operands in one base share their layers, not copied.  Otherwise
-        both are rebuilt from their coefficients in base cap + 1.
+        both are truncated to the cap, which re-keys them in base cap + 1.
         """
         if not isinstance(other, TruncSeries):
             raise TypeError(f"cannot combine TruncSeries with {type(other).__name__}")
@@ -587,10 +583,7 @@ class TruncSeries:
         cap = min(self.cap, other.cap)
         if self._base == other._base:
             return cap, self._base, self._layers[:cap + 1], other._layers[:cap + 1]
-        a, b = (
-            TruncSeries(self.nvars, cap, {e: c for e, c in s.coeffs.items() if sum(e) <= cap})
-            for s in (self, other)
-        )
+        a, b = self.truncate(cap), other.truncate(cap)
         return cap, a._base, a._layers, b._layers
 
     @property
@@ -772,5 +765,4 @@ def _series(nvars: int, cap: int, base: int, layers: list[dict[int, object]]) ->
     out.cap = cap
     out._base = base
     out._layers = layers
-    out._coeffs = None
     return out

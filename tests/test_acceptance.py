@@ -6,10 +6,12 @@ the lines as they happen).  Counts use fresh caches so no criterion
 borrows warm state from another.
 """
 
+import ast
 import random
 import time
 from itertools import combinations
 from math import comb, factorial
+from pathlib import Path
 
 from gzcount.counting import (
     CountCache,
@@ -316,3 +318,24 @@ def test_criterion_10_property_suites(tmp_path):
     _report(10, "property suites", ok, elapsed, budget)
     assert ok
     assert elapsed < budget
+
+
+def test_readme_library_example_gives_the_values_in_its_comments():
+    # The Python block under README's "## Library" heading, run statement
+    # by statement; each expression's value is checked against its comment.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = text.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    scope: dict = {}
+    values = []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            values.append(eval(compile(ast.Expression(stmt.value), "README", "eval"), scope))
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), scope)
+    assert len(values) == 4
+    count, oracle, vertices, same = values
+    assert count == 7 and oracle == 7
+    assert type(vertices) is frozenset and len(vertices) == 7 and (1, 2, 1) in vertices
+    assert all(type(v) is tuple and len(v) == 3 and all(type(x) is int for x in v) for v in vertices)
+    assert same is True

@@ -546,13 +546,6 @@ def test_closed_forms_of_E2_and_H_are_built_anew_and_never_held(monkeypatch, bui
     assert build(6) == build(6)
 
 
-def test_reading_coeffs_of_grown_G3_pins_nothing_in_the_table():
-    closed_form_G3(14)
-    for cap in (14, 11):
-        assert closed_form_G3(cap).coeffs
-        assert genfun._GROWN["G3"]._coeffs is None
-
-
 def test_grown_H_slices_answer_every_shorter_list_as_a_fresh_build(monkeypatch):
     top = 14
     expand_H_in_y(top)

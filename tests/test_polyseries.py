@@ -507,6 +507,16 @@ def test_from_poly_reports_a_bad_nvars_or_cap_before_an_extra_variable():
         TruncSeries.from_poly(X2, 1, 0)
 
 
+@pytest.mark.parametrize("value", [0, 3, -7, 2**100, True], ids=["0", "3", "-7", "2**100", "True"])
+def test_constant_poly_hashes_as_the_int_it_equals(value):
+    const = SparsePoly.const(value)
+    assert const == value and hash(const) == hash(value)
+    assert len({value, const}) == 1
+    assert {value: "x"}.get(const) == "x" and {const: "x"}.get(value) == "x"
+    # A polynomial with a term above degree 0 still hashes by its terms.
+    assert hash(const + X1 * X2) == hash(X2 * X1 + value)
+
+
 def test_poly_degree_limit():
     limit = 2 ** _WIDTH - 2
     assert _MAX_DEGREE == limit
@@ -755,6 +765,33 @@ def test_series_operands_in_different_bases():
     root = off_base(TruncSeries.from_poly(ONE - 2 * X1 + X2, 2, 5), 4)
     assert root._base > root.cap + 1
     assert_same_series(root.sqrt(), ref_series_sqrt(root))
+
+
+def test_series_coeffs_is_a_new_map_at_each_read():
+    s = TruncSeries(2, 4, {(0, 0): 1, (1, 2): Fraction(1, 2), (3, 0): -2})
+    first, second = s.coeffs, s.coeffs
+    assert first == second and first is not second
+    h = hash(s)
+    first[(0, 0)] = 5
+    first[(2, 2)] = 1
+    del first[(3, 0)]
+    assert s.coeffs == second
+    assert s == TruncSeries(2, 4, second) and hash(s) == h
+
+
+def test_operands_in_different_bases_are_rekeyed_without_reading_coeffs(monkeypatch):
+    s = TruncSeries(2, 6, {(2, 1): Fraction(1, 2), (0, 3): 3, (5, 1): 1})
+    t = TruncSeries(2, 2, {(0, 0): 1, (1, 0): Fraction(3, 2), (0, 2): -1})
+    d = s.deriv(1)
+    product, total, low = ref_series_mul(d, t), ref_series_add(d, t), d.truncate(2)
+    assert d._base != t._base
+
+    def unread(self):
+        raise AssertionError("coeffs read")
+
+    monkeypatch.setattr(TruncSeries, "coeffs", property(unread))
+    assert d * t == product and d + t == total
+    assert d.agrees_with(low) and not d.agrees_with(t)
 
 
 def test_series_operands_both_off_their_cap_base():

@@ -25,7 +25,6 @@ from __future__ import annotations
 # a count or table process's peak RSS by about 0.1-0.3 MB.
 from .counting import (
     TABLE_VARIANTS,
-    CacheFormatError,
     CountCache,
     MultiplicityVector,
     TriTable,
@@ -468,7 +467,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # The reader of stdout has gone; run() ends the process quietly.
         raise
-    except (CacheFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         # Any other OSError comes from the cache file, the one file
         # gzcount opens: a missing directory, a directory given as the
         # file or a denied permission ends here.

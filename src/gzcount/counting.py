@@ -61,7 +61,6 @@ they import it when first called, so importing this module loads neither
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import re
@@ -475,12 +474,9 @@ def _fiber_children(key: Mults) -> dict[Mults, int]:
         bit = i & -i
         mask ^= bit
         j = bit.bit_length() - 1
-        if mask & bit:
-            exps[j] -= 1
-            exps[j + 1] += 1
-        else:
-            exps[j] += 1
-            exps[j + 1] -= 1
+        step = 1 if mask & bit else -1
+        exps[j] -= step
+        exps[j + 1] += step
         child = tuple(filter(None, exps))
         children[child] = children.get(child, 0) + 1
     return children
@@ -591,7 +587,7 @@ def coeff_theorem_V(k: int, l: int, m: int) -> int:
         raise ValueError("coeff_theorem_V requires k, l, m > 0")
     from .polyseries import Monomial
 
-    numerator = _h_numerator(k + l + m)
+    numerator = _h_numerator(k + l + m, *_x_and_z())
     return sum(
         (-1) ** j * numerator.coeff(Monomial({1: k - j, 2: m - j}))
         for j in range(min(k, m) + 1)
@@ -684,23 +680,25 @@ def recurrence_V3(k: int, l: int, m: int) -> int:
     return memo[key]
 
 
-@functools.cache
-def _one_x_z() -> tuple[SparsePoly, SparsePoly, SparsePoly]:
-    """The polynomials 1, x and z, built on first use."""
+def _x_and_z() -> tuple[SparsePoly, SparsePoly]:
+    """The variables x and z of the slice polynomials g_s and h_s:
+    variables 1 and 2, built anew at each call."""
     from .polyseries import SparsePoly
 
-    return SparsePoly.const(1), SparsePoly.variable(1), SparsePoly.variable(2)
+    return SparsePoly.variable(1), SparsePoly.variable(2)
 
 
-def _h_numerator(s: int) -> SparsePoly:
-    """(1-xz) ((1+x)^s (1+z)^s - (x+z)^s), which is (1+xz) h_s."""
-    one, x, z = _one_x_z()
-    return (one - x * z) * ((one + x) ** s * (one + z) ** s - (x + z) ** s)
+def _h_numerator(s: int, x: SparsePoly, z: SparsePoly) -> SparsePoly:
+    """(1-xz) ((1+x)^s (1+z)^s - (x+z)^s), which is (1+xz) h_s, in the x
+    and z of ``_x_and_z``; callers pass them so none builds them twice."""
+    return (1 - x * z) * ((1 + x) ** s * (1 + z) ** s - (x + z) ** s)
 
 
 # g_s and h_s by s.  The seeds g_0 = 1 and h_0 = 0 are built on the first
 # call, so importing this module builds no polynomial; until then slot 0
-# holds None and each table has one slot.
+# holds None and each table has one slot.  x and z come from
+# ``_x_and_z`` only when a table grows, so an answer already held
+# builds nothing.
 _G_CACHE: list[SparsePoly | None] = [None]
 _H_CACHE: list[SparsePoly | None] = [None]
 
@@ -714,13 +712,16 @@ def g_polynomial(s: int) -> SparsePoly:
     """
     if s < 0:
         raise ValueError("g_polynomial requires s >= 0")
-    one, x, z = _one_x_z()
     if _G_CACHE[0] is None:
-        _G_CACHE[0] = one
-    while len(_G_CACHE) <= s:
-        t = len(_G_CACHE) - 1
-        g = _G_CACHE[-1]
-        _G_CACHE.append((one + x + z) * g + (x * z * g).truncate(t))
+        from .polyseries import SparsePoly
+
+        _G_CACHE[0] = SparsePoly.const(1)
+    if len(_G_CACHE) <= s:
+        x, z = _x_and_z()
+        while len(_G_CACHE) <= s:
+            t = len(_G_CACHE) - 1
+            g = _G_CACHE[-1]
+            _G_CACHE.append((1 + x + z) * g + (x * z * g).truncate(t))
     return _G_CACHE[s]
 
 
@@ -741,20 +742,22 @@ def h_polynomial(s: int, method: str = "recurrence") -> SparsePoly:
         raise ValueError("h_polynomial requires s >= 1")
     from .polyseries import SparsePoly, _reflected, divide_exact
 
-    one, x, z = _one_x_z()
     if method == "recurrence":
         if _H_CACHE[0] is None:
             _H_CACHE[0] = SparsePoly()
-        while len(_H_CACHE) <= s:
-            t = len(_H_CACHE) - 1
-            h = _H_CACHE[-1]
-            _H_CACHE.append(h * (one + x) * (one + z) + (one - x * z) * (x + z) ** t)
+        if len(_H_CACHE) <= s:
+            x, z = _x_and_z()
+            while len(_H_CACHE) <= s:
+                t = len(_H_CACHE) - 1
+                h = _H_CACHE[-1]
+                _H_CACHE.append(h * (1 + x) * (1 + z) + (1 - x * z) * (x + z) ** t)
         return _H_CACHE[s]
     if method == "definition":
         g = g_polynomial(s)
         return g - _reflected(g, s)
     if method == "closed-form":
-        return divide_exact(_h_numerator(s), one + x * z)
+        x, z = _x_and_z()
+        return divide_exact(_h_numerator(s, x, z), 1 + x * z)
     raise ValueError(f"unknown h_polynomial method {method!r}; expected one of {H_METHODS}")
 
 

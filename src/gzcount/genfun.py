@@ -33,7 +33,7 @@ from math import factorial, prod
 
 # g4_explore lives beside the counters it calls; it is imported here too,
 # so ``genfun.g4_explore`` and ``counting.g4_explore`` are one object.
-from .counting import CountCache, _bounded_exponents, a_infinity, g4_explore, h_polynomial
+from .counting import CountCache, _bounded_exponents, _x_and_z, a_infinity, g4_explore, h_polynomial
 from .limits import ResourceLimitError
 from .polyseries import SparsePoly, TruncSeries, _exponents, _norm_coeff
 from .records import Frozen
@@ -60,12 +60,14 @@ H_MAX_CAP = 280
 #: 6.2-6.5 s at 273 MB peak RSS, ``--cap 140`` 12.9-13.3 s at 335 MB.
 VERIFY_H_MAX_CAP = 130
 
-#: Largest cap! * E_k ``verify_pde_E`` builds, in exponent entries times
+#: Largest series ``verify_pde_E`` (cap! * E_k) and ``build_E`` (E_k,
+#: over denominators e! that divide cap!) build, in exponent entries times
 #: cap * cap.bit_length() (a bound on the bits of cap!).  One variable
 #: costs the most per unit: ``verify pde --k 1 --cap 6000`` (468M) takes
 #: 9.7 s at 103 MB peak RSS, ``--k 1 --cap 4500`` (263M) 4.7 s, against
 #: 1.5 s at 142 MB for ``--k 2 --cap 400`` (580M) and 2.7 s at 180 MB for
-#: ``--k 3 --cap 100`` (371M).
+#: ``--k 3 --cap 100`` (371M).  Without the bound, ``series E --k 1 --cap
+#: 8000`` and ``--k 2 --cap 1000`` run past 20 s, the second at 598 MB.
 PDE_MAX_ENTRY_BITS = 500_000_000
 
 
@@ -100,12 +102,28 @@ def build_G(k: int, cap: int, cache: CountCache | None = None) -> TruncSeries:
     return TruncSeries(k, cap, coeffs)
 
 
+def _factorial_bounded_exponents(what: str, k: int, cap: int) -> list[tuple[int, ...]]:
+    """The exponents of a k-variable series to ``cap`` built over cap!,
+    refused when its entries times the bits bounding cap! exceed
+    ``PDE_MAX_ENTRY_BITS``; ``what`` names the series in the refusal."""
+    exponents = _bounded_exponents(k, cap)  # first, so a bad k or cap gets its message
+    entries, bits = k * len(exponents), cap * cap.bit_length()
+    if entries * bits > PDE_MAX_ENTRY_BITS:
+        raise ResourceLimitError(
+            f"{what} series at cap {cap}: {entries} entries times {bits} bits bounding cap!"
+            f" exceeds the limit {PDE_MAX_ENTRY_BITS}"
+        )
+    return exponents
+
+
 def build_E(k: int, cap: int, cache: CountCache | None = None) -> TruncSeries:
-    """Exponential count series: the coefficient of z^i is count(i) / i!."""
-    coeffs = {
-        e: Fraction(a_infinity(e, cache), prod(map(factorial, e)))
-        for e in _bounded_exponents(k, cap)
-    }
+    """Exponential count series: the coefficient of z^i is count(i) / i!.
+
+    A series above ``PDE_MAX_ENTRY_BITS`` is refused before any count is
+    computed, as ``verify_pde_E`` refuses it.
+    """
+    exponents = _factorial_bounded_exponents("E", k, cap)
+    coeffs = {e: Fraction(a_infinity(e, cache), prod(map(factorial, e))) for e in exponents}
     return TruncSeries(k, cap, coeffs)
 
 
@@ -204,13 +222,7 @@ def dde_residual(series: TruncSeries, k: int) -> TruncSeries:
 def _scaled_E(k: int, cap: int, cache: CountCache | None = None) -> TruncSeries:
     """cap! * E_k in ints: the coefficient of z^e is count(e) * (cap! // e!),
     as every e! with |e| <= cap divides cap!."""
-    exponents = _bounded_exponents(k, cap)  # first, so a bad k or cap gets its message
-    entries, bits = k * len(exponents), cap * cap.bit_length()
-    if entries * bits > PDE_MAX_ENTRY_BITS:
-        raise ResourceLimitError(
-            f"pde series at cap {cap}: {entries} entries times {bits} bits bounding cap!"
-            f" exceeds the limit {PDE_MAX_ENTRY_BITS}"
-        )
+    exponents = _factorial_bounded_exponents("pde", k, cap)
     scale = factorial(cap)
     coeffs = {e: a_infinity(e, cache) * (scale // prod(map(factorial, e))) for e in exponents}
     return TruncSeries(k, cap, coeffs)
@@ -249,12 +261,11 @@ def g3_roots(cap: int) -> tuple[TruncSeries, TruncSeries]:
     lam(0,0) = 1 and mu(0,0) = 0, and the pair satisfies
     lam + mu = 1 - x - z and lam * mu = xz.
     """
-    one = SparsePoly.const(1)
     x = SparsePoly.variable(1)
     z = SparsePoly.variable(3)
-    inner = TruncSeries.from_poly(one - 2 * x - 2 * z + x * x - 2 * x * z + z * z, 3, cap)
+    inner = TruncSeries.from_poly(1 - 2 * x - 2 * z + x * x - 2 * x * z + z * z, 3, cap)
     root = inner.sqrt()
-    base = TruncSeries.from_poly(one - x - z, 3, cap)
+    base = TruncSeries.from_poly(1 - x - z, 3, cap)
     lam = (base + root).scale(Fraction(1, 2))
     return lam, base - lam
 
@@ -332,14 +343,12 @@ def closed_form_H(cap: int) -> TruncSeries:
     ``H_MAX_CAP`` is refused.
     """
     _check_cap("H series", cap, H_MAX_CAP)
-    one = SparsePoly.const(1)
-    x = SparsePoly.variable(1)
-    z = SparsePoly.variable(2)
+    x, z = _x_and_z()
     y = SparsePoly.variable(3)
-    d1 = one - y * (x + z)
-    d2 = one - y * (one + x) * (one + z)
+    d1 = 1 - y * (x + z)
+    d2 = 1 - y * (1 + x) * (1 + z)
     denom_inv = TruncSeries.from_poly(d1 * d2, 3, cap).inv()
-    numer = TruncSeries.from_poly(y * (one - x * z), 3, cap)
+    numer = TruncSeries.from_poly(y * (1 - x * z), 3, cap)
     return numer * denom_inv
 
 
@@ -373,10 +382,10 @@ def expand_H_in_y(s_max: int) -> list[SparsePoly]:
     in y is expanded by the linear recurrence of its denominator (Stanley,
     EC1, Thm 4.1.1): 1 / (d1 d2) = sum_s r_s y^s with r_0 = 1, r_1 = p1
     and r_s = p1 r_(s-1) - p2 r_(s-2), so [y^s] H = (1 - xz) r_(s-1).
-    Each slice is exact, with no truncation in x or z.  x and z are
-    variables 1 and 2, as in ``h_polynomial``.  The longest list built so
-    far, up to ``GROWN_MAX_CAP``, is held in ``_GROWN``, and a shorter one
-    is a new list of its first slices.
+    Each slice is exact, with no truncation in x or z, which come from
+    ``counting._x_and_z`` as in ``h_polynomial``.  The longest list built
+    so far, up to ``GROWN_MAX_CAP``, is held in ``_GROWN``, and a shorter
+    one is a new list of its first slices.
     """
     if s_max < 0:
         raise ValueError(f"s_max must be >= 0, got {s_max}")
@@ -389,16 +398,14 @@ def expand_H_in_y(s_max: int) -> list[SparsePoly]:
 
 
 def _build_H_slices(s_max: int) -> list[SparsePoly]:
-    one = SparsePoly.const(1)
-    x = SparsePoly.variable(1)
-    z = SparsePoly.variable(2)
+    x, z = _x_and_z()
     plain = x + z
-    paired = (one + x) * (one + z)
+    paired = (1 + x) * (1 + z)
     p1 = plain + paired
     p2 = plain * paired
-    numer = one - x * z
+    numer = 1 - x * z
     slices = [SparsePoly()]
-    before, r = SparsePoly(), one  # r_(s-2) and r_(s-1)
+    before, r = 0, 1  # r_(s-2) and r_(s-1), ints until the first step
     for s in range(1, s_max + 1):
         if s > 1:
             before, r = r, p1 * r - p2 * before

@@ -397,7 +397,7 @@ def series_quotient(s, cap):
     """(1-xz)/(1+xz) * ((1+x)^s (1+z)^s - (x+z)^s) truncated at ``cap``: the
     series inverse of 1 + xz times the numerator, the route coeff_theorem_V
     took before it read the numerator's coefficients."""
-    numerator = TruncSeries.from_poly(counting._h_numerator(s), 2, cap)
+    numerator = TruncSeries.from_poly(counting._h_numerator(s, X1, X2), 2, cap)
     return numerator * TruncSeries.from_poly(ONE + X1 * X2, 2, cap).inv()
 
 
@@ -1161,6 +1161,20 @@ def test_tampered_cache_is_detectable(tmp_path):
     assert poisoned == 8
     assert honest == 7
     assert poisoned != honest
+
+
+def test_a_memo_hit_builds_no_polynomial(monkeypatch):
+    # x and z are built only when a slice table grows, so an answer the
+    # table already holds is returned without building any polynomial.
+    g, h = g_polynomial(8), h_polynomial(8)
+
+    def forbidden(*args):
+        raise AssertionError("a polynomial was built")
+
+    monkeypatch.setattr(SparsePoly, "variable", forbidden)
+    monkeypatch.setattr(SparsePoly, "const", forbidden)
+    assert g_polynomial(8) is g and h_polynomial(8) is h
+    assert g_polynomial(0) is counting._G_CACHE[0] and h_polynomial(1) is counting._H_CACHE[1]
 
 
 def test_reading_a_memo_polynomial_pins_no_monomial_map():

@@ -101,6 +101,35 @@ def test_verify_pde_refuses_a_scaled_series_above_the_limit(monkeypatch):
         verify_pde_E(1, 10**20)
 
 
+def test_series_E_refuses_what_verify_pde_refuses_before_any_count(monkeypatch, capsys):
+    # build_E and the scaled pde series share one check and one limit, so
+    # they refuse the same (k, cap), and build_E refuses before a_infinity runs.
+    monkeypatch.setattr(genfun, "PDE_MAX_ENTRY_BITS", 60)
+    for k, cap in product(range(1, 4), range(7)):
+        outcomes = []
+        for call in (build_E, genfun._scaled_E):
+            try:
+                call(k, cap)
+                outcomes.append(None)
+            except ResourceLimitError as exc:
+                outcomes.append(str(exc).partition(" ")[2])
+        assert outcomes[0] == outcomes[1], (k, cap)
+    assert build_E(1, 4) == TruncSeries(1, 4, {(n,): Fraction(1, factorial(n)) for n in range(5)})
+
+    def forbidden(*args):
+        raise AssertionError("a count was computed")
+
+    monkeypatch.setattr(genfun, "a_infinity", forbidden)
+    message = "E series at cap 5: 6 entries times 15 bits bounding cap! exceeds the limit 60"
+    with pytest.raises(ResourceLimitError, match=rf"^{message}$"):
+        build_E(1, 5)
+    from gzcount.cli import EXIT_LIMIT, main
+
+    monkeypatch.delenv("GZCOUNT_CACHE", raising=False)
+    assert main(["series", "E", "--k", "1", "--cap", "5"]) == EXIT_LIMIT
+    assert capsys.readouterr() == ("", f"gzcount: refused: {message}\n")
+
+
 @pytest.mark.parametrize("call", [
     lambda: _bounded_exponents(0, 3), lambda: build_G(0, 3), lambda: build_E(0, 3),
     lambda: verify_pde_E(0, 3), lambda: verify_dde_G(-1, 3),

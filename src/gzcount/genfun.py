@@ -8,7 +8,10 @@ each identity as an exact residual:
 
 * E_k solves the constant-coefficient PDE
   (d^k/dz1..dzk - (d1+d2)...(d(k-1)+dk)) E_k = 0;
-* G_k solves the same shape of equation in divided differences;
+* G_k solves the same shape of equation in divided differences.  The
+  map z^e / e! -> x^e sends E_k to G_k and each derivative to a divided
+  difference, so the PDE is checked in ints on G_k, with the residual
+  at x^e divided by e! (``verify_pde_E``);
 * the closed forms match the count-built series coefficient by
   coefficient, at every truncation degree;
 * the three routes to the skew slice polynomials h_s agree with each
@@ -16,6 +19,11 @@ each identity as an exact residual:
   in y alone, by the linear recurrence of its denominator
   (``expand_H_in_y``), so each slice is a whole polynomial in x and z
   and ``verify_h`` builds no term of y-degree above its s_max.
+
+Every count series comes from one builder, ``_count_series``, which
+reads each count from the memo through ``counting._a_counts`` and writes
+the packed layers of the result, so no term goes through the argument
+checks of ``a_infinity`` or of the ``TruncSeries`` constructor.
 
 The closed form of G_3 and the slices of H are held in one
 process-global table, ``_GROWN``, at the largest cap asked for so far
@@ -29,13 +37,15 @@ and CSV with rationals rendered exactly as p/q.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, prod
+from itertools import islice
+from math import comb, factorial, prod
+from operator import mul
 
 # g4_explore lives beside the counters it calls; it is imported here too,
 # so ``genfun.g4_explore`` and ``counting.g4_explore`` are one object.
-from .counting import CountCache, _bounded_exponents, _x_and_z, a_infinity, g4_explore, h_polynomial
+from .counting import CountCache, _a_counts, _bounded_exponents, _x_and_z, g4_explore, h_polynomial
 from .limits import ResourceLimitError
-from .polyseries import SparsePoly, TruncSeries, _exponents, _norm_coeff
+from .polyseries import SparsePoly, TruncSeries, _exponents, _norm_coeff, _series
 from .records import Frozen
 
 # Each limit below is checked before anything is built and refused with
@@ -60,14 +70,18 @@ H_MAX_CAP = 280
 #: 6.2-6.5 s at 273 MB peak RSS, ``--cap 140`` 12.9-13.3 s at 335 MB.
 VERIFY_H_MAX_CAP = 130
 
-#: Largest series ``verify_pde_E`` (cap! * E_k) and ``build_E`` (E_k,
-#: over denominators e! that divide cap!) build, in exponent entries times
-#: cap * cap.bit_length() (a bound on the bits of cap!).  One variable
-#: costs the most per unit: ``verify pde --k 1 --cap 6000`` (468M) takes
-#: 9.7 s at 103 MB peak RSS, ``--k 1 --cap 4500`` (263M) 4.7 s, against
-#: 1.5 s at 142 MB for ``--k 2 --cap 400`` (580M) and 2.7 s at 180 MB for
-#: ``--k 3 --cap 100`` (371M).  Without the bound, ``series E --k 1 --cap
-#: 8000`` and ``--k 2 --cap 1000`` run past 20 s, the second at 598 MB.
+#: Largest series ``build_E`` builds (E_k, over denominators e! that
+#: divide cap!), in exponent entries times cap * cap.bit_length() (a bound
+#: on the bits of cap!).  One variable costs the most per unit: ``series E
+#: --k 1 --cap 6000`` (468M) takes 13.3 s at 42 MB peak RSS, 2.1 s of it
+#: building and the rest printing, ``--k 1 --cap 4500`` (263M) 4.7 s,
+#: against 0.7 s at 43 MB for ``--k 2 --cap 300`` (245M) and 2.1 s at
+#: 100 MB for ``--k 3 --cap 100`` (371M).  Without the bound, ``series E
+#: --k 1 --cap 8000`` and ``--k 2 --cap 1000`` run past 20 s, the second at
+#: 598 MB.  ``verify_pde_E`` builds G_k in ints (``verify pde --k 1 --cap
+#: 6000`` takes 0.09 s at 23 MB, ``--k 3 --cap 100`` 1.2 s at 129 MB), but
+#: it is refused at the same (k, cap) as ``build_E``.  A wider bound for it
+#: waits for a bound on memory: a k = 1 series costs about 1.1 KB per entry.
 PDE_MAX_ENTRY_BITS = 500_000_000
 
 
@@ -98,8 +112,26 @@ GROWN_MAX_CAP = 30
 
 def build_G(k: int, cap: int, cache: CountCache | None = None) -> TruncSeries:
     """Ordinary count series: the coefficient of y^i is the count for i."""
-    coeffs = {e: a_infinity(e, cache) for e in _bounded_exponents(k, cap)}
-    return TruncSeries(k, cap, coeffs)
+    return _count_series(k, cap, _bounded_exponents(k, cap), cache)
+
+
+def _count_series(k: int, cap: int, exponents: list[tuple[int, ...]], cache: CountCache | None,
+                  exponential: bool = False) -> TruncSeries:
+    """The series with coefficient count(e), or count(e) / e! if ``exponential``,
+    at each e of ``exponents``, the list ``_bounded_exponents(k, cap)``.
+
+    The list is graded, so layer t takes its next C(t + k - 1, t) tuples,
+    keyed in base cap + 1 as ``TruncSeries`` keys them; the counts are
+    read from the memo by ``counting._a_counts``.  Nothing is checked
+    again: ``_bounded_exponents`` made every tuple, and no count is zero.
+    """
+    weights = [(cap + 1) ** i for i in range(k - 1, -1, -1)]
+    terms = _a_counts(exponents, cache)
+    if exponential:
+        terms = ((e, _norm_coeff(Fraction(c, prod(map(factorial, e))))) for e, c in terms)
+    layers = [{sum(map(mul, e, weights)): c for e, c in islice(terms, comb(t + k - 1, t))}
+              for t in range(cap + 1)]
+    return _series(k, cap, cap + 1, layers)
 
 
 def _factorial_bounded_exponents(what: str, k: int, cap: int) -> list[tuple[int, ...]]:
@@ -122,9 +154,7 @@ def build_E(k: int, cap: int, cache: CountCache | None = None) -> TruncSeries:
     A series above ``PDE_MAX_ENTRY_BITS`` is refused before any count is
     computed, as ``verify_pde_E`` refuses it.
     """
-    exponents = _factorial_bounded_exponents("E", k, cap)
-    coeffs = {e: Fraction(a_infinity(e, cache), prod(map(factorial, e))) for e in exponents}
-    return TruncSeries(k, cap, coeffs)
+    return _count_series(k, cap, _factorial_bounded_exponents("E", k, cap), cache, exponential=True)
 
 
 class ResidualReport(Frozen):
@@ -219,32 +249,28 @@ def dde_residual(series: TruncSeries, k: int) -> TruncSeries:
     return _neighbour_operator_residual(series, k, TruncSeries.divdiff)
 
 
-def _scaled_E(k: int, cap: int, cache: CountCache | None = None) -> TruncSeries:
-    """cap! * E_k in ints: the coefficient of z^e is count(e) * (cap! // e!),
-    as every e! with |e| <= cap divides cap!."""
-    exponents = _factorial_bounded_exponents("pde", k, cap)
-    scale = factorial(cap)
-    coeffs = {e: a_infinity(e, cache) * (scale // prod(map(factorial, e))) for e in exponents}
-    return TruncSeries(k, cap, coeffs)
-
-
 def verify_pde_E(k: int, cap: int, cache: CountCache | None = None) -> ResidualReport:
     """Build E_k from counts and check its differential equation exactly.
 
-    The operator is linear with constant coefficients, so it is applied
-    to cap! * E_k, whose coefficients are ints; the largest residual is
-    divided by cap! again, so the report is the one the rational series
-    of ``build_E`` would give.  A scaled series above
-    ``PDE_MAX_ENTRY_BITS`` is refused before it is built.
+    The check runs on G_k, in ints.  The Borel map B sends the series
+    sum_e c_e x^e to sum_e c_e z^e / e!, where e! = e_1! ... e_k!, so
+    B(G_k) = E_k.  For the i-th unit vector u_i, the coefficient of
+    z^f / f! in d/dz_i B(S) is c_(f + u_i), and so is that of x^f in the
+    divided difference D_i S = (S - S at x_i = 0) / x_i: d/dz_i B = B D_i.
+    The PDE operator is the same polynomial in d/dz_1, ..., d/dz_k as the
+    DDE operator is in D_1, ..., D_k, so its residual on E_k is B of the
+    DDE residual R of G_k: r_e / e! at z^e, where r_e is the coefficient
+    of x^e in R.  Both operators lower the cap by k, so the residuals
+    have the same exponents.  Hence max |r_e| / e! and the number of
+    nonzero r_e, as reported, are the largest residual and the number of
+    nonzero residual terms of the PDE on E_k itself.  A (k, cap) whose
+    E_k is above ``PDE_MAX_ENTRY_BITS`` is refused before any count is
+    computed, as ``build_E`` refuses it.
     """
-    residual = pde_residual(_scaled_E(k, cap, cache), k)
-    return ResidualReport(
-        identity="pde-E",
-        k=k,
-        cap=cap,
-        max_abs=_norm_coeff(Fraction(residual.max_abs_coeff(), factorial(cap))),
-        nonzero_terms=len(residual),
-    )
+    exponents = _factorial_bounded_exponents("pde", k, cap)
+    residual = dde_residual(_count_series(k, cap, exponents, cache), k)
+    scaled = (Fraction(abs(r), prod(map(factorial, e))) for e, r in residual.coeffs.items())
+    return ResidualReport("pde-E", k, cap, _norm_coeff(max(scaled, default=0)), len(residual))
 
 
 def verify_dde_G(k: int, cap: int, cache: CountCache | None = None) -> ResidualReport:
@@ -315,10 +341,11 @@ def closed_form_E2(cap: int) -> TruncSeries:
 
     exp(z1 + z2) times the Bessel-type sum over n of (z1 z2)^n / (n!)^2.
     Both factors are built from their coefficients, scaled to ints by
-    cap!, as in ``_scaled_E``: that of z1^a z2^b in cap! exp(z1 + z2) is
-    cap! / (a! b!), and that of (z1 z2)^n in the scaled sum is
-    cap! / (n!)^2, an int as (n!)^2 divides (2n)!.  The int product is
-    divided by (cap!)^2 once.  A cap above ``E2_MAX_CAP`` is refused.
+    cap!, which every e! with |e| <= cap divides: that of z1^a z2^b in
+    cap! exp(z1 + z2) is cap! / (a! b!), and that of (z1 z2)^n in the
+    scaled sum is cap! / (n!)^2, an int as (n!)^2 divides (2n)!.  The
+    int product is divided by (cap!)^2 once.  A cap above ``E2_MAX_CAP``
+    is refused.
     """
     _check_cap("E2 closed form", cap, E2_MAX_CAP)
     if cap < 0:

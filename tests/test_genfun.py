@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -102,29 +102,33 @@ def test_verify_pde_refuses_a_scaled_series_above_the_limit(monkeypatch):
 
 
 def test_series_E_refuses_what_verify_pde_refuses_before_any_count(monkeypatch, capsys):
-    # build_E and the scaled pde series share one check and one limit, so
-    # they refuse the same (k, cap), and build_E refuses before a_infinity runs.
+    # build_E and the pde check share one check and one limit, so they
+    # refuse the same (k, cap), and both refuse before any count is read.
     monkeypatch.setattr(genfun, "PDE_MAX_ENTRY_BITS", 60)
     for k, cap in product(range(1, 4), range(7)):
         outcomes = []
-        for call in (build_E, genfun._scaled_E):
+        for call in (build_E, verify_pde_E):
             try:
                 call(k, cap)
                 outcomes.append(None)
             except ResourceLimitError as exc:
                 outcomes.append(str(exc).partition(" ")[2])
+            except ValueError:  # not refused, but cap < k is too small for the check
+                outcomes.append(None)
         assert outcomes[0] == outcomes[1], (k, cap)
     assert build_E(1, 4) == TruncSeries(1, 4, {(n,): Fraction(1, factorial(n)) for n in range(5)})
 
     def forbidden(*args):
         raise AssertionError("a count was computed")
 
-    monkeypatch.setattr(genfun, "a_infinity", forbidden)
-    message = "E series at cap 5: 6 entries times 15 bits bounding cap! exceeds the limit 60"
-    with pytest.raises(ResourceLimitError, match=rf"^{message}$"):
-        build_E(1, 5)
+    monkeypatch.setattr(genfun, "_a_counts", forbidden)
+    for call, what in ((build_E, "E"), (verify_pde_E, "pde")):
+        with pytest.raises(ResourceLimitError, match=(
+                rf"^{what} series at cap 5: 6 entries times 15 bits bounding cap! exceeds the limit 60$")):
+            call(1, 5)
     from gzcount.cli import EXIT_LIMIT, main
 
+    message = "E series at cap 5: 6 entries times 15 bits bounding cap! exceeds the limit 60"
     monkeypatch.delenv("GZCOUNT_CACHE", raising=False)
     assert main(["series", "E", "--k", "1", "--cap", "5"]) == EXIT_LIMIT
     assert capsys.readouterr() == ("", f"gzcount: refused: {message}\n")
@@ -165,6 +169,50 @@ def test_build_G_two_variables_is_geometric():
 
 def test_build_G_three_variable_coefficient():
     assert build_G(3, 3).coeff((1, 1, 1)) == 7
+
+
+def walked_counts(exponents, cache):
+    """Each count as a_infinity read it one call at a time: the vector
+    stripped and checked by compress, the empty key 1, any other the walk."""
+    values = []
+    for e in exponents:
+        key = counting.compress(e)
+        values.append(counting._a_walk(key, cache._counts) if key else 1)
+    return values
+
+
+def test_count_series_equal_the_checked_construction_and_fill_the_memo_alike(monkeypatch):
+    # The builders read the memo directly and write packed layers.  Each
+    # series must equal the checked constructor's over counts read one
+    # call at a time: in ==, in base, in every layer dict and in each
+    # coefficient's type.  A cache filled the builders' way must hold
+    # the same items in the same order.  G is built on a cold cache and E
+    # on the same cache after it, so both misses and hits are compared.
+    for k, cap in product(range(1, 6), range(11)):
+        mine, walked = CountCache(), CountCache()
+        exponents = _bounded_exponents(k, cap)
+        for build, value in ((build_G, lambda e, c: c),
+                             (build_E, lambda e, c: Fraction(c, prod(map(factorial, e))))):
+            got = build(k, cap, mine)
+            want = TruncSeries(k, cap, {e: value(e, c) for e, c in
+                                        zip(exponents, walked_counts(exponents, walked))})
+            assert got == want and got._base == want._base == cap + 1, (build, k, cap)
+            assert got._layers == want._layers, (build, k, cap)
+            assert ([[type(c) for c in layer.values()] for layer in got._layers]
+                    == [[type(c) for c in layer.values()] for layer in want._layers])
+            assert list(mine.items()) == list(walked.items()), (build, k, cap)
+    for cap in range(11):
+        mine, walked, public = CountCache(), CountCache(), CountCache()
+        exponents = _bounded_exponents(4, cap)
+        assert g4_explore(cap, mine) == list(zip(exponents, walked_counts(exponents, walked)))
+        assert [a_infinity(e, public) for e in exponents] == walked_counts(exponents, CountCache())
+        assert list(mine.items()) == list(walked.items()) == list(public.items()), cap
+    # With no cache given, the builders fill the shared table the same way.
+    monkeypatch.setattr(counting, "SHARED_CACHE", CountCache())
+    build_G(3, 7)
+    walked = CountCache()
+    walked_counts(_bounded_exponents(3, 7), walked)
+    assert list(counting.SHARED_CACHE.items()) == list(walked.items()) and len(walked)
 
 
 def test_truncation_consistency_between_caps():
@@ -212,34 +260,47 @@ def test_verify_pde_E_matches_fraction_reference():
 
 
 def test_verify_pde_E_matches_fraction_reference_on_perturbed_series(monkeypatch):
-    # One coefficient moved by a non-integral rational: d1...dk carries a
-    # term with every exponent positive down to a lower degree than the
-    # neighbour-sum part reaches, so the residual is nonzero, and the
-    # integer-scaled check must report it byte for byte.  The perturbed
-    # series reaches the check through the scaled builder, times cap!.
+    # One count moved by a nonzero int: d1...dk carries a term with every
+    # exponent positive down to a lower degree than the neighbour-sum part
+    # reaches, so the residual is nonzero.  The perturbed G reaches the
+    # check through the count-series builder, and the report must be the
+    # one the PDE gives on E = G with each coefficient divided by e!, byte
+    # for byte.
     rng = random.Random(977)
-    real_build_E = genfun.build_E
     for _ in range(15):
         k = rng.randint(1, 5)
         cap = rng.randint(k, 9)
-        coeffs = dict(real_build_E(k, cap).coeffs)
+        coeffs = build_G(k, cap).coeffs
         exps = rng.choice(sorted(e for e in coeffs if min(e) > 0))
-        coeffs[exps] += Fraction(rng.choice((-1, 1)), rng.choice((2, 3, 7, 11, 13, 97)))
+        coeffs[exps] += rng.choice((-1, 1)) * rng.choice((1, 2, 3, 7, 11, 13, 97))
         perturbed = TruncSeries(k, cap, coeffs)
-        monkeypatch.setattr(genfun, "_scaled_E",
-                            lambda k_, cap_, cache=None: perturbed.scale(factorial(cap_)))
-        got = verify_pde_E(k, cap)
-        want = fraction_pde_report(perturbed, k, cap)
+        with monkeypatch.context() as patch:
+            patch.setattr(genfun, "_count_series", lambda k_, cap_, exponents, cache: perturbed)
+            got = verify_pde_E(k, cap)
+        rational = TruncSeries(k, cap, {e: Fraction(c, prod(map(factorial, e))) for e, c in coeffs.items()})
+        want = fraction_pde_report(rational, k, cap)
         assert not want.ok
         assert_same_report(got, want)
 
 
-def test_scaled_E_is_build_E_times_cap_factorial_in_ints():
+def test_dde_residual_is_e_factorial_times_the_pde_residual_of_the_borel_image():
+    # The Borel map sum c_e x^e -> sum c_e z^e / e! turns each divided
+    # difference into a derivative, so on any integer coefficients, not
+    # only counts, the DDE residual at x^e is e! times the PDE residual at
+    # z^e of the image: the correspondence verify_pde_E rests on.
+    rng = random.Random(41)
+    cap = 9
     for k in range(1, 5):
-        for cap in range(k, 9):
-            scaled = genfun._scaled_E(k, cap)
-            assert scaled == build_E(k, cap).scale(factorial(cap)), (k, cap)
-            assert all(type(c) is int for c in scaled.coeffs.values())
+        for density in (1.0, 0.3):
+            coeffs = {e: rng.randint(-50, 50) for e in _bounded_exponents(k, cap)
+                      if rng.random() < density}
+            series = TruncSeries(k, cap, coeffs)
+            image = TruncSeries(k, cap, {e: Fraction(c, prod(map(factorial, e)))
+                                         for e, c in coeffs.items()})
+            dde, pde = dde_residual(series, k), pde_residual(image, k)
+            assert dde.cap == pde.cap == cap - k and not dde.is_zero, (k, density)
+            for e in _bounded_exponents(k, cap - k):
+                assert dde.coeff(e) == prod(map(factorial, e)) * pde.coeff(e), (k, density, e)
 
 
 def test_pde_residual_validation():

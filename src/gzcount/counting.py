@@ -595,18 +595,63 @@ def coeff_theorem_V(k: int, l: int, m: int) -> int:
     (1-xz)/(1+xz) * ((1+x)^s (1+z)^s - (x+z)^s), s = k+l+m.  As
     1/(1+xz) = sum_j (-xz)^j, it is the alternating sum over
     j <= min(k, m) of the coefficients of x^(k-j) z^(m-j) in the
-    polynomial numerator, read off it with no series inverse.
+    polynomial numerator, read off it with no series inverse.  Every
+    position read, x^a z^b, has a <= k and b <= m, so only the corner
+    of the numerator up to x^k and z^m is built (``_h_numerator_corner``):
+
+    * With P = (1+x)^s and Q = (1+z)^s, the coefficient of x^a z^b in
+      (1-xz) P Q is P_a Q_b - P_(a-1) Q_(b-1).  At a <= k and b <= m it
+      reads only P_i with i <= k and Q_j with j <= m, so P and Q may be
+      replaced by A = P mod x^(k+1) and B = Q mod z^(m+1).
+    * (x+z)^s is homogeneous of degree s, so (1-xz)(x+z)^s has terms of
+      total degree s and s+2 only.  A position read has total degree
+      a + b <= k + m < s, as l >= 1, so that part adds to no coefficient
+      read and is dropped.
+
+    The numerator corner is built anew at each call and nothing is held.
     """
     k, l, m = index(k), index(l), index(m)
     if min(k, l, m) <= 0:
         raise ValueError("coeff_theorem_V requires k, l, m > 0")
     from .polyseries import Monomial
 
-    numerator = _h_numerator(k + l + m, *_x_and_z())
+    corner = _h_numerator_corner(k + l + m, k, m)
     return sum(
-        (-1) ** j * numerator.coeff(Monomial({1: k - j, 2: m - j}))
+        (-1) ** j * corner.coeff(Monomial({1: k - j, 2: m - j}))
         for j in range(min(k, m) + 1)
     )
+
+
+def _truncated_power(p: SparsePoly, n: int, max_total: int) -> SparsePoly:
+    """p^n with every term of total degree above ``max_total`` dropped.
+
+    Square-and-multiply, truncating after each product.  Exponents are
+    nonnegative, so a term of degree <= max_total of a product comes only
+    from terms of degree <= max_total of its factors, and no truncation
+    drops anything the result keeps.
+    """
+    from .polyseries import SparsePoly
+
+    result = SparsePoly.const(1)
+    while n:
+        if n & 1:
+            result = (result * p).truncate(max_total)
+        n >>= 1
+        if n:
+            p = (p * p).truncate(max_total)
+    return result
+
+
+def _h_numerator_corner(s: int, k: int, m: int) -> SparsePoly:
+    """(1-xz) A B with A = (1+x)^s mod x^(k+1) and B = (1+z)^s mod z^(m+1).
+
+    For s > k + m it agrees with ``_h_numerator`` at s at every x^a z^b with
+    a <= k and b <= m (see ``coeff_theorem_V``).  A polynomial in one
+    variable has its exponent as total degree, so ``_truncated_power``
+    cuts it at that exponent.
+    """
+    x, z = _x_and_z()
+    return (1 - x * z) * _truncated_power(1 + x, s, k) * _truncated_power(1 + z, s, m)
 
 
 #: Largest cone ``recurrence_V3`` fills in one call, in cells.  Through the

@@ -36,6 +36,7 @@ and CSV with rationals rendered exactly as p/q.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import islice
 from math import comb, factorial, prod
@@ -66,8 +67,10 @@ E2_MAX_CAP = 240
 #: 8.8-10.6 s at 366 MB peak RSS, ``--cap 300`` 15.2 s at 449 MB.
 H_MAX_CAP = 280
 
-#: Largest s_max ``verify_h`` checks: ``verify h --cap 130`` takes
-#: 6.2-6.5 s at 273 MB peak RSS, ``--cap 140`` 12.9-13.3 s at 335 MB.
+#: Largest s_max ``verify_h`` checks: ``verify h --cap 80`` takes
+#: 1.5-1.6 s at 57 MB peak RSS and ``--cap 130`` 7.6 s at 189 MB, with
+#: each slice compared as it is expanded (74 and 273 MB when the slices
+#: were first built into one list); s_max 140 took 9.3 s at 228 MB.
 VERIFY_H_MAX_CAP = 130
 
 #: Largest series ``build_E`` builds (E_k, over denominators e! that
@@ -268,7 +271,11 @@ def verify_pde_E(k: int, cap: int, cache: CountCache | None = None) -> ResidualR
     computed, as ``build_E`` refuses it.
     """
     exponents = _factorial_bounded_exponents("pde", k, cap)
-    residual = dde_residual(_count_series(k, cap, exponents, cache), k)
+    return _pde_report(k, cap, dde_residual(_count_series(k, cap, exponents, cache), k))
+
+
+def _pde_report(k: int, cap: int, residual: TruncSeries) -> ResidualReport:
+    """The pde report from the DDE residual of G_k (see ``verify_pde_E``)."""
     scaled = (Fraction(abs(r), prod(map(factorial, e))) for e, r in residual.coeffs.items())
     return ResidualReport("pde-E", k, cap, _norm_coeff(max(scaled, default=0)), len(residual))
 
@@ -277,6 +284,19 @@ def verify_dde_G(k: int, cap: int, cache: CountCache | None = None) -> ResidualR
     """Build G_k from counts and check its divided-difference equation exactly."""
     residual = dde_residual(build_G(k, cap, cache), k)
     return _report_from_series("dde-G", k, cap, residual)
+
+
+def verify_pde_and_dde(k: int, cap: int,
+                       cache: CountCache | None = None) -> tuple[ResidualReport, ResidualReport]:
+    """``verify_pde_E`` and ``verify_dde_G`` at one k, from one G_k and one
+    DDE residual: the two build the same series and apply the same
+    ``dde_residual`` to it.  The pde refusal is checked first, so a (k,
+    cap) above ``PDE_MAX_ENTRY_BITS`` is refused as ``verify_pde_E``
+    refuses it, before any count is computed.
+    """
+    exponents = _factorial_bounded_exponents("pde", k, cap)
+    residual = dde_residual(_count_series(k, cap, exponents, cache), k)
+    return _pde_report(k, cap, residual), _report_from_series("dde-G", k, cap, residual)
 
 
 def g3_roots(cap: int) -> tuple[TruncSeries, TruncSeries]:
@@ -417,27 +437,28 @@ def expand_H_in_y(s_max: int) -> list[SparsePoly]:
     if s_max < 0:
         raise ValueError(f"s_max must be >= 0, got {s_max}")
     if s_max > GROWN_MAX_CAP:
-        return _build_H_slices(s_max)
+        return list(_H_slices(s_max))
     held = _GROWN.get("H slices")
     if held is None or len(held) <= s_max:
-        held = _GROWN["H slices"] = _build_H_slices(s_max)
+        held = _GROWN["H slices"] = list(_H_slices(s_max))
     return held[:s_max + 1]
 
 
-def _build_H_slices(s_max: int) -> list[SparsePoly]:
+def _H_slices(s_max: int) -> Iterator[SparsePoly]:
+    """Yield [y^s] H for s = 0..s_max, each as the recurrence of
+    ``expand_H_in_y`` reaches it; only r_(s-1) and r_(s-2) are kept."""
     x, z = _x_and_z()
     plain = x + z
     paired = (1 + x) * (1 + z)
     p1 = plain + paired
     p2 = plain * paired
     numer = 1 - x * z
-    slices = [SparsePoly()]
+    yield SparsePoly()
     before, r = 0, 1  # r_(s-2) and r_(s-1), ints until the first step
     for s in range(1, s_max + 1):
         if s > 1:
             before, r = r, p1 * r - p2 * before
-        slices.append(numer * r)
-    return slices
+        yield numer * r
 
 
 def verify_h(s_max: int) -> ResidualReport:
@@ -449,18 +470,21 @@ def verify_h(s_max: int) -> ResidualReport:
     which expands H in y alone: slice s is the whole polynomial, the
     same as the y^s slice of H built to total degree 3*s_max (h_s has
     degree at most 2s in x and z), without building the terms of higher
-    y-degree.  Each comparison is a ``SparsePoly`` difference, and every
-    nonzero coefficient of it counts as one residual term.  An s_max
-    above ``VERIFY_H_MAX_CAP`` is refused.
+    y-degree.  Up to ``GROWN_MAX_CAP`` the slices are the list held in
+    ``_GROWN``; above it nothing is held, and each slice is compared as
+    the recurrence yields it, so no list of slices is ever alive.  Each
+    comparison is a ``SparsePoly`` difference, and every nonzero
+    coefficient of it counts as one residual term.  An s_max above
+    ``VERIFY_H_MAX_CAP`` is refused.
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
     _check_cap("h check", s_max, VERIFY_H_MAX_CAP)
-    slices = expand_H_in_y(s_max)
+    slices = expand_H_in_y(s_max) if s_max <= GROWN_MAX_CAP else _H_slices(s_max)
     residuals = []
-    for s in range(1, s_max + 1):
+    for s, series_slice in enumerate(islice(slices, 1, None), 1):
         reference = h_polynomial(s, "recurrence")
-        for other in (h_polynomial(s, "definition"), h_polynomial(s, "closed-form"), slices[s]):
+        for other in (h_polynomial(s, "definition"), h_polynomial(s, "closed-form"), series_slice):
             residuals.extend((other - reference).coefficients())
     return ResidualReport(
         identity="h-three-routes-and-series",

@@ -671,6 +671,61 @@ def test_verify_checks_the_cap_before_any_suite_runs(capsys, monkeypatch, suite,
         EXIT_USAGE, "", f"gzcount: error: cap {cap} too small for {name} at k = {first}\n")
 
 
+def test_verify_all_checks_each_k_once_with_the_reports_of_each_suite(capsys, monkeypatch):
+    from gzcount import genfun
+
+    alone = {}
+    for suite in ("pde", "dde"):
+        code, out, _ = run_cli(capsys, "verify", suite, "--k", "1:3", "--cap", "8", "--format", "csv")
+        assert code == EXIT_OK
+        alone[suite] = out.splitlines()[1:]
+    calls = []
+    residual = genfun.dde_residual
+
+    def counted(series, k):
+        calls.append(k)
+        return residual(series, k)
+
+    monkeypatch.setattr(genfun, "dde_residual", counted)
+    code, out, _ = run_cli(capsys, "verify", "all", "--k", "1:3", "--cap", "8", "--format", "csv")
+    assert code == EXIT_OK
+    assert calls == [1, 2, 3]
+    assert out.splitlines()[1:7] == alone["pde"] + alone["dde"]
+
+
+@pytest.mark.parametrize("suite", ["pde", "dde"])
+def test_verify_one_suite_checks_it_alone(capsys, monkeypatch, suite):
+    from gzcount import genfun
+
+    def both(*args):
+        raise AssertionError("one suite ran the shared pde and dde check")
+
+    monkeypatch.setattr(genfun, "verify_pde_and_dde", both)
+    code, out, _ = run_cli(capsys, "verify", suite, "--k", "1:2", "--cap", "5")
+    assert code == EXIT_OK
+    assert out.count("PASS") == 2
+
+
+def test_verify_all_refuses_the_pde_series_first_as_verify_pde_does(capsys, monkeypatch):
+    # k = 1 at cap 400 is checked; k = 2 is refused before any of its
+    # counts is read, with the message verify pde gives.
+    from gzcount import genfun
+
+    pde = run_cli(capsys, "verify", "pde", "--k", "1:2", "--cap", "400")
+    assert pde == (EXIT_LIMIT, "", "gzcount: refused: pde series at cap 400: 161202 entries"
+                   " times 3600 bits bounding cap! exceeds the limit 500000000\n")
+    counted = []
+    reader = genfun._a_counts
+
+    def read(exponents, cache):
+        counted.append(len(exponents))
+        return reader(exponents, cache)
+
+    monkeypatch.setattr(genfun, "_a_counts", read)
+    assert run_cli(capsys, "verify", "all", "--k", "1:2", "--cap", "400") == pde
+    assert counted == [401]
+
+
 def test_verify_usage_errors(capsys):
     code, _, _ = run_cli(capsys, "verify", "pde", "--k", "3:1", "--cap", "8")
     assert code == EXIT_USAGE

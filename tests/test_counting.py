@@ -10,6 +10,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -404,6 +405,45 @@ def series_quotient(s, cap):
 def test_coeff_theorem_matches_series_inverse_reference():
     for k, l, m in product(range(1, 13), repeat=3):
         assert coeff_theorem_V(k, l, m) == series_quotient(k + l + m, k + m).coeff((k, m))
+
+
+def test_coeff_theorem_answers_far_beyond_the_whole_numerator():
+    # The whole numerator at s = 10**6 + 2 has about 10**12 terms; the
+    # corner read has at most (k + 2)(m + 2).
+    start = time.perf_counter()
+    for args in [(1, 10**6, 1), (2, 5000, 3), (300, 1, 1), (1, 1, 300), (100, 100, 100)]:
+        assert coeff_theorem_V(*args) == binomial_formula_V(*args), args
+    assert time.perf_counter() - start < 1.0
+
+
+def test_numerator_corner_agrees_with_the_whole_numerator_where_read():
+    whole = functools.cache(lambda s: counting._h_numerator(s, X1, X2))
+    for k, l, m in product(range(1, 11), repeat=3):
+        s = k + l + m
+        corner = counting._h_numerator_corner(s, k, m)
+        for j in range(min(k, m) + 1):
+            mono = Monomial({1: k - j, 2: m - j})
+            assert corner.coeff(mono) == whole(s).coeff(mono), (k, l, m, j)
+
+
+def test_coeff_theorem_uses_no_binomial_and_keeps_nothing(monkeypatch):
+    # The route stays disjoint from binomial_formula_V: no comb, no call
+    # into it.  A second call allocates nothing that outlives it.
+    def banned(*args):
+        raise AssertionError("coeff_theorem_V reached a binomial")
+
+    want = binomial_formula_V(40, 30, 50)
+    monkeypatch.setattr(counting, "comb", banned)
+    monkeypatch.setattr(counting, "binomial_formula_V", banned)
+    assert coeff_theorem_V(40, 30, 50) == want
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        coeff_theorem_V(40, 30, 50)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before < 1024
 
 
 def test_coeff_theorem_domain():

@@ -1,6 +1,7 @@
 """Tests for series builders, closed forms, and identity verifiers."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, prod
@@ -659,6 +660,74 @@ def test_grown_H_slices_answer_every_shorter_list_as_a_fresh_build(monkeypatch):
     cap = genfun.VERIFY_H_MAX_CAP + 1
     with pytest.raises(ResourceLimitError, match=rf"^h check cap {cap} exceeds the limit"):
         verify_h(cap)
+
+
+def verify_h_from_a_list(s_max):
+    """The report of ``verify_h`` with every slice first built into one
+    list by ``expand_H_in_y``, then compared."""
+    slices = expand_H_in_y(s_max)
+    residuals = []
+    for s in range(1, s_max + 1):
+        reference = genfun.h_polynomial(s, "recurrence")
+        for other in (genfun.h_polynomial(s, "definition"), genfun.h_polynomial(s, "closed-form"),
+                      slices[s]):
+            residuals.extend((other - reference).coefficients())
+    return ResidualReport(
+        identity="h-three-routes-and-series",
+        k=None,
+        cap=s_max,
+        max_abs=max(map(abs, residuals), default=0),
+        nonzero_terms=len(residuals),
+        detail="slices compared through s_max, from H expanded in y",
+    )
+
+
+@pytest.mark.parametrize("s_max", range(29, 34))
+def test_verify_h_across_the_held_cap_matches_a_list_built_reference(s_max):
+    assert genfun.GROWN_MAX_CAP == 30  # the range crosses it
+    assert verify_h(s_max) == verify_h_from_a_list(s_max) == verify_h_reference(s_max)
+
+
+def test_streamed_verify_h_reports_corruption_like_a_list_built_reference(monkeypatch):
+    def corrupted(s, method="recurrence"):
+        poly = h_polynomial(s, method)
+        if (s, method) == (31, "definition"):
+            poly = poly + 5 * SparsePoly.variable(2) ** 40
+        if (s, method) == (33, "recurrence"):
+            poly = poly - 2
+        return poly
+
+    monkeypatch.setattr(genfun, "h_polynomial", corrupted)
+    report = verify_h(33)
+    assert (report.ok, report.nonzero_terms, report.max_abs) == (False, 4, 5)
+    assert report == verify_h_from_a_list(33)
+
+
+def test_verify_h_above_the_held_cap_streams_its_slices(monkeypatch):
+    def listed(s_max):
+        raise AssertionError("the slices were built into a list")
+
+    monkeypatch.setattr(genfun, "GROWN_MAX_CAP", 5)
+    monkeypatch.setattr(genfun, "_GROWN", UntouchableTable())
+    monkeypatch.setattr(genfun, "expand_H_in_y", listed)
+    assert verify_h(6) == verify_h_reference(6)
+
+
+def test_streamed_slices_lower_the_peak_of_verify_h(monkeypatch):
+    # No list of slices is alive, so the memory verify_h allocates above
+    # what it keeps (the h_s and g_s tables) is well under the list's.
+    def rise(check):
+        monkeypatch.setattr(counting, "_G_CACHE", [None])
+        monkeypatch.setattr(counting, "_H_CACHE", [None])
+        tracemalloc.start()
+        try:
+            check(33)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - kept
+
+    assert rise(verify_h) < 0.6 * rise(verify_h_from_a_list)
 
 
 # ---------------------------------------------------------------- g4 dump

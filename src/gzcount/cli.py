@@ -299,29 +299,9 @@ def _parse_k_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_verify(args, cache: CountCache | None) -> int:
-    from .genfun import (verify_dde_G, verify_e2, verify_g3, verify_h, verify_pde_and_dde,
-                         verify_pde_E)
+    from .genfun import verify_suite
 
-    lo, hi = _parse_k_range(args.k)
-    by_k = [(suite, verify) for suite, verify in (("pde", verify_pde_E), ("dde", verify_dde_G))
-            if args.suite in (suite, "all")]
-    # Checked against the whole k range before any suite runs.
-    if by_k and args.cap < hi:
-        raise ValueError(f"cap {args.cap} too small for {by_k[0][0]} at k = {max(lo, args.cap + 1)}")
-    if len(by_k) == 2:
-        # Both suites check the DDE residual of one G_k, so each k is built
-        # once; the reports keep their order, every pde report first.
-        pairs = [verify_pde_and_dde(k, args.cap, cache) for k in range(lo, hi + 1)]
-        reports = [report for suite in zip(*pairs) for report in suite]
-    else:
-        reports = [verify(k, args.cap, cache) for _, verify in by_k for k in range(lo, hi + 1)]
-    if args.suite in ("g3", "all"):
-        reports.append(verify_g3(args.cap, cache))
-    if args.suite in ("e2", "all"):
-        reports.append(verify_e2(args.cap, cache))
-    if args.suite in ("h", "all"):
-        reports.append(verify_h(args.cap))
-
+    reports = verify_suite(args.suite, *_parse_k_range(args.k), args.cap, cache)
     ok = all(r.ok for r in reports)
     if args.format == "json":
         print(_json_dump({"ok": ok, "reports": [r.to_json_obj() for r in reports]}))

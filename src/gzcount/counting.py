@@ -622,36 +622,18 @@ def coeff_theorem_V(k: int, l: int, m: int) -> int:
     )
 
 
-def _truncated_power(p: SparsePoly, n: int, max_total: int) -> SparsePoly:
-    """p^n with every term of total degree above ``max_total`` dropped.
-
-    Square-and-multiply, truncating after each product.  Exponents are
-    nonnegative, so a term of degree <= max_total of a product comes only
-    from terms of degree <= max_total of its factors, and no truncation
-    drops anything the result keeps.
-    """
-    from .polyseries import SparsePoly
-
-    result = SparsePoly.const(1)
-    while n:
-        if n & 1:
-            result = (result * p).truncate(max_total)
-        n >>= 1
-        if n:
-            p = (p * p).truncate(max_total)
-    return result
-
-
 def _h_numerator_corner(s: int, k: int, m: int) -> SparsePoly:
     """(1-xz) A B with A = (1+x)^s mod x^(k+1) and B = (1+z)^s mod z^(m+1).
 
     For s > k + m it agrees with ``_h_numerator`` at s at every x^a z^b with
     a <= k and b <= m (see ``coeff_theorem_V``).  A polynomial in one
-    variable has its exponent as total degree, so ``_truncated_power``
+    variable has its exponent as total degree, so ``polyseries._power``
     cuts it at that exponent.
     """
+    from .polyseries import _power
+
     x, z = _x_and_z()
-    return (1 - x * z) * _truncated_power(1 + x, s, k) * _truncated_power(1 + z, s, m)
+    return (1 - x * z) * _power(1 + x, s, k) * _power(1 + z, s, m)
 
 
 #: Largest cone ``recurrence_V3`` fills in one call, in cells.  Through the

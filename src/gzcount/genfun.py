@@ -11,7 +11,8 @@ each identity as an exact residual:
 * G_k solves the same shape of equation in divided differences.  The
   map z^e / e! -> x^e sends E_k to G_k and each derivative to a divided
   difference, so the PDE is checked in ints on G_k, with the residual
-  at x^e divided by e! (``verify_pde_E``);
+  at x^e divided by e! (``verify_pde_E``).  Both checks of one k build
+  G_k once and apply ``dde_residual`` once (``_neighbour_reports``);
 * the closed forms match the count-built series coefficient by
   coefficient, at every truncation degree;
 * the three routes to the skew slice polynomials h_s agree with each
@@ -30,8 +31,10 @@ process-global table, ``_GROWN``, at the largest cap asked for so far
 up to ``GROWN_MAX_CAP``; a smaller cap is answered by truncating the
 held value, so a process builds each of them once per new largest cap.
 
-A nonzero residual is reported, never raised; reports serialise to JSON
-and CSV with rationals rendered exactly as p/q.
+``verify_suite`` returns the reports of one ``gzcount verify`` suite, or
+of all of them, in the order the command prints them.  A nonzero
+residual is reported, never raised; reports serialise to JSON and CSV
+with rationals rendered exactly as p/q.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from operator import mul
 # so ``genfun.g4_explore`` and ``counting.g4_explore`` are one object.
 from .counting import CountCache, _a_counts, _bounded_exponents, _x_and_z, g4_explore, h_polynomial
 from .limits import ResourceLimitError
-from .polyseries import SparsePoly, TruncSeries, _exponents, _norm_coeff, _series
+from .polyseries import SparsePoly, TruncSeries, _norm_coeff, _series
 from .records import Frozen
 
 # Each limit below is checked before anything is built and refused with
@@ -212,15 +215,14 @@ class ResidualReport(Frozen):
         )
 
 
-def _report_from_series(identity: str, k: int | None, cap: int, residual: TruncSeries,
-                        detail: str = "") -> ResidualReport:
+def _report_from_series(identity: str, k: int | None, cap: int,
+                        residual: TruncSeries) -> ResidualReport:
     return ResidualReport(
         identity=identity,
         k=k,
         cap=cap,
         max_abs=residual.max_abs_coeff(),
         nonzero_terms=len(residual),
-        detail=detail,
     )
 
 
@@ -270,8 +272,28 @@ def verify_pde_E(k: int, cap: int, cache: CountCache | None = None) -> ResidualR
     E_k is above ``PDE_MAX_ENTRY_BITS`` is refused before any count is
     computed, as ``build_E`` refuses it.
     """
-    exponents = _factorial_bounded_exponents("pde", k, cap)
-    return _pde_report(k, cap, dde_residual(_count_series(k, cap, exponents, cache), k))
+    return _neighbour_reports(("pde",), k, cap, cache)[0]
+
+
+def verify_dde_G(k: int, cap: int, cache: CountCache | None = None) -> ResidualReport:
+    """Build G_k from counts and check its divided-difference equation exactly."""
+    return _neighbour_reports(("dde",), k, cap, cache)[0]
+
+
+def _neighbour_reports(suites: tuple[str, ...], k: int, cap: int,
+                       cache: CountCache | None) -> list[ResidualReport]:
+    """The report of each of ``suites``, pde or dde, at one k, in that order.
+
+    Both suites check the DDE residual of G_k (see ``verify_pde_E``), so
+    G_k is built once and ``dde_residual`` applied once.  With pde among
+    them, a (k, cap) above ``PDE_MAX_ENTRY_BITS`` is refused first,
+    before any count is computed.
+    """
+    series = (_count_series(k, cap, _factorial_bounded_exponents("pde", k, cap), cache)
+              if "pde" in suites else build_G(k, cap, cache))
+    residual = dde_residual(series, k)
+    return [_pde_report(k, cap, residual) if suite == "pde"
+            else _report_from_series("dde-G", k, cap, residual) for suite in suites]
 
 
 def _pde_report(k: int, cap: int, residual: TruncSeries) -> ResidualReport:
@@ -280,23 +302,30 @@ def _pde_report(k: int, cap: int, residual: TruncSeries) -> ResidualReport:
     return ResidualReport("pde-E", k, cap, _norm_coeff(max(scaled, default=0)), len(residual))
 
 
-def verify_dde_G(k: int, cap: int, cache: CountCache | None = None) -> ResidualReport:
-    """Build G_k from counts and check its divided-difference equation exactly."""
-    residual = dde_residual(build_G(k, cap, cache), k)
-    return _report_from_series("dde-G", k, cap, residual)
+def verify_suite(suite: str, lo: int, hi: int, cap: int,
+                 cache: CountCache | None = None) -> list[ResidualReport]:
+    """The reports ``gzcount verify SUITE --k LO:HI --cap CAP`` prints, in its order.
 
-
-def verify_pde_and_dde(k: int, cap: int,
-                       cache: CountCache | None = None) -> tuple[ResidualReport, ResidualReport]:
-    """``verify_pde_E`` and ``verify_dde_G`` at one k, from one G_k and one
-    DDE residual: the two build the same series and apply the same
-    ``dde_residual`` to it.  The pde refusal is checked first, so a (k,
-    cap) above ``PDE_MAX_ENTRY_BITS`` is refused as ``verify_pde_E``
-    refuses it, before any count is computed.
+    ``suite`` is pde, dde, g3, e2, h or all.  pde and dde check each k
+    from lo to hi, after ``cap`` is checked against the whole range; all
+    checks both at each k from one G_k (``_neighbour_reports``) and lists
+    every pde report, then every dde report, then g3, e2 and h.  The h
+    check reads ``cap`` as its s_max.
     """
-    exponents = _factorial_bounded_exponents("pde", k, cap)
-    residual = dde_residual(_count_series(k, cap, exponents, cache), k)
-    return _pde_report(k, cap, residual), _report_from_series("dde-G", k, cap, residual)
+    if suite not in ("pde", "dde", "g3", "e2", "h", "all"):
+        raise ValueError(f"unknown verify suite {suite!r}")
+    by_k = tuple(name for name in ("pde", "dde") if suite in (name, "all"))
+    if by_k and cap < hi:
+        raise ValueError(f"cap {cap} too small for {by_k[0]} at k = {max(lo, cap + 1)}")
+    per_k = [_neighbour_reports(by_k, k, cap, cache) for k in range(lo, hi + 1)] if by_k else []
+    reports = [report for column in zip(*per_k) for report in column]
+    if suite in ("g3", "all"):
+        reports.append(verify_g3(cap, cache))
+    if suite in ("e2", "all"):
+        reports.append(verify_e2(cap, cache))
+    if suite in ("h", "all"):
+        reports.append(verify_h(cap))
+    return reports
 
 
 def g3_roots(cap: int) -> tuple[TruncSeries, TruncSeries]:
@@ -346,13 +375,9 @@ def _build_G3(cap: int) -> TruncSeries:
     base = lam + mu
     y = TruncSeries.from_poly(SparsePoly.variable(2), 3, cap)
     result = (base - y * (base * lam.inv())).inv()
-    for layer in result._layers:
-        for key, coeff in layer.items():
-            if type(coeff) is not int or coeff < 0:
-                exps = _exponents(key, result._base, 3)
-                raise ArithmeticError(
-                    f"closed form produced non-count coefficient {coeff} at {exps}"
-                )
+    for exps, coeff in result.coeffs.items():
+        if type(coeff) is not int or coeff < 0:
+            raise ArithmeticError(f"closed form produced non-count coefficient {coeff} at {exps}")
     return result
 
 

@@ -267,14 +267,7 @@ class SparsePoly:
     def __pow__(self, n: int) -> "SparsePoly":
         if n < 0:
             raise ValueError("negative powers are not defined for polynomials")
-        result = SparsePoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
@@ -311,6 +304,27 @@ def _poly(keys: dict[int, int], degree: int | None = None) -> SparsePoly:
     out._keys = keys
     out._degree = degree
     return out
+
+
+def _power(p: SparsePoly, n: int, max_total: int | None = None) -> SparsePoly:
+    """p^n for n >= 0 by square-and-multiply, or with ``max_total`` given,
+    (p^n).truncate(max_total), truncating after each product.
+
+    Exponents are nonnegative, so a term of degree <= max_total of a
+    product comes only from terms of degree <= max_total of its factors,
+    and no truncation drops anything the result keeps.
+    """
+    def cut(q: SparsePoly) -> SparsePoly:
+        return q if max_total is None else q.truncate(max_total)
+
+    result = SparsePoly.const(1)
+    while n:
+        if n & 1:
+            result = cut(result * p)
+        n >>= 1
+        if n:
+            p = cut(p * p)
+    return result
 
 
 def _key(mono: Monomial) -> int:

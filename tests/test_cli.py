@@ -664,8 +664,7 @@ def test_verify_checks_the_cap_before_any_suite_runs(capsys, monkeypatch, suite,
     def ran(*args):
         raise AssertionError("a suite ran before the cap was checked")
 
-    monkeypatch.setattr(genfun, "verify_pde_E", ran)
-    monkeypatch.setattr(genfun, "verify_dde_G", ran)
+    monkeypatch.setattr(genfun, "_a_counts", ran)
     name = "pde" if suite == "all" else suite
     assert run_cli(capsys, "verify", suite, "--k", k, "--cap", cap) == (
         EXIT_USAGE, "", f"gzcount: error: cap {cap} too small for {name} at k = {first}\n")
@@ -695,15 +694,20 @@ def test_verify_all_checks_each_k_once_with_the_reports_of_each_suite(capsys, mo
 
 @pytest.mark.parametrize("suite", ["pde", "dde"])
 def test_verify_one_suite_checks_it_alone(capsys, monkeypatch, suite):
+    # Each suite prints only its own reports, and only pde is refused by
+    # the pde series bound: lowered to refuse k = 2 at cap 5 (42 entries
+    # times 15 bits) but not k = 1 (6 entries), dde still answers.
     from gzcount import genfun
 
-    def both(*args):
-        raise AssertionError("one suite ran the shared pde and dde check")
-
-    monkeypatch.setattr(genfun, "verify_pde_and_dde", both)
-    code, out, _ = run_cli(capsys, "verify", suite, "--k", "1:2", "--cap", "5")
-    assert code == EXIT_OK
-    assert out.count("PASS") == 2
+    identity = {"pde": "pde-E", "dde": "dde-G"}[suite]
+    lines = [f"{identity} k={k} cap=5: PASS (max |residual| = 0, nonzero terms = 0)" for k in (1, 2)]
+    answer = (EXIT_OK, "\n".join(lines + ["all identities verified"]) + "\n", "")
+    assert run_cli(capsys, "verify", suite, "--k", "1:2", "--cap", "5") == answer
+    monkeypatch.setattr(genfun, "PDE_MAX_ENTRY_BITS", 100)
+    refused = (EXIT_LIMIT, "", "gzcount: refused: pde series at cap 5: 42 entries times 15 bits"
+               " bounding cap! exceeds the limit 100\n")
+    got = run_cli(capsys, "verify", suite, "--k", "1:2", "--cap", "5")
+    assert got == (refused if suite == "pde" else answer)
 
 
 def test_verify_all_refuses_the_pde_series_first_as_verify_pde_does(capsys, monkeypatch):

@@ -28,6 +28,7 @@ from gzcount.genfun import (
     verify_g3,
     verify_h,
     verify_pde_E,
+    verify_suite,
 )
 from gzcount.limits import ResourceLimitError
 from gzcount.polyseries import SparsePoly, TruncSeries
@@ -326,6 +327,17 @@ def test_negative_control_corrupted_coefficient_fails():
     assert not pde_residual(bad, 2).is_zero
 
 
+def test_verify_suite_lists_the_reports_of_each_entry_point_in_order():
+    want = ([verify_pde_E(k, 6) for k in (2, 3)] + [verify_dde_G(k, 6) for k in (2, 3)]
+            + [verify_g3(6), verify_e2(6), verify_h(6)])
+    assert verify_suite("all", 2, 3, 6) == want
+    assert verify_suite("pde", 2, 3, 6) == want[:2]
+    assert verify_suite("dde", 2, 3, 6) == want[2:4]
+    assert verify_suite("h", 2, 3, 6) == want[-1:]
+    with pytest.raises(ValueError, match="unknown verify suite 'pd'"):
+        verify_suite("pd", 1, 1, 6)
+
+
 def test_report_shape():
     report = verify_pde_E(2, 5)
     assert isinstance(report, ResidualReport)
@@ -365,6 +377,17 @@ def test_closed_form_G3_y_zero_slice():
     x = SparsePoly.variable(1)
     z = SparsePoly.variable(3)
     assert g3.substitute_zero(2) == poly_series(ONE - x - z, 3, 6).inv()
+
+
+def test_closed_form_G3_refuses_a_non_count_coefficient(monkeypatch):
+    # Halving lam breaks the closed form; the first coefficient that is not
+    # a nonnegative int is named with its exponents.
+    roots = genfun.g3_roots
+    monkeypatch.setattr(genfun, "g3_roots",
+                        lambda cap: (roots(cap)[0].scale(Fraction(1, 2)), roots(cap)[1]))
+    with pytest.raises(ArithmeticError,
+                       match=r"^closed form produced non-count coefficient -4 at \(1, 0, 3\)$"):
+        genfun._build_G3(4)
 
 
 def test_closed_form_G3_matches_counts():

@@ -15,6 +15,7 @@ from gzcount.polyseries import (
     Monomial,
     SparsePoly,
     TruncSeries,
+    _power,
     _support_classes,
     divide_exact,
     format_rational,
@@ -310,6 +311,19 @@ def test_poly_pow_and_truncate():
     assert p.degree() == 3
     cut = p.truncate(1)
     assert cut == ONE * 1 + 3 * X1 + 3 * X2
+
+
+def test_power_loop_is_pow_and_with_a_cap_its_truncation():
+    rng = random.Random(43)
+    for _ in range(8):
+        p = random_poly(rng, nvars=2, terms=4, max_exp=2)
+        for n in range(13):
+            full = p ** n
+            _check_poly_against(_power(p, n), ref_poly_pow(dict(p.terms), n))
+            assert _power(p, n) == full
+            degree = full.degree()
+            for t in sorted({0, 1, degree // 2, max(degree - 1, 0), degree, degree + 3}):
+                assert _power(p, n, t) == full.truncate(t), (p, n, t)
 
 
 def test_divide_exact_roundtrip():

@@ -65,7 +65,7 @@ import json
 import os
 import re
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, filterfalse
+from itertools import chain, filterfalse, islice
 from math import comb
 from operator import add, index, mul
 
@@ -625,8 +625,9 @@ def coeff_theorem_V(k: int, l: int, m: int) -> int:
 def _h_numerator_corner(s: int, k: int, m: int) -> SparsePoly:
     """(1-xz) A B with A = (1+x)^s mod x^(k+1) and B = (1+z)^s mod z^(m+1).
 
-    For s > k + m it agrees with ``_h_numerator`` at s at every x^a z^b with
-    a <= k and b <= m (see ``coeff_theorem_V``).  A polynomial in one
+    For s > k + m it agrees with the whole numerator
+    (1-xz) ((1+x)^s (1+z)^s - (x+z)^s) at every x^a z^b with a <= k and
+    b <= m (see ``coeff_theorem_V``).  A polynomial in one
     variable has its exponent as total degree, so ``polyseries._power``
     cuts it at that exponent.
     """
@@ -730,17 +731,10 @@ def _x_and_z() -> tuple[SparsePoly, SparsePoly]:
     return SparsePoly.variable(1), SparsePoly.variable(2)
 
 
-def _h_numerator(s: int, x: SparsePoly, z: SparsePoly) -> SparsePoly:
-    """(1-xz) ((1+x)^s (1+z)^s - (x+z)^s), which is (1+xz) h_s, in the x
-    and z of ``_x_and_z``; callers pass them so none builds them twice."""
-    return (1 - x * z) * ((1 + x) ** s * (1 + z) ** s - (x + z) ** s)
-
-
 # g_s and h_s by s.  The seeds g_0 = 1 and h_0 = 0 are built on the first
 # call, so importing this module builds no polynomial; until then slot 0
-# holds None and each table has one slot.  x and z come from
-# ``_x_and_z`` only when a table grows, so an answer already held
-# builds nothing.
+# holds None and each table has one slot.  A table grows only past its
+# last entry, so an answer already held builds nothing.
 _G_CACHE: list[SparsePoly | None] = [None]
 _H_CACHE: list[SparsePoly | None] = [None]
 
@@ -750,20 +744,21 @@ def g_polynomial(s: int) -> SparsePoly:
 
     g_0 = 1 and g_{s+1} = (1+x+z) g_s + truncate_{<=s}(xz g_s); the
     coefficient of x^k z^m equals the count V with s boxes split as
-    (k, s-k-m, m).
+    (k, s-k-m, m).  ``_G_CACHE`` holds every g_s built so far, and a
+    larger s resumes from its last entry, each step one pass over g_s's
+    terms (``polyseries._g_steps``).  ``s`` is read through
+    ``operator.index`` before the table grows.
     """
+    s = index(s)
     if s < 0:
         raise ValueError("g_polynomial requires s >= 0")
-    if _G_CACHE[0] is None:
-        from .polyseries import SparsePoly
+    from .polyseries import SparsePoly, _g_steps
 
+    if _G_CACHE[0] is None:
         _G_CACHE[0] = SparsePoly.const(1)
-    if len(_G_CACHE) <= s:
-        x, z = _x_and_z()
-        while len(_G_CACHE) <= s:
-            t = len(_G_CACHE) - 1
-            g = _G_CACHE[-1]
-            _G_CACHE.append((1 + x + z) * g + (x * z * g).truncate(t))
+    t = len(_G_CACHE) - 1
+    if t < s:
+        _G_CACHE.extend(islice(_g_steps(_G_CACHE[t], t), s - t))
     return _G_CACHE[s]
 
 
@@ -778,28 +773,44 @@ def h_polynomial(s: int, method: str = "recurrence") -> SparsePoly:
     closed-form:  (1-xz) ((1+x)^s (1+z)^s - (x+z)^s) / (1+xz), the
                   division being exact (a nonzero remainder raises).
 
-    All three produce identical polynomials.
+    All three produce identical polynomials, and ``verify_h`` checks
+    them against each other, so the routes are kept apart: the
+    recurrence reads no binomial and no closed-form code, and the closed
+    form reads neither slice table.
+
+    The recurrence holds every h_s built so far in ``_H_CACHE`` and
+    resumes from its last entry, each step one pass over h_s's terms
+    (``polyseries._h_steps``).  A growth from h_t takes one power
+    (x+z)^t and carries its row of coefficients from step to step by
+    Pascal's rule, one pass per step, so no step takes a power.  The
+    closed form builds each h_s anew: it forms the dividend from its
+    three powers in one pass (``polyseries._h_dividend``) and divides by
+    1 + xz with ``divide_exact``.  It keeps the powers and the division
+    so that it is computed from the formula alone, and because
+    ``divide_exact`` raises unless the division is exact, which checks
+    that 1 + xz divides the numerator.  ``s`` is read through
+    ``operator.index`` before anything is built.
     """
+    s = index(s)
     if s < 1:
         raise ValueError("h_polynomial requires s >= 1")
-    from .polyseries import SparsePoly, _reflected, divide_exact
+    from .polyseries import SparsePoly, _h_dividend, _h_steps, _reflected, divide_exact
 
     if method == "recurrence":
         if _H_CACHE[0] is None:
             _H_CACHE[0] = SparsePoly()
-        if len(_H_CACHE) <= s:
+        t = len(_H_CACHE) - 1
+        if t < s:
             x, z = _x_and_z()
-            while len(_H_CACHE) <= s:
-                t = len(_H_CACHE) - 1
-                h = _H_CACHE[-1]
-                _H_CACHE.append(h * (1 + x) * (1 + z) + (1 - x * z) * (x + z) ** t)
+            _H_CACHE.extend(islice(_h_steps(_H_CACHE[t], (x + z) ** t, t), s - t))
         return _H_CACHE[s]
     if method == "definition":
         g = g_polynomial(s)
         return g - _reflected(g, s)
     if method == "closed-form":
         x, z = _x_and_z()
-        return divide_exact(_h_numerator(s, x, z), 1 + x * z)
+        dividend = _h_dividend((1 + x) ** s, (1 + z) ** s, (x + z) ** s)
+        return divide_exact(dividend, 1 + x * z)
     raise ValueError(f"unknown h_polynomial method {method!r}; expected one of {H_METHODS}")
 
 

@@ -49,7 +49,7 @@ from operator import mul
 # so ``genfun.g4_explore`` and ``counting.g4_explore`` are one object.
 from .counting import CountCache, _a_counts, _bounded_exponents, _x_and_z, g4_explore, h_polynomial
 from .limits import ResourceLimitError
-from .polyseries import SparsePoly, TruncSeries, _norm_coeff, _series
+from .polyseries import SparsePoly, TruncSeries, _exponents, _norm_coeff, _series
 from .records import Frozen
 
 # Each limit below is checked before anything is built and refused with
@@ -71,9 +71,10 @@ E2_MAX_CAP = 240
 H_MAX_CAP = 280
 
 #: Largest s_max ``verify_h`` checks: ``verify h --cap 80`` takes
-#: 1.5-1.6 s at 57 MB peak RSS and ``--cap 130`` 7.6 s at 189 MB, with
+#: 1.4-1.7 s at 46 MB peak RSS and ``--cap 130`` 6.0-8.7 s at 143 MB, with
 #: each slice compared as it is expanded (74 and 273 MB when the slices
-#: were first built into one list); s_max 140 took 9.3 s at 228 MB.
+#: were first built into one list, 57 and 189 MB while each step of the
+#: slice tables made new key ints); s_max 140 took 9.3 s at 228 MB.
 VERIFY_H_MAX_CAP = 130
 
 #: Largest series ``build_E`` builds (E_k, over denominators e! that
@@ -375,9 +376,12 @@ def _build_G3(cap: int) -> TruncSeries:
     base = lam + mu
     y = TruncSeries.from_poly(SparsePoly.variable(2), 3, cap)
     result = (base - y * (base * lam.inv())).inv()
-    for exps, coeff in result.coeffs.items():
-        if type(coeff) is not int or coeff < 0:
-            raise ArithmeticError(f"closed form produced non-count coefficient {coeff} at {exps}")
+    # The values are scanned on the packed layers; only a failing key is decoded.
+    for layer in result._layers:
+        for key, coeff in layer.items():
+            if type(coeff) is not int or coeff < 0:
+                exps = _exponents(key, result._base, result.nvars)
+                raise ArithmeticError(f"closed form produced non-count coefficient {coeff} at {exps}")
     return result
 
 
@@ -498,8 +502,10 @@ def verify_h(s_max: int) -> ResidualReport:
     y-degree.  Up to ``GROWN_MAX_CAP`` the slices are the list held in
     ``_GROWN``; above it nothing is held, and each slice is compared as
     the recurrence yields it, so no list of slices is ever alive.  Each
-    comparison is a ``SparsePoly`` difference, and every nonzero
-    coefficient of it counts as one residual term.  An s_max above
+    route is compared with the recurrence by ``==``, one comparison of
+    their packed term maps; only a pair that differs is subtracted, and
+    every nonzero coefficient of that difference counts as one residual
+    term, so an equal pair adds none.  An s_max above
     ``VERIFY_H_MAX_CAP`` is refused.
     """
     if s_max < 1:
@@ -510,7 +516,8 @@ def verify_h(s_max: int) -> ResidualReport:
     for s, series_slice in enumerate(islice(slices, 1, None), 1):
         reference = h_polynomial(s, "recurrence")
         for other in (h_polynomial(s, "definition"), h_polynomial(s, "closed-form"), series_slice):
-            residuals.extend((other - reference).coefficients())
+            if other != reference:
+                residuals.extend((other - reference).coefficients())
     return ResidualReport(
         identity="h-three-routes-and-series",
         k=None,

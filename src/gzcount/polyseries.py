@@ -48,6 +48,17 @@ product into a third, and ``_kept`` drops zero coefficients.
 ``_quotient``, of num = den * q degree by degree (Knuth, TAOCP vol. 2,
 section 4.7); ``TruncSeries.sqrt`` solves r * r = a the same way.
 
+The slice polynomials of ``counting``, in x1 and x2, have loops of their
+own on ``SparsePoly`` keys, where multiplying a term by x1, x2 or x1 x2
+adds a fixed int to its key.  ``_g_steps`` and ``_h_steps`` take each
+step of the g and h recurrences as one pass that adds shifted copies of
+the previous polynomial's terms, in place of several generic products,
+sums and truncations.  Each step starts from a copy of the previous
+polynomial, so the polynomials of one table share their key ints.
+``_h_dividend`` forms the dividend of the closed form of h in one pass;
+``_reflected`` maps x1^k x2^m to x1^(s-m) x2^(s-k).  ``_power`` is
+square-and-multiply, cut at a degree if asked.
+
 Coefficients are Python ints wherever possible and ``fractions.Fraction``
 only where denominators genuinely appear; every stored Fraction has a
 denominator above 1, because each result that is not already an int and
@@ -61,9 +72,9 @@ functions, so they can be shared freely between concurrent callers.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
-from operator import index, mul
+from operator import add, index, mul
 
 from .limits import DegreeLimitError
 
@@ -383,6 +394,105 @@ def _reflected(p: SparsePoly, s: int) -> SparsePoly:
         s - (key >> _WIDTH) + ((s - (key & _MASK)) << _WIDTH): coeff
         for key, coeff in p._keys.items()
     })
+
+
+# The keys of x2 and of x1 x2: adding one to a key multiplies its term by
+# that monomial.
+_X2 = 1 << _WIDTH
+_X1X2 = 1 + _X2
+
+
+def _g_steps(g: SparsePoly, t: int) -> Iterator[SparsePoly]:
+    """Yield g_(t+1), g_(t+2), ... from g = g_t, where
+    g_(u+1) = (1 + x1 + x2) g_u + truncate_(<=u)(x1 x2 g_u).
+
+    Each step starts from a copy of g_u, the term 1 * g_u, and makes one
+    pass over g_u's terms: a term adds its coefficient at the keys shifted
+    by x1 and by x2, and, when its degree is at most u - 2, at the key
+    shifted by x1 x2.  ``g`` must use x1 and x2 only and have positive
+    coefficients, as every g_u does, so no sum cancels and no step stores
+    a zero.
+    """
+    while True:
+        acc = dict(g._keys)
+        get = acc.get
+        for k, c in g._keys.items():
+            k1 = k + 1
+            acc[k1] = get(k1, 0) + c
+            k1 = k + _X2
+            acc[k1] = get(k1, 0) + c
+            if k % _MASK <= t - 2:
+                k1 = k + _X1X2
+                acc[k1] = get(k1, 0) + c
+        g = _poly(acc)
+        t += 1
+        yield g
+
+
+def _h_steps(h: SparsePoly, power: SparsePoly, t: int) -> Iterator[SparsePoly]:
+    """Yield h_(t+1), h_(t+2), ... from h = h_t and power = (x1 + x2)^t, where
+    h_(u+1) = h_u (1 + x1)(1 + x2) + (1 - x1 x2)(x1 + x2)^u.
+
+    Each step starts from a copy of h_u, the term 1 * h_u of
+    h_u (1 + x1 + x2 + x1 x2), and makes one pass over h_u's terms, adding
+    the three shifted copies, and one over the row of coefficients of
+    (x1 + x2)^u, whose term x1^i x2^(u-i) adds at its key and subtracts at
+    the key shifted by x1 x2.  The row is read off ``power`` once and
+    carried to u + 1 by Pascal's rule, so a growth of any length takes one
+    power.  A step can cancel a sum, so its zeros are dropped at the end.
+    """
+    row = [power._keys.get(t * _X2 - i * _MASK, 0) for i in range(t + 1)]
+    while True:
+        acc = dict(h._keys)
+        get = acc.get
+        for k, c in h._keys.items():
+            k1 = k + 1
+            acc[k1] = get(k1, 0) + c
+            k1 = k + _X2
+            acc[k1] = get(k1, 0) + c
+            k1 = k + _X1X2
+            acc[k1] = get(k1, 0) + c
+        k = t * _X2  # x2^t; the key of x1^i x2^(t-i) is t * _X2 - i * _MASK
+        for c in row:
+            acc[k] = get(k, 0) + c
+            k1 = k + _X1X2
+            acc[k1] = get(k1, 0) - c
+            k -= _MASK
+        h = _poly({k: c for k, c in acc.items() if c})
+        row = [row[0], *map(add, row, row[1:]), row[-1]]  # times x1 + x2
+        t += 1
+        yield h
+
+
+def _h_dividend(a: SparsePoly, b: SparsePoly, c: SparsePoly) -> SparsePoly:
+    """(1 - x1 x2)(a b - c) for ``a`` in x1 alone and ``b`` in x2 alone, in one pass.
+
+    a and b have disjoint supports, so a b is an outer product whose keys
+    never collide: the term x1^i x2^j of (1 - x1 x2) a b is
+    a_i b_j - a_(i-1) b_(j-1), written once.  Each term of ``c`` then
+    subtracts at its key and adds at the key shifted by x1 x2.
+    """
+    ka, kb = a._keys, b._keys
+    a_coeffs = [ka.get(i, 0) for i in range(a.degree() + 1)] + [0]
+    out: dict[int, int] = {}
+    before = [0] * len(a_coeffs)  # a_(i-1) b_(j-1) at i, from row j - 1
+    for j in range(b.degree() + 2):
+        bj = kb.get(j * _X2, 0)
+        here = [ai * bj for ai in a_coeffs]
+        base = j * _X2
+        for i, (v, w) in enumerate(zip(here, before)):
+            if v != w:
+                out[base + i] = v - w
+        before = [0, *here[:-1]]
+    get = out.get
+    for k, v in c._keys.items():
+        for key, w in ((k, -v), (k + _X1X2, v)):
+            new = get(key, 0) + w
+            if new:
+                out[key] = new
+            else:
+                del out[key]
+    return _poly(out)
 
 
 def _check_degree(degree: int) -> None:

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import gzcount
-from gzcount import counting
+from gzcount import counting, polyseries
 from gzcount.counting import (
     CacheFormatError,
     CountCache,
@@ -40,7 +40,7 @@ from gzcount.counting import (
     vertex_count,
 )
 from gzcount.limits import ResourceLimitError
-from gzcount.polyseries import Monomial, SparsePoly, TruncSeries
+from gzcount.polyseries import Monomial, SparsePoly, TruncSeries, divide_exact
 
 ONE = SparsePoly.const(1)
 X1 = SparsePoly.variable(1)
@@ -393,12 +393,19 @@ def test_coeff_theorem_matches_binomial_formula():
                 assert coeff_theorem_V(k, l, m) == binomial_formula_V(k, l, m)
 
 
+def h_numerator(s):
+    """(1-xz) ((1+x)^s (1+z)^s - (x+z)^s), which is (1+xz) h_s, by generic
+    ``SparsePoly`` arithmetic: the dividend the closed form of h_s took
+    before it was formed in one pass."""
+    return (ONE - X1 * X2) * ((ONE + X1) ** s * (ONE + X2) ** s - (X1 + X2) ** s)
+
+
 @functools.cache
 def series_quotient(s, cap):
     """(1-xz)/(1+xz) * ((1+x)^s (1+z)^s - (x+z)^s) truncated at ``cap``: the
     series inverse of 1 + xz times the numerator, the route coeff_theorem_V
     took before it read the numerator's coefficients."""
-    numerator = TruncSeries.from_poly(counting._h_numerator(s, X1, X2), 2, cap)
+    numerator = TruncSeries.from_poly(h_numerator(s), 2, cap)
     return numerator * TruncSeries.from_poly(ONE + X1 * X2, 2, cap).inv()
 
 
@@ -417,7 +424,7 @@ def test_coeff_theorem_answers_far_beyond_the_whole_numerator():
 
 
 def test_numerator_corner_agrees_with_the_whole_numerator_where_read():
-    whole = functools.cache(lambda s: counting._h_numerator(s, X1, X2))
+    whole = functools.cache(h_numerator)
     for k, l, m in product(range(1, 11), repeat=3):
         s = k + l + m
         corner = counting._h_numerator_corner(s, k, m)
@@ -625,6 +632,92 @@ def test_h_polynomial_validation():
         h_polynomial(0)
     with pytest.raises(ValueError):
         h_polynomial(2, "magic")
+
+
+def g_reference(s_max):
+    """g_0 .. g_s_max by the recurrence step in generic ``SparsePoly``
+    arithmetic, the step ``g_polynomial`` took before its one-pass loop."""
+    g = [ONE]
+    for t in range(s_max):
+        g.append((ONE + X1 + X2) * g[t] + (X1 * X2 * g[t]).truncate(t))
+    return g
+
+
+def h_reference(s_max):
+    """h_0 .. h_s_max by the recurrence step in generic ``SparsePoly``
+    arithmetic, one power of x + z per step."""
+    h = [SparsePoly()]
+    for t in range(s_max):
+        h.append(h[t] * (ONE + X1) * (ONE + X2) + (ONE - X1 * X2) * (X1 + X2) ** t)
+    return h
+
+
+def same_poly(got, want):
+    return got._keys == want._keys and got.degree() == want.degree()
+
+
+@pytest.fixture
+def empty_slice_tables(monkeypatch):
+    """Unseeded slice tables, as a fresh process has them."""
+    monkeypatch.setattr(counting, "_G_CACHE", [None])
+    monkeypatch.setattr(counting, "_H_CACHE", [None])
+
+
+def test_slice_routes_equal_the_generic_arithmetic_steps(empty_slice_tables):
+    g, h = g_reference(40), h_reference(40)
+    for s in range(41):
+        assert same_poly(g_polynomial(s), g[s]), s
+    for s in range(1, 41):
+        closed = divide_exact(h_numerator(s), ONE + X1 * X2)
+        assert same_poly(closed, h[s]), s
+        for method in counting.H_METHODS:
+            assert same_poly(h_polynomial(s, method), h[s]), (s, method)
+
+
+def test_slice_tables_resume_growth_from_their_last_entry(empty_slice_tables):
+    g, h = g_reference(20), h_reference(20)
+    assert same_poly(g_polynomial(7), g[7]) and same_poly(h_polynomial(7), h[7])
+    assert len(counting._G_CACHE) == len(counting._H_CACHE) == 8
+    held_g, held_h = counting._G_CACHE[:], counting._H_CACHE[:]
+    assert same_poly(g_polynomial(20), g[20]) and same_poly(h_polynomial(20), h[20])
+    assert len(counting._G_CACHE) == len(counting._H_CACHE) == 21
+    # The entries held before are kept as they were, not rebuilt.
+    assert all(a is b for a, b in zip(held_g + held_h, counting._G_CACHE[:8] + counting._H_CACHE[:8]))
+    for s in range(21):
+        assert same_poly(counting._G_CACHE[s], g[s]) and same_poly(counting._H_CACHE[s], h[s]), s
+
+
+@pytest.mark.parametrize("call", [
+    "g_polynomial(2.0)",
+    *(f"h_polynomial(3.5, {method!r})" for method in counting.H_METHODS),
+    "h_polynomial(2.5, 'closed-form')",
+])
+def test_a_float_size_is_refused_before_a_slice_table_grows(call):
+    g_polynomial(1), h_polynomial(1)
+    lengths = len(counting._G_CACHE), len(counting._H_CACHE)
+    with pytest.raises(TypeError):
+        eval(call)
+    assert (len(counting._G_CACHE), len(counting._H_CACHE)) == lengths
+
+
+def test_h_recurrence_reads_no_binomial_and_no_closed_form(empty_slice_tables, monkeypatch):
+    def banned(*args):
+        raise AssertionError("the recurrence reached the closed form or a binomial")
+
+    want = h_reference(25)
+    monkeypatch.setattr(counting, "comb", banned)
+    monkeypatch.setattr(polyseries, "_h_dividend", banned)
+    monkeypatch.setattr(polyseries, "divide_exact", banned)
+    for s in (3, 12, 25):
+        assert same_poly(h_polynomial(s, "recurrence"), want[s])
+
+
+def test_h_closed_form_reads_neither_slice_table(monkeypatch):
+    want = h_reference(25)
+    monkeypatch.setattr(counting, "_G_CACHE", None)
+    monkeypatch.setattr(counting, "_H_CACHE", None)
+    for s in (1, 12, 25):
+        assert same_poly(h_polynomial(s, "closed-form"), want[s])
 
 
 def _first_call(code):

@@ -443,3 +443,14 @@ def test_a_fault_in_a_infinity_alone_is_caught_at_n_8(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "a-infinity 6001472" in out and "fiber 3000736" in out
     assert "agreement: MISMATCH" in out
+
+
+def test_tri_table_shares_no_code_with_g_polynomial():
+    # The tri check compares the table with g_s and h_s; it is a check
+    # only while the table's growth loop is not the polynomials' loop.
+    graph = Graph(PACKAGE)
+    allowed = {node for node, (module, _, _) in graph.defs.items() if module in ALLOWED_MODULES}
+    table = graph.reach({"counting.tri_table"}) - allowed
+    slices = graph.reach({"counting.g_polynomial"}) | graph.reach({"counting.h_polynomial"})
+    assert "polyseries._g_steps" in slices and "polyseries._h_steps" in slices
+    assert table & slices == set()

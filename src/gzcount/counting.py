@@ -64,7 +64,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, filterfalse, islice
 from math import comb
 from operator import add, index, mul
@@ -137,6 +137,12 @@ class CacheFormatError(ValueError):
 # accepts exactly these.
 _KEY_TEXT = re.compile(r"[1-9][0-9]*(?:,[1-9][0-9]*)*")
 _VALUE_TEXT = re.compile(r"0|[1-9][0-9]*")
+
+
+def _clipped(value: object) -> str:
+    """repr(value), cut to its first 40 characters and "..." when longer."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 class CountCache:
@@ -226,7 +232,7 @@ class CountCache:
         version = data.get("version") if isinstance(data, dict) else data
         # ``True`` and ``1.0`` compare equal to 1; only the int itself is version 1.
         if not isinstance(data, dict) or type(version) is not int or version != cls.VERSION:
-            raise CacheFormatError(f"unsupported cache version {version!r}")
+            raise CacheFormatError(f"unsupported cache version {_clipped(version)}")
         counts = data.get("counts")
         if not isinstance(counts, dict):
             raise CacheFormatError("cache file has no counts table")
@@ -237,9 +243,9 @@ class CountCache:
             # JSON object keys are always strings; values need not be.
             if not key_ok(key_text):
                 kind = "non-canonical" if key_text else "bad"
-                raise CacheFormatError(f"{kind} cache key {key_text!r}")
+                raise CacheFormatError(f"{kind} cache key {_clipped(key_text)}")
             if not (isinstance(value_text, str) and value_ok(value_text)):
-                raise CacheFormatError(f"non-canonical cache value {value_text!r}")
+                raise CacheFormatError(f"non-canonical cache value {_clipped(value_text)}")
             table[tuple(map(int, key_text.split(",")))] = int(value_text)
         return cache
 
@@ -731,12 +737,22 @@ def _x_and_z() -> tuple[SparsePoly, SparsePoly]:
     return SparsePoly.variable(1), SparsePoly.variable(2)
 
 
-# g_s and h_s by s.  The seeds g_0 = 1 and h_0 = 0 are built on the first
-# call, so importing this module builds no polynomial; until then slot 0
-# holds None and each table has one slot.  A table grows only past its
-# last entry, so an answer already held builds nothing.
+# g_s and h_s by s.  Until the first call slot 0 holds None, so importing
+# this module builds no polynomial.
 _G_CACHE: list[SparsePoly | None] = [None]
 _H_CACHE: list[SparsePoly | None] = [None]
+
+
+def _grown(table: list[SparsePoly | None], s: int, seed: Callable, steps: Callable) -> SparsePoly:
+    """``table[s]`` of a slice table: slot 0 is filled with ``seed()`` on
+    first use, and a table shorter than s + 1 is extended past its last
+    entry, table[t], by ``steps(table[t], t)``.  Nothing held is rebuilt."""
+    if table[0] is None:
+        table[0] = seed()
+    t = len(table) - 1
+    if t < s:
+        table.extend(islice(steps(table[t], t), s - t))
+    return table[s]
 
 
 def g_polynomial(s: int) -> SparsePoly:
@@ -744,22 +760,17 @@ def g_polynomial(s: int) -> SparsePoly:
 
     g_0 = 1 and g_{s+1} = (1+x+z) g_s + truncate_{<=s}(xz g_s); the
     coefficient of x^k z^m equals the count V with s boxes split as
-    (k, s-k-m, m).  ``_G_CACHE`` holds every g_s built so far, and a
-    larger s resumes from its last entry, each step one pass over g_s's
-    terms (``polyseries._g_steps``).  ``s`` is read through
-    ``operator.index`` before the table grows.
+    (k, s-k-m, m).  ``_G_CACHE`` holds every g_s built so far
+    (``_grown``), each step one pass over g_s's terms
+    (``polyseries._g_steps``).  ``s`` is read through ``operator.index``
+    before the table grows.
     """
     s = index(s)
     if s < 0:
         raise ValueError("g_polynomial requires s >= 0")
     from .polyseries import SparsePoly, _g_steps
 
-    if _G_CACHE[0] is None:
-        _G_CACHE[0] = SparsePoly.const(1)
-    t = len(_G_CACHE) - 1
-    if t < s:
-        _G_CACHE.extend(islice(_g_steps(_G_CACHE[t], t), s - t))
-    return _G_CACHE[s]
+    return _grown(_G_CACHE, s, lambda: SparsePoly.const(1), _g_steps)
 
 
 H_METHODS = ("recurrence", "definition", "closed-form")
@@ -778,18 +789,16 @@ def h_polynomial(s: int, method: str = "recurrence") -> SparsePoly:
     recurrence reads no binomial and no closed-form code, and the closed
     form reads neither slice table.
 
-    The recurrence holds every h_s built so far in ``_H_CACHE`` and
-    resumes from its last entry, each step one pass over h_s's terms
-    (``polyseries._h_steps``).  A growth from h_t takes one power
-    (x+z)^t and carries its row of coefficients from step to step by
-    Pascal's rule, one pass per step, so no step takes a power.  The
-    closed form builds each h_s anew: it forms the dividend from its
-    three powers in one pass (``polyseries._h_dividend``) and divides by
-    1 + xz with ``divide_exact``.  It keeps the powers and the division
-    so that it is computed from the formula alone, and because
-    ``divide_exact`` raises unless the division is exact, which checks
-    that 1 + xz divides the numerator.  ``s`` is read through
-    ``operator.index`` before anything is built.
+    The recurrence holds every h_s built so far in ``_H_CACHE``
+    (``_grown``), each step one pass over h_s's terms that takes no power
+    (``polyseries._h_steps``).  The closed form builds each h_s anew: it
+    forms the dividend from its three powers in one pass
+    (``polyseries._h_dividend``) and divides by 1 + xz with
+    ``divide_exact``.  It keeps the powers and the division so that it is
+    computed from the formula alone, and because ``divide_exact`` raises
+    unless the division is exact, which checks that 1 + xz divides the
+    numerator.  ``s`` is read through ``operator.index`` before anything
+    is built.
     """
     s = index(s)
     if s < 1:
@@ -797,13 +806,7 @@ def h_polynomial(s: int, method: str = "recurrence") -> SparsePoly:
     from .polyseries import SparsePoly, _h_dividend, _h_steps, _reflected, divide_exact
 
     if method == "recurrence":
-        if _H_CACHE[0] is None:
-            _H_CACHE[0] = SparsePoly()
-        t = len(_H_CACHE) - 1
-        if t < s:
-            x, z = _x_and_z()
-            _H_CACHE.extend(islice(_h_steps(_H_CACHE[t], (x + z) ** t, t), s - t))
-        return _H_CACHE[s]
+        return _grown(_H_CACHE, s, SparsePoly, _h_steps)
     if method == "definition":
         g = g_polynomial(s)
         return g - _reflected(g, s)

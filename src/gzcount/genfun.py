@@ -27,9 +27,7 @@ the packed layers of the result, so no term goes through the argument
 checks of ``a_infinity`` or of the ``TruncSeries`` constructor.
 
 The closed form of G_3 and the slices of H are held in one
-process-global table, ``_GROWN``, at the largest cap asked for so far
-up to ``GROWN_MAX_CAP``; a smaller cap is answered by truncating the
-held value, so a process builds each of them once per new largest cap.
+process-global table, ``_GROWN``, by one rule (``_held``).
 
 ``verify_suite`` returns the reports of one ``gzcount verify`` suite, or
 of all of them, in the order the command prints them.  A nonzero
@@ -97,24 +95,36 @@ def _check_cap(what: str, cap: int, limit: int) -> None:
         raise ResourceLimitError(f"{what} cap {cap} exceeds the limit {limit}")
 
 
-#: The closed form of G3 and the slices of H at the largest cap built so
-#: far in this process: "G3" holds a ``TruncSeries``, "H slices" the list
-#: of ``expand_H_in_y``.  Each coefficient of degree d depends only on the
-#: terms of degree <= d of what it is built from, so truncation commutes
-#: with every operation the builders use (mul, inv, sqrt, scale, add,
-#: ``from_poly``) and a smaller cap is answered by truncating the held
-#: value.  A larger cap builds anew and replaces the entry; nothing held
-#: is ever modified, so concurrent callers always see a complete value.
-#: Every cap is checked before the table is read.
+#: The closed form of G3 ("G3", a ``TruncSeries``) and the slices of H
+#: ("H slices", the list of ``expand_H_in_y``), held by ``_held``.
 _GROWN: dict[str, object] = {}
 
-#: Largest cap held in ``_GROWN``.  A larger cap is built and returned
-#: without reading or writing the table, so the table pins little for the
-#: life of the process: G3 at cap 30 holds 0.6 MB and the H slices to
-#: s = 30 hold 1.1 MB (tracemalloc).  Held at cap 80, G3 stayed alive
-#: through ``verify_h`` and raised ``verify all --k 1 --cap 80`` from 86
-#: to 97 MB peak RSS.
+#: Largest cap held in ``_GROWN``: G3 at cap 30 holds 0.6 MB and the H
+#: slices to s = 30 hold 1.1 MB (tracemalloc).  Held at cap 80, G3 stayed
+#: alive through ``verify_h`` and raised ``verify all --k 1 --cap 80``
+#: from 86 to 97 MB peak RSS.
 GROWN_MAX_CAP = 30
+
+
+def _held(name: str, cap: int, build, cap_of):
+    """``build(cap)`` held in ``_GROWN[name]``, or the value held there at a
+    larger cap; above ``GROWN_MAX_CAP``, ``build(cap)`` with the table
+    neither read nor written.
+
+    Each coefficient of degree d depends only on the terms of degree <= d
+    of what it is built from, so truncation commutes with every operation
+    the builders use (mul, inv, sqrt, scale, add, ``from_poly``), and the
+    caller answers a smaller cap by truncating the held value.  A cap
+    above ``cap_of(held)`` builds anew and replaces the entry; nothing
+    held is ever modified, so concurrent callers always see a complete
+    value.  Callers check their cap first.
+    """
+    if cap > GROWN_MAX_CAP:
+        return build(cap)
+    held = _GROWN.get(name)
+    if held is None or cap_of(held) < cap:
+        held = _GROWN[name] = build(cap)
+    return held
 
 
 def build_G(k: int, cap: int, cache: CountCache | None = None) -> TruncSeries:
@@ -355,20 +365,15 @@ def closed_form_G3(cap: int) -> TruncSeries:
     Neither 1 - x - z nor 1 / lam has a y term, so the one three-variable
     solve is the final inverse of (1 - x - z) - y (1 - x - z) / lam.
     Every coefficient is checked to be a nonnegative integer when the
-    series is built.  Held in ``_GROWN`` up to ``GROWN_MAX_CAP``, and
-    always returned as ``truncate`` of the held series (keyed in base
-    cap + 1), so it combines layer by layer with a series built at its
-    cap.  A cap above ``G3_MAX_CAP`` is refused.
+    series is built.  The series is held (``_held``) and returned as its
+    ``truncate`` at cap, keyed in base cap + 1, so it combines layer by
+    layer with a series built at its cap.  A cap above ``G3_MAX_CAP`` is
+    refused.
     """
     _check_cap("G3 closed form", cap, G3_MAX_CAP)
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
-    if cap > GROWN_MAX_CAP:
-        return _build_G3(cap)
-    held = _GROWN.get("G3")
-    if held is None or held.cap < cap:
-        held = _GROWN["G3"] = _build_G3(cap)
-    return held.truncate(cap)
+    return _held("G3", cap, _build_G3, lambda g: g.cap).truncate(cap)
 
 
 def _build_G3(cap: int) -> TruncSeries:
@@ -458,19 +463,12 @@ def expand_H_in_y(s_max: int) -> list[SparsePoly]:
     in y is expanded by the linear recurrence of its denominator (Stanley,
     EC1, Thm 4.1.1): 1 / (d1 d2) = sum_s r_s y^s with r_0 = 1, r_1 = p1
     and r_s = p1 r_(s-1) - p2 r_(s-2), so [y^s] H = (1 - xz) r_(s-1).
-    Each slice is exact, with no truncation in x or z, which come from
-    ``counting._x_and_z`` as in ``h_polynomial``.  The longest list built
-    so far, up to ``GROWN_MAX_CAP``, is held in ``_GROWN``, and a shorter
-    one is a new list of its first slices.
+    Each slice is exact, with no truncation in x or z.  The list is held
+    (``_held``), and each call returns a new list of its first slices.
     """
     if s_max < 0:
         raise ValueError(f"s_max must be >= 0, got {s_max}")
-    if s_max > GROWN_MAX_CAP:
-        return list(_H_slices(s_max))
-    held = _GROWN.get("H slices")
-    if held is None or len(held) <= s_max:
-        held = _GROWN["H slices"] = list(_H_slices(s_max))
-    return held[:s_max + 1]
+    return _held("H slices", s_max, lambda s: list(_H_slices(s)), lambda h: len(h) - 1)[:s_max + 1]
 
 
 def _H_slices(s_max: int) -> Iterator[SparsePoly]:
@@ -499,9 +497,8 @@ def verify_h(s_max: int) -> ResidualReport:
     which expands H in y alone: slice s is the whole polynomial, the
     same as the y^s slice of H built to total degree 3*s_max (h_s has
     degree at most 2s in x and z), without building the terms of higher
-    y-degree.  Up to ``GROWN_MAX_CAP`` the slices are the list held in
-    ``_GROWN``; above it nothing is held, and each slice is compared as
-    the recurrence yields it, so no list of slices is ever alive.  Each
+    y-degree.  Above ``GROWN_MAX_CAP`` each slice is compared as the
+    recurrence yields it, so no list of slices is ever alive.  Each
     route is compared with the recurrence by ``==``, one comparison of
     their packed term maps; only a pair that differs is subtracted, and
     every nonzero coefficient of that difference counts as one residual

@@ -50,11 +50,10 @@ section 4.7); ``TruncSeries.sqrt`` solves r * r = a the same way.
 
 The slice polynomials of ``counting``, in x1 and x2, have loops of their
 own on ``SparsePoly`` keys, where multiplying a term by x1, x2 or x1 x2
-adds a fixed int to its key.  ``_g_steps`` and ``_h_steps`` take each
-step of the g and h recurrences as one pass that adds shifted copies of
-the previous polynomial's terms, in place of several generic products,
-sums and truncations.  Each step starts from a copy of the previous
-polynomial, so the polynomials of one table share their key ints.
+adds a fixed int to its key.  ``_g_steps`` and ``_h_steps`` read only
+the last polynomial of a table and its index, and take each step of the
+g and h recurrences as one pass that adds shifted copies of its terms to
+a copy of it, so the polynomials of one table share their key ints.
 ``_h_dividend`` forms the dividend of the closed form of h in one pass;
 ``_reflected`` maps x1^k x2^m to x1^(s-m) x2^(s-k).  ``_power`` is
 square-and-multiply, cut at a degree if asked.
@@ -429,19 +428,21 @@ def _g_steps(g: SparsePoly, t: int) -> Iterator[SparsePoly]:
         yield g
 
 
-def _h_steps(h: SparsePoly, power: SparsePoly, t: int) -> Iterator[SparsePoly]:
-    """Yield h_(t+1), h_(t+2), ... from h = h_t and power = (x1 + x2)^t, where
+def _h_steps(h: SparsePoly, t: int) -> Iterator[SparsePoly]:
+    """Yield h_(t+1), h_(t+2), ... from h = h_t, where
     h_(u+1) = h_u (1 + x1)(1 + x2) + (1 - x1 x2)(x1 + x2)^u.
 
     Each step starts from a copy of h_u, the term 1 * h_u of
     h_u (1 + x1 + x2 + x1 x2), and makes one pass over h_u's terms, adding
     the three shifted copies, and one over the row of coefficients of
     (x1 + x2)^u, whose term x1^i x2^(u-i) adds at its key and subtracts at
-    the key shifted by x1 x2.  The row is read off ``power`` once and
-    carried to u + 1 by Pascal's rule, so a growth of any length takes one
-    power.  A step can cancel a sum, so its zeros are dropped at the end.
+    the key shifted by x1 x2.  The row is built from row 0 by Pascal's
+    rule, so no step takes a power.  A step can cancel a sum, so its zeros
+    are dropped at the end.
     """
-    row = [power._keys.get(t * _X2 - i * _MASK, 0) for i in range(t + 1)]
+    row = [1]
+    for _ in range(t):
+        row = [1, *map(add, row, row[1:]), 1]  # times x1 + x2
     while True:
         acc = dict(h._keys)
         get = acc.get
@@ -459,7 +460,7 @@ def _h_steps(h: SparsePoly, power: SparsePoly, t: int) -> Iterator[SparsePoly]:
             acc[k1] = get(k1, 0) - c
             k -= _MASK
         h = _poly({k: c for k, c in acc.items() if c})
-        row = [row[0], *map(add, row, row[1:]), row[-1]]  # times x1 + x2
+        row = [1, *map(add, row, row[1:]), 1]
         t += 1
         yield h
 

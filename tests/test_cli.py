@@ -49,6 +49,14 @@ def test_parse_partition_errors():
             parse_partition(bad)
 
 
+def test_a_decreasing_partition_names_the_first_two_values_out_of_order(capsys):
+    with pytest.raises(ValueError, match=r"^partition values must be weakly increasing: 3 comes before 2$"):
+        parse_partition("1 3^2 2 1^0")
+    # The faulty token is not expanded, so the message stays short.
+    code, out, err = run_cli(capsys, "count", "2 1^1000000")
+    assert (code, out) == (EXIT_USAGE, "") and len(err) < 200
+
+
 # ------------------------------------------------------------------- count
 
 
@@ -827,6 +835,15 @@ def test_cache_rejects_malformed_file(tmp_path, capsys):
         code, out, err = run_cli(capsys, "count", "1 2", "--cache", str(path))
         assert (code, out) == (EXIT_USAGE, "")
         assert f"unsupported cache version {version!r}" in err
+
+
+def test_cache_errors_echo_at_most_the_start_of_a_long_value(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    for data in (list(range(200_000)), "x" * 300_000, {"version": list(range(100_000))}):
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "count", "1 2", "--cache", str(path))
+        assert (code, out) == (EXIT_USAGE, "") and len(err) < 200, err[:200]
+        assert err.endswith("...\n")
 
 
 @pytest.mark.parametrize("argv", [("count", "1 2 3", "--cache"), ("cache", "stats", "--path")])

@@ -674,17 +674,27 @@ def test_slice_routes_equal_the_generic_arithmetic_steps(empty_slice_tables):
             assert same_poly(h_polynomial(s, method), h[s]), (s, method)
 
 
-def test_slice_tables_resume_growth_from_their_last_entry(empty_slice_tables):
-    g, h = g_reference(20), h_reference(20)
-    assert same_poly(g_polynomial(7), g[7]) and same_poly(h_polynomial(7), h[7])
-    assert len(counting._G_CACHE) == len(counting._H_CACHE) == 8
-    held_g, held_h = counting._G_CACHE[:], counting._H_CACHE[:]
-    assert same_poly(g_polynomial(20), g[20]) and same_poly(h_polynomial(20), h[20])
-    assert len(counting._G_CACHE) == len(counting._H_CACHE) == 21
+def terms_of(polys):
+    """The packed term maps and degrees of ``polys``.  A failed comparison
+    of these prints no polynomial, whose repr never ends on a key with a
+    negative field."""
+    return [(p._keys, p.degree()) for p in polys]
+
+
+@pytest.mark.parametrize("t", [1, 2, 7, 19])
+def test_slice_tables_resume_growth_from_their_last_entry(empty_slice_tables, t):
+    top = 25
+    want_g, want_h = terms_of(g_reference(top)), terms_of(h_reference(top))
+    g_polynomial(t), h_polynomial(t)
+    lengths = len(counting._G_CACHE), len(counting._H_CACHE)
+    assert lengths == (t + 1, t + 1)
+    held = counting._G_CACHE + counting._H_CACHE
+    g_polynomial(top), h_polynomial(top)
+    got_g, got_h = terms_of(counting._G_CACHE), terms_of(counting._H_CACHE)
+    assert got_g == want_g and got_h == want_h
     # The entries held before are kept as they were, not rebuilt.
-    assert all(a is b for a, b in zip(held_g + held_h, counting._G_CACHE[:8] + counting._H_CACHE[:8]))
-    for s in range(21):
-        assert same_poly(counting._G_CACHE[s], g[s]) and same_poly(counting._H_CACHE[s], h[s]), s
+    kept = [a is b for a, b in zip(held, counting._G_CACHE[:t + 1] + counting._H_CACHE[:t + 1])]
+    assert kept == [True] * (2 * t + 2)
 
 
 @pytest.mark.parametrize("call", [
@@ -702,14 +712,18 @@ def test_a_float_size_is_refused_before_a_slice_table_grows(call):
 
 def test_h_recurrence_reads_no_binomial_and_no_closed_form(empty_slice_tables, monkeypatch):
     def banned(*args):
-        raise AssertionError("the recurrence reached the closed form or a binomial")
+        raise AssertionError("the recurrence reached the closed form, a power or a binomial")
 
     want = h_reference(25)
     monkeypatch.setattr(counting, "comb", banned)
+    monkeypatch.setattr(counting, "_x_and_z", banned)
     monkeypatch.setattr(polyseries, "_h_dividend", banned)
     monkeypatch.setattr(polyseries, "divide_exact", banned)
-    for s in (3, 12, 25):
-        assert same_poly(h_polynomial(s, "recurrence"), want[s])
+    monkeypatch.setattr(polyseries, "_power", banned)
+    # A fresh growth from h_0, then one resumed from h_7.
+    for s in (7, 25):
+        got = terms_of([h_polynomial(s, "recurrence")])
+        assert got == terms_of(want[s:s + 1]) and len(counting._H_CACHE) == s + 1
 
 
 def test_h_closed_form_reads_neither_slice_table(monkeypatch):

@@ -38,19 +38,30 @@ code:
 
 * ``a_infinity`` lists the children of one step of A by a left-to-right
   dynamic programme over the positions of the key, whose state is the
-  zero-stripped partial child and one carry bit (see ``_a_children``);
+  zero-stripped partial child and one carry bit (see ``_a_children``).
+  A key of two entries skips it: there A is (a, b) -> (a, b-1) +
+  (a-1, b), and ``_a_pairs`` steps it in a loop of its own;
 * the fiber route enumerates the 2^(k-1) choices of the squarefree
   product as bitmasks, one product term each, in Gray-code order so
   that each step changes two entries of the exponent vector.
+
+The walks store different keys.  ``a_infinity`` stores every key it
+reaches, both orientations of a vector included, because its table is
+what cache files and ``gzcount cache stats`` show.  The fiber route
+stores a vector under the smaller of it and its reversal: GZ(lambda)
+and GZ(-w0 lambda), where w0 reverses lambda, are linearly isomorphic,
+so reversing the multiplicity vector keeps the count.
 
 The zero-keeping reference ``a_infinity_unnormalized`` walks no DAG: it
 applies ``apply_A``, the operator's definition, to the whole monomial
 on ``SparsePoly`` objects, once per unit of degree, and reads off the
 constant left.  A fault in either walk cannot hide in a comparison with it.
 
-No route recurses: each walk keeps its own stack and the three-value
-recurrence fills its cells in an order where every term is ready, so no
-answer depends on the recursion limit or on what a memo already holds.
+No route recurses: each walk keeps its own stack, ``_a_pairs`` hands a
+key of one entry back to ``_a_walk``, which reaches no key of two
+entries from there, and the three-value recurrence fills its cells in an
+order where every term is ready, so no answer depends on the recursion
+limit or on what a memo already holds.
 Counts are arbitrary-precision integers throughout.
 
 Only the polynomial routes (``apply_A``, the zero-keeping reference,
@@ -350,8 +361,10 @@ def _a_walk(key: Mults, memo: dict[Mults, int]) -> int:
     walk expands is added to it, insert-if-absent.  The one leaf, the
     empty key worth 1, is popped from each fresh child dict, so it is
     never stored or expanded; A lowers the total by one, so only (1,)
-    has it as a child.  The walk keeps its own stack, so the depth of the
-    DAG is not bounded by the interpreter's recursion limit.
+    has it as a child.  A key of two entries is handed to ``_a_pairs``
+    when it is popped, and stored there with every missing key below it.
+    The walk keeps its own stack, so the depth of the DAG is not bounded
+    by the interpreter's recursion limit.
     """
     value = memo.get(key)
     if value is not None:
@@ -365,6 +378,9 @@ def _a_walk(key: Mults, memo: dict[Mults, int]) -> int:
         if type(top) is tuple:
             if top in memo:
                 continue
+            if len(top) == 2:
+                _a_pairs(top, memo)
+                continue
             children = _a_children(top)
             stack.append([top, children.pop((), 0), children])
             stack.extend(filterfalse(memo.__contains__, children))
@@ -373,6 +389,40 @@ def _a_walk(key: Mults, memo: dict[Mults, int]) -> int:
             values = map(memo.__getitem__, children)
             memo.setdefault(node, weight + sum(map(mul, children.values(), values)))
     return memo[key]
+
+
+def _a_pairs(key: Mults, memo: dict[Mults, int]) -> None:
+    """Store the key (a, b), missing from ``memo``, and every missing key below it.
+
+    This is A at two entries: x1^a x2^b goes to x1^(a-1) x2^(b-1) (x1 + x2),
+    so (a, b) has the children (a, b-1) and (a-1, b), an entry that drops
+    to 0 stripped.  At (1, 1) both children are (1,), and they merge with
+    multiplicity 2.  A node stays on top of the stack until both its
+    children are in ``memo``: a missing child of two entries is pushed
+    above it, and a missing child of one entry is walked by ``_a_walk``,
+    which reaches no key of two entries from there.
+    """
+    get = memo.get
+    stack = [key]
+    while stack:
+        node = stack[-1]
+        a, b = node
+        left = (a, b - 1) if b > 1 else (a,)
+        x = get(left)
+        if x is None:
+            if b > 1:
+                stack.append(left)
+                continue
+            x = _a_walk(left, memo)
+        down = (a - 1, b) if a > 1 else (b,)
+        y = get(down)
+        if y is None:
+            if a > 1:
+                stack.append(down)
+                continue
+            y = _a_walk(down, memo)
+        stack.pop()
+        memo.setdefault(node, x + y)
 
 
 def _a_counts(exponents: Iterable[Mults], cache: CountCache | None) -> Iterator[tuple[Mults, int]]:
@@ -486,10 +536,13 @@ def _fiber_children(key: Mults) -> dict[Mults, int]:
     are visited in Gray-code order, so each differs from the previous
     one in a single bit j, and flipping it moves one unit of exponent
     between positions j and j+1: to j+1 when the bit is set, back to j
-    when it is cleared.
+    when it is cleared.  Entry j of a child is at least key[j] - 1, so
+    only an entry of 1 can strip to zero; a key with none builds its
+    children without the strip.
     """
     exps = [*key[:-1], key[-1] - 1]
-    children = {tuple(filter(None, exps)): 1}
+    strip = 1 in key
+    children = {tuple(filter(None, exps)) if strip else tuple(exps): 1}
     mask = 0
     for i in range(1, 1 << (len(key) - 1)):
         bit = i & -i
@@ -498,7 +551,7 @@ def _fiber_children(key: Mults) -> dict[Mults, int]:
         step = 1 if mask & bit else -1
         exps[j] -= step
         exps[j + 1] += step
-        child = tuple(filter(None, exps))
+        child = tuple(filter(None, exps)) if strip else tuple(exps)
         children[child] = children.get(child, 0) + 1
     return children
 
@@ -527,8 +580,10 @@ def count_by_fiber_recursion(mults: Sequence[int], memo: dict[Mults, int] | None
     has C(a+b, a) vertices, its 0/1 patterns (see ``_two_value_count``).
     Such keys are leaves of the walk, a root of at most two values is
     answered at once, and ``memo`` stores only keys of three or more
-    values.  Independent of ``a_infinity``'s memo table, and of its code:
-    this route strips and checks its input, and walks the DAG, itself.
+    values, each the smaller of a vector and its reversal, which have
+    the same count (see ``_fiber_walk``).  Independent of
+    ``a_infinity``'s memo table, and of its code: this route strips and
+    checks its input, and walks the DAG, itself.
     """
     parts = []
     for v in mults:
@@ -551,8 +606,17 @@ def _fiber_walk(key: Mults, memo: dict[Mults, int]) -> int:
     Walked as ``_a_walk`` walks the DAG of A, with this route's own code.
     The leaves are the children of at most two values: they are popped
     from each fresh child dict and weighed by ``_two_value_count`` at
-    once, so they are never stored or expanded.
+    once, so they are never stored or expanded.  A vector and its
+    reversal have the same count, since GZ(lambda) and GZ(-w0 lambda)
+    are the same polytope up to a linear isomorphism, so the walk keys
+    ``memo`` on the smaller of the two: the root and every inner child
+    are read as that mirror key, and children that are mirrors of each
+    other are summed into one.  ``memo`` holds only mirror keys of three
+    or more values.
     """
+    mirror = key[::-1]
+    if mirror < key:
+        key = mirror
     value = memo.get(key)
     if value is not None:
         return value
@@ -562,14 +626,18 @@ def _fiber_walk(key: Mults, memo: dict[Mults, int]) -> int:
         if type(top) is tuple:
             if top in memo:
                 continue
-            children = _fiber_children(top)
             weight = 0
-            # Most nodes have no leaf child; finding that in C skips the scan.
-            if min(map(len, children)) <= 2:
-                for child in [ch for ch in children if len(ch) <= 2]:
-                    weight += children.pop(child) * _two_value_count(child)
-            stack.append([top, weight, children])
-            stack.extend(filterfalse(memo.__contains__, children))
+            inner: dict[Mults, int] = {}
+            for child, mult in _fiber_children(top).items():
+                if len(child) <= 2:
+                    weight += mult * _two_value_count(child)
+                    continue
+                mirror = child[::-1]
+                if mirror < child:
+                    child = mirror
+                inner[child] = inner.get(child, 0) + mult
+            stack.append([top, weight, inner])
+            stack.extend(filterfalse(memo.__contains__, inner))
         else:
             node, weight, children = top
             values = map(memo.__getitem__, children)

@@ -348,7 +348,15 @@ def _key(mono: Monomial) -> int:
 
 
 def _monomial_of(key: int) -> Monomial:
-    """The monomial whose packed key is ``key``."""
+    """The monomial whose packed key is ``key``.
+
+    A negative key has a negative field and is refused with ValueError:
+    shifted right it stays -1, so the loop over its fields would never
+    end.  One comes, for example, from ``_reflected`` given an exponent
+    above its ``s``.
+    """
+    if key < 0:
+        raise ValueError(f"packed key {key} has a negative field")
     pairs = []
     idx = 1
     while key:
@@ -367,10 +375,13 @@ def _support_classes(p: SparsePoly) -> dict[tuple[int, ...], SparsePoly]:
     sum of its terms divided by the product of those variables.  Read on
     packed keys: a field is nonzero exactly when its variable is in the
     support, and the division subtracts one from each such field, so it
-    is one-to-one on a class.
+    is one-to-one on a class.  A negative key is refused with ValueError,
+    as ``_monomial_of`` refuses it.
     """
     classes: dict[int, dict[int, int]] = {}
     for key, coeff in p._keys.items():
+        if key < 0:
+            raise ValueError(f"packed key {key} has a negative field")
         ones = shift = 0
         rest = key
         while rest:

@@ -13,14 +13,15 @@ import sys
 import time
 import tracemalloc
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, filterfalse, product
 from math import comb
+from operator import mul
 from pathlib import Path
 
 import pytest
 
 import gzcount
-from gzcount import counting, polyseries
+from gzcount import cli, counting, polyseries
 from gzcount.counting import (
     CacheFormatError,
     CountCache,
@@ -54,6 +55,18 @@ def compositions(total):
         for cut in combinations(range(1, total), cuts):
             bounds = (0,) + cut + (total,)
             yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def seeded_vectors(seed, count):
+    """``count`` seeded vectors of 1 to 6 positive entries, total at most 16."""
+    rng = random.Random(seed)
+    vectors = []
+    while len(vectors) < count:
+        k = rng.randint(1, 6)
+        vec = tuple(rng.randint(1, 6 if k <= 3 else 3) for _ in range(k))
+        if sum(vec) <= 16:
+            vectors.append(vec)
+    return vectors
 
 
 # ---------------------------------------------------------------- operator A
@@ -187,10 +200,18 @@ def test_unnormalized_reference_refuses_a_result_that_is_not_constant(monkeypatc
 
 
 def test_reversal_symmetry_small_totals():
+    # GZ(lambda) and GZ(-w0 lambda) are isomorphic, so a vector and its
+    # reversal count alike, by each route, and a fiber memo filled from
+    # one orientation answers the other.
     cache = CountCache()
-    for total in range(1, 8):
-        for m in compositions(total):
-            assert a_infinity(m, cache) == a_infinity(tuple(reversed(m)), cache)
+    memo = {}
+    vectors = [m for total in range(1, 8) for m in compositions(total)]
+    for m in vectors + seeded_vectors(3046, 40) + [(2, 1, 4), (1, 2, 2, 3, 3, 3), (7, 1, 1, 2)]:
+        value = a_infinity(m, cache)
+        assert a_infinity(m[::-1], cache) == value, m
+        assert count_by_fiber_recursion(m, {}) == value, m
+        assert count_by_fiber_recursion(m[::-1], {}) == value, m
+        assert count_by_fiber_recursion(m, memo) == count_by_fiber_recursion(m[::-1], memo) == value, m
 
 
 def test_vertex_count_from_partitions():
@@ -294,9 +315,9 @@ def test_routes_agree_on_seeded_random_vectors():
 
 
 @pytest.mark.parametrize("key, cache_entries, fiber_entries", [
-    ((5, 5, 5, 5), 1565, 1470),
-    ((20, 20, 20), 11290, 10470),
-    ((1,) * 12, 873, 843),
+    ((5, 5, 5, 5), 1565, 767),
+    ((20, 20, 20), 11290, 5530),
+    ((1,) * 12, 873, 458),
 ])
 def test_cold_walks_store_every_inner_node_and_no_leaf(key, cache_entries, fiber_entries):
     # The memo contents are what cache files and `cache stats` show.
@@ -308,6 +329,94 @@ def test_cold_walks_store_every_inner_node_and_no_leaf(key, cache_entries, fiber
     count_by_fiber_recursion(key, memo)
     assert len(memo) == fiber_entries
     assert all(len(k) > 2 for k in memo)
+
+
+def a_walk_reference(key, memo):
+    """The walk of A with every key expanded by ``_a_children``: the
+    general step, which the walk under test replaces at two entries."""
+    if key in memo:
+        return memo[key]
+    stack = [key]
+    while stack:
+        top = stack.pop()
+        if type(top) is tuple:
+            if top in memo:
+                continue
+            children = counting._a_children(top)
+            stack.append([top, children.pop((), 0), children])
+            stack.extend(filterfalse(memo.__contains__, children))
+        else:
+            node, weight, children = top
+            values = map(memo.__getitem__, children)
+            memo.setdefault(node, weight + sum(map(mul, children.values(), values)))
+    return memo[key]
+
+
+def test_a_walk_stores_the_reference_walk_memo_from_any_start():
+    # From empty, partial and full memos, the walk stores exactly the keys
+    # and values of the walk that expands every key by _a_children.
+    rng = random.Random(46)
+    vectors = seeded_vectors(46, 120)
+    assert sum(1 for vec in vectors if len(vec) == 2) >= 10
+    shared_new, shared_ref = {}, {}
+    for vec in vectors:
+        full = {}
+        value = a_walk_reference(vec, full)
+        partial = {key: v for key, v in full.items() if rng.random() < 0.3}
+        for start in ({}, partial, full):
+            new, ref = dict(start), dict(start)
+            assert counting._a_walk(vec, new) == value == a_walk_reference(vec, ref), vec
+            assert new == ref, (vec, len(start))
+        # A memo that grows over many vectors, as a shared table does.
+        assert counting._a_walk(vec, shared_new) == a_walk_reference(vec, shared_ref)
+        assert shared_new == shared_ref, vec
+
+
+def test_pair_step_matches_the_reference_walk_on_every_small_pair():
+    for a in range(1, 31):
+        for b in range(1, 31):
+            new, ref = {}, {}
+            counting._a_pairs((a, b), new)
+            a_walk_reference((a, b), ref)
+            assert new == ref, (a, b)
+            assert new[a, b] == comb(a + b, a)
+
+
+def test_fiber_memo_holds_only_mirror_keys():
+    memo = {}
+    for vec in seeded_vectors(2046, 80) + [(5, 5, 5, 5), (1, 2, 3, 4, 5), (3, 1, 1, 1)]:
+        count_by_fiber_recursion(vec, memo)
+    assert len(memo) > 200
+    assert all(len(key) > 2 and key <= key[::-1] for key in memo)
+
+
+def test_a_fault_in_the_pair_step_alone_is_caught_at_n_8(monkeypatch, capsys):
+    # The pair step with its merge at (1, 1) dropped: the two children
+    # (1,) and (1,) count once, so V(1, 1) reads 1 instead of 2.
+    def unmerged(key, memo):
+        stack = [key]
+        while stack:
+            a, b = node = stack[-1]
+            left = (a, b - 1) if b > 1 else (a,)
+            down = (a - 1, b) if a > 1 else (b,)
+            missing = [child for child in (left, down) if child not in memo]
+            if missing:
+                for child in missing:
+                    if len(child) == 2:
+                        stack.append(child)
+                    else:
+                        counting._a_walk(child, memo)
+                continue
+            stack.pop()
+            memo.setdefault(node, memo[left] if left == down else memo[left] + memo[down])
+
+    monkeypatch.setattr(counting, "_a_pairs", unmerged)
+    monkeypatch.setattr(counting, "SHARED_CACHE", counting.CountCache())
+    monkeypatch.delenv("GZCOUNT_CACHE", raising=False)
+    assert cli.main(["count", "1 2 3 4 5 6 7 8", "--method", "all"]) == 2
+    out = capsys.readouterr().out
+    assert "fiber 3000736" in out and "a-infinity 3000736" not in out
+    assert "agreement: MISMATCH" in out
 
 
 # ------------------------------------------------------------ fiber recursion

@@ -15,7 +15,9 @@ from gzcount.polyseries import (
     Monomial,
     SparsePoly,
     TruncSeries,
+    _monomial_of,
     _power,
+    _reflected,
     _support_classes,
     divide_exact,
     format_rational,
@@ -492,6 +494,22 @@ def test_support_classes_match_monomial_grouping():
         assert all(list(support) == sorted(set(support)) for support in got)
     assert _support_classes(SparsePoly()) == {}
     assert _support_classes(SparsePoly.const(4)) == {(): SparsePoly.const(4)}
+
+
+def test_a_negative_packed_key_is_refused_at_once():
+    # Shifted right, a negative key stays -1, so a loop over its fields
+    # that waits for 0 would append pairs until memory ran out.
+    for key in (-1, -5, -(1 << _WIDTH), (3 << _WIDTH) - 1 - (1 << 3 * _WIDTH)):
+        with pytest.raises(ValueError, match=f"packed key {key} has a negative field"):
+            _monomial_of(key)
+    # An exponent above s reflects to a negative field.
+    bad = _reflected(X1 ** 3 + X2, 2)
+    with pytest.raises(ValueError, match="has a negative field"):
+        bad.terms
+    with pytest.raises(ValueError, match="has a negative field"):
+        repr(bad)
+    with pytest.raises(ValueError, match="has a negative field"):
+        _support_classes(bad)
 
 
 def test_from_poly_matches_reference_and_refuses_extra_variables():
